@@ -5,10 +5,14 @@ from __future__ import annotations
 import os
 from typing import Dict, Optional
 
-#: Directory where every benchmark writes the table/series it regenerated.
-#: These files are the measured side of the paper-vs-measured comparison in
-#: EXPERIMENTS.md.
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+#: Directory where every benchmark writes the table/series it regenerated:
+#: the git-ignored ``.bench_out/results/`` at the repository root, so a
+#: benchmark run never rewrites tracked files.  The committed tables in
+#: ``benchmarks/results/`` (the measured side of the paper-vs-measured
+#: comparison) are refreshed deliberately, by copying a run's files over.
+RESULTS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    ".bench_out", "results")
 
 
 def peak_rss_bytes(pid: Optional[int] = None) -> Optional[int]:
@@ -63,10 +67,11 @@ def run_and_report(benchmark, experiment_fn, scale, **kwargs):
 def guard_minimum(result, label, value, minimum):
     """Performance regression guard: fail when ``value`` drops below ``minimum``.
 
-    The measured value is appended to the experiment's persisted results file
-    for this run (:func:`run_and_report` rewrites the file at the start of
-    each run, like every fig/table output); the cross-PR perf trajectory is
-    the git history of ``benchmarks/results/``.
+    The measured value is appended to the experiment's results file in
+    :data:`RESULTS_DIR` (:func:`run_and_report` rewrites the file at the
+    start of each run, like every fig/table output); the perf trajectory
+    across changes is the git history of the committed copies in
+    ``benchmarks/results/``.
     """
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, f"{result.name}.txt")

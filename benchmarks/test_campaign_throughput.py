@@ -6,10 +6,9 @@ full-re-execution flag, for paired (unprotected + Ranger) campaigns on the
 deep models, under the paper's 32-bit and 16-bit fixed-point configurations —
 plus the union-cone batched replay (`run(batch_trials=B)`, ULP_TOLERANT,
 cross-site packing with occupancy/overhead accounting) against the
-incremental reference on a longer plan list — with sparse elementwise delta
-propagation (the default) measured against a dense-frontier rerun of the
-same plans — the persistent `CampaignPool` against fresh per-campaign worker
-pools, and the multiprocess fan-out's scaling over worker counts.
+incremental reference on a longer plan list — the persistent `CampaignPool`
+against fresh per-campaign worker pools, and the multiprocess fan-out's
+scaling over worker counts.
 
 The trials-to-target-CI section measures the statistical axis instead of
 the mechanical one: how many trials sequential early stopping
@@ -98,9 +97,7 @@ def test_campaign_throughput(benchmark):
                   resnet["fixed32"]["paired_speedup"], 1.5)
     # Union-cone batched replay: never slower than incremental on any
     # measured configuration; VGG-11's full-width feed-forward convolutions
-    # batch best (measured ~3.3-3.9x); sparse delta propagation closes the
-    # per-element gap on the formerly site-bound models (squeezenet
-    # ~2.0-2.7x, resnet18 ~1.8-2.1x, from ~1.5-1.7x/~1.4-1.6x before).
+    # batch best (measured ~3.3-3.9x); squeezenet and resnet18 follow.
     # Guards sit 15-20% below the single-CPU container's measured minima.
     batched = {
         (model_name, dtype_name): entry["batched"]
@@ -129,26 +126,6 @@ def test_campaign_throughput(benchmark):
                   max(stats["speedup"]
                       for (model, _), stats in batched.items()
                       if model == "resnet18"), 1.6)
-    # Sparse delta propagation: the sparse batched replay (the default) must
-    # stay within timing noise of — and on the best configuration beat — a
-    # dense-frontier rerun of the same plans, and the element accounting
-    # must show real skipped work where rows are large enough to clear the
-    # cost-model floor (resnet18's post-conv re-sparsified deltas).
-    # Measured sparse-vs-dense: 0.77 (vgg11/fixed16, conv-dominated — the
-    # scatter into conv's assembled input is the cost) up to 1.16
-    # (squeezenet/fixed16, the longest elementwise stretches).
-    for (model_name, dtype_name), stats in batched.items():
-        guard_minimum(result,
-                      f"{model_name}/{dtype_name} sparse-vs-dense batched "
-                      f"speedup", stats["sparse_speedup"], 0.65)
-    guard_minimum(result, "best sparse-vs-dense batched speedup",
-                  max(stats["sparse_speedup"] for stats in batched.values()),
-                  0.95)
-    guard_minimum(result,
-                  "resnet18 sparse-skipped element fraction (best dtype)",
-                  max(stats["sparse_fraction"]
-                      for (model, _), stats in batched.items()
-                      if model == "resnet18"), 0.3)
     # Occupancy: the union-cone packer must fill batches well past the
     # identical-site ceiling (~10 rows at this trial count).  Packing is
     # deterministic, so these guards carry no timing noise.

@@ -23,11 +23,6 @@ class RangeRestrictionOp(Operator):
 
     category = "protection"
     injectable = False
-    #: Clip/zero are deterministic per-element compare/selects against
-    #: compile-time bounds, so sparse replay applies them at just the
-    #: changed positions; ``ReplaceWithRandom`` overrides this back to
-    #: False (a fresh whole-array draw cannot be replayed per element).
-    elementwise_exact = True
 
     def __init__(self, low: float, high: float) -> None:
         if low > high:
@@ -81,11 +76,6 @@ class ReplaceWithRandom(RangeRestrictionOp):
     The paper finds this maintains accuracy but is non-deterministic, which
     is why clipping remains the recommended policy for safety-critical use.
     """
-
-    #: Non-deterministic: forward draws one uniform array over the *whole*
-    #: input shape, so per-element replay would consume the RNG differently
-    #: — the sparse frontier must densify before this operator.
-    elementwise_exact = False
 
     def __init__(self, low: float, high: float, seed: int = 0) -> None:
         super().__init__(low, high)

@@ -30,11 +30,7 @@ each has its own experiment here:
   kernels are not bit-stable across batch shapes); the experiment asserts
   per-criterion SDC-count agreement with the bit-exact incremental
   reference on every run, so verdict-set equivalence is re-checked
-  wherever the benchmark executes.  The section also times the batched
-  replay with the sparse elementwise delta frontier (the default) against
-  the legacy dense frontier, reporting the sparse-vs-dense ratio, the
-  fraction of per-element work the sparse path skipped, and the number of
-  node evaluations that had to densify a delta.
+  wherever the benchmark executes.
 
 * **Persistent campaign pool** (the ``pool`` section) — experiment sweeps
   run campaigns back-to-back, and a fresh ``run(workers=N)`` pays the
@@ -162,14 +158,6 @@ def _measure_batched(model, inputs: np.ndarray, fmt, policy, trials: int,
     per-criterion SDC counts must equal the bit-exact incremental
     reference's (the ULP_TOLERANT verdict-agreement guarantee), which is
     asserted on every benchmark run.
-
-    The batched path is timed twice — with sparse elementwise deltas (the
-    default) and with the legacy dense frontier (``sparse_delta=False``) —
-    so the table reports the sparse-vs-dense ratio alongside the fraction
-    of per-element work the sparse representation skipped and how many
-    node evaluations had to densify a delta.  Both runs must agree with
-    the incremental reference, re-checking the sparse path's verdict
-    guarantee wherever the benchmark executes.
     """
     inc_campaign = FaultInjectionCampaign(
         model, inputs, fault_model=SingleBitFlip(fmt), dtype_policy=policy,
@@ -213,19 +201,6 @@ def _measure_batched(model, inputs: np.ndarray, fmt, policy, trials: int,
         batched_result = result
         batched_seconds = seconds if batched_seconds is None \
             else min(batched_seconds, seconds)
-    dense_seconds = None
-    for _ in range(BATCHED_TIMING_REPEATS):
-        start = time.perf_counter()
-        result = batched_campaign.run(plans=plans, batch_trials=BATCH_WIDTH,
-                                      packing=packing, sparse_delta=False)
-        seconds = time.perf_counter() - start
-        if result.sdc_counts != inc_result.sdc_counts:
-            raise RuntimeError(
-                f"dense batched replay verdicts diverged from the "
-                f"incremental reference on '{model.name}': "
-                f"{result.sdc_counts} != {inc_result.sdc_counts}")
-        dense_seconds = seconds if dense_seconds is None \
-            else min(dense_seconds, seconds)
     return {
         "incremental_seconds": inc_seconds,
         "batched_seconds": batched_seconds,
@@ -238,10 +213,6 @@ def _measure_batched(model, inputs: np.ndarray, fmt, policy, trials: int,
         "union_overhead_nodes": batched_result.union_overhead_nodes,
         "pack_seconds": pack_seconds,
         "pack_fraction": pack_seconds / (batched_seconds + pack_seconds),
-        "dense_batched_seconds": dense_seconds,
-        "sparse_speedup": dense_seconds / batched_seconds,
-        "sparse_fraction": batched_result.sparse_evaluated_fraction or 0.0,
-        "dense_fallback_nodes": batched_result.dense_fallback_nodes,
     }
 
 
@@ -372,9 +343,6 @@ def run_campaign_throughput(scale: Optional[ExperimentScale] = None,
                                  stats["incremental_trials_per_sec"],
                                  stats["batched_trials_per_sec"],
                                  stats["speedup"],
-                                 stats["sparse_speedup"],
-                                 100.0 * stats["sparse_fraction"],
-                                 stats["dense_fallback_nodes"],
                                  stats["mean_occupancy"],
                                  stats["batched_fraction"],
                                  stats["union_overhead_nodes"],
@@ -383,13 +351,12 @@ def run_campaign_throughput(scale: Optional[ExperimentScale] = None,
     rendered += "\n\n" + render_table(
         ["model", "datatype", "incr trials/s",
          f"batched[B={BATCH_WIDTH}] trials/s", "speedup",
-         "sparse speedup", "sparse skip %", "fallback evals",
          "occupancy rows/batch", "batched frac", "union overhead",
          "pack %", "max ulp dev"],
         batched_rows,
-        title=(f"Campaign throughput — union-cone batched (ULP_TOLERANT, "
-               f"sparse deltas) vs. incremental replay ({batched_trials} "
-               f"trials, {BATCHED_NUM_INPUTS} inputs)"))
+        title=(f"Campaign throughput — union-cone batched (ULP_TOLERANT) "
+               f"vs. incremental replay ({batched_trials} trials, "
+               f"{BATCHED_NUM_INPUTS} inputs)"))
 
     # Persistent pool vs. fresh fan-out over back-to-back campaigns.
     pool_model = "squeezenet" if "squeezenet" in available else models[0]

@@ -18,14 +18,6 @@ from .executor import (
     set_training_mode,
 )
 from .builder import GraphBuilder
-from .sparse import (
-    SPARSE_DENSITY_THRESHOLD,
-    SPARSE_MIN_GAIN_ELEMENTS,
-    SparseRows,
-    bitwise_neq,
-    gather_param,
-    merge_sorted_triplets,
-)
 
 __all__ = [
     "BatchedExecutionResult",
@@ -40,14 +32,8 @@ __all__ = [
     "Node",
     "Observer",
     "OutputHook",
-    "SPARSE_DENSITY_THRESHOLD",
-    "SPARSE_MIN_GAIN_ELEMENTS",
-    "SparseRows",
     "bit_identical",
-    "bitwise_neq",
-    "gather_param",
     "max_row_ulp_distance",
-    "merge_sorted_triplets",
     "set_training_mode",
     "ulp_distance",
 ]

@@ -16,7 +16,6 @@ concerns meet:
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple, Union)
@@ -27,9 +26,6 @@ from ..ops.base import Array, Operator, Placeholder, Variable
 from .equivalence import (DEFAULT_MAX_ULPS, EquivalenceMode,
                           max_row_ulp_distance)
 from .graph import Graph, GraphError, Node
-from .sparse import (SPARSE_DENSITY_THRESHOLD, SPARSE_MIN_GAIN_ELEMENTS,
-                     SparseRows, bitwise_neq,
-                     gather_param, merge_sorted_triplets)
 
 #: An output hook receives (node, output) and returns a possibly-modified
 #: output array.  Hooks run in registration order after the operator executes.
@@ -72,88 +68,8 @@ class DTypePolicy:
 
     name = "float64"
 
-    #: Whether :meth:`apply` is an exact per-element map (the output bits of
-    #: element ``i`` depend only on element ``i``'s input bits and the node)
-    #: — required for sparse delta propagation.  The identity policy
-    #: trivially qualifies, as does per-element fixed-point quantization;
-    #: a policy whose transform couples elements must override with False,
-    #: which makes the replay engine densify sparse seeds up front.
-    elementwise_exact = True
-
     def apply(self, node: Node, value: Array) -> Array:
         return value
-
-
-class BufferArena:
-    """Preallocated per-(node, batch-width) output buffers for trial replay.
-
-    Every replayed trial used to allocate a fresh output array per
-    re-evaluated node (plus one per assembled batched input); across a
-    campaign that is millions of allocator round-trips for buffers of
-    identical shape.  The arena hands each (node, batch-width) site one
-    float64 buffer, reused across trials and waves.
-
-    Safety contract (why reuse cannot change a result byte):
-
-    * operators write into a buffer only through the audited
-      :meth:`~repro.ops.base.Operator.forward_out` / dtype-policy ``out=``
-      paths, which perform the exact same IEEE-754 computation as the
-      allocating paths;
-    * a buffer is never aliased with an operator's inputs — buffers are
-      keyed per node, and a DAG node is not its own input;
-    * the replay engines consume each buffer before the same site can be
-      re-filled (the batched commit copies surviving rows out; the
-      incremental path copies requested outputs on exit), and golden
-      caches are only ever *read* — the copy-on-entry guarantee: cached
-      (possibly shared-memory-mapped, read-only) activations are copied
-      before any mutation, never written through.
-
-    Buffers are created on first use and replaced when a site's shape or
-    dtype changes; :meth:`owns` identifies escaping arrays (including
-    views carved out of a buffer) so callers can copy them out.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: Dict[Tuple, Array] = {}
-        self._owned: Set[int] = set()
-        self.hits = 0
-        self.allocations = 0
-
-    def buffer(self, key: Tuple, shape: Tuple[int, ...],
-               dtype=np.float64) -> Array:
-        buf = self._buffers.get(key)
-        if buf is not None and buf.shape == shape and buf.dtype == dtype:
-            self.hits += 1
-            return buf
-        if buf is not None:
-            self._owned.discard(id(buf))
-        buf = np.empty(shape, dtype=dtype)
-        self._buffers[key] = buf
-        self._owned.add(id(buf))
-        self.allocations += 1
-        return buf
-
-    def owns(self, array: Array) -> bool:
-        """Whether ``array`` is (a view into) an arena buffer.
-
-        Buffers are held by the arena for its lifetime, so ``id`` identity
-        is stable; the base chain catches views (reshape/identity outputs)
-        carved out of a buffer.
-        """
-        seen = 0
-        while array is not None and seen < 8:
-            if id(array) in self._owned:
-                return True
-            array = getattr(array, "base", None)
-            seen += 1
-        return False
-
-    def nbytes(self) -> int:
-        return sum(buf.nbytes for buf in self._buffers.values())
-
-    def stats(self) -> Dict[str, int]:
-        return {"buffers": len(self._buffers), "bytes": self.nbytes(),
-                "hits": self.hits, "allocations": self.allocations}
 
 
 def bit_identical(a: Array, b: Array) -> bool:
@@ -180,25 +96,11 @@ class ExecutionResult:
     ``recomputed`` is populated by partial re-execution
     (:meth:`Executor.run_from`) with the names of the nodes that were
     actually re-evaluated; everything else came from the supplied cache.
-
-    Sparse-replay accounting (zero outside the sparse path):
-    ``elements_evaluated`` counts output elements actually computed,
-    ``elements_full`` what dense evaluation of the same node visits would
-    have computed, and ``dense_fallback_nodes`` how many node evaluations
-    scattered a sparse input into a dense copy (the densification
-    frontier).  ``sparse_pending`` maps nodes whose entry in ``values``
-    still holds the *golden* array to their (indices, values) delta — the
-    fault's effect never needed a dense copy there; requested outputs are
-    always materialized and never appear in it.
     """
 
     outputs: Dict[str, Array]
     values: Dict[str, Array]
     recomputed: Optional[Set[str]] = None
-    elements_evaluated: int = 0
-    elements_full: int = 0
-    dense_fallback_nodes: int = 0
-    sparse_pending: Dict[str, Tuple[Array, Array]] = field(default_factory=dict)
 
     def output(self, name: Optional[str] = None) -> Array:
         if name is not None:
@@ -222,19 +124,12 @@ class BatchedExecutionResult:
     row that change propagation declared *clean* and its batch-1 golden
     value — the tolerance the run actually consumed, reported alongside
     ULP_TOLERANT results so the equivalence claim is auditable.
-
-    ``elements_evaluated`` / ``elements_full`` / ``dense_fallback_nodes``
-    mirror :class:`ExecutionResult`'s sparse accounting, summed over rows
-    (zero outside the sparse path).
     """
 
     outputs: Dict[str, Array]
     recomputed: Set[str] = field(default_factory=set)
     rows_evaluated: int = 0
     max_ulp_deviation: float = 0.0
-    elements_evaluated: int = 0
-    elements_full: int = 0
-    dense_fallback_nodes: int = 0
 
     def output(self, name: Optional[str] = None) -> Array:
         if name is not None:
@@ -264,25 +159,6 @@ class Executor:
         self.dtype_policy = dtype_policy or DTypePolicy()
         self._output_hooks: List[OutputHook] = []
         self._observers: List[Observer] = []
-        #: Optional :class:`BufferArena` for the replay paths
-        #: (:meth:`run_from` / :meth:`run_from_batched`); campaigns attach
-        #: one so replays reuse per-(node, batch-width) output buffers.
-        #: Dynamically gated off while output hooks or observers are
-        #: registered (they may retain references to outputs) — and never
-        #: used by :meth:`run`, whose values become long-lived golden
-        #: caches.
-        self.arena: Optional[BufferArena] = None
-        #: Whether the dtype policy's ``apply`` accepts an ``out=`` buffer
-        #: (subclasses predating the arena keep the two-argument form).
-        self._policy_takes_out = "out" in inspect.signature(
-            self.dtype_policy.apply).parameters
-        #: Cost-model floor for the sparse delta path: a node evaluation only
-        #: goes sparse when the dense element work it displaces (dirty rows x
-        #: row size) reaches this many elements — below it, the fixed sparse
-        #: bookkeeping outweighs the overhead-dominated dense evaluation it
-        #: replaces.  Purely a representation choice: results are bit-identical
-        #: either way.  Set to 0 to force sparse wherever representable.
-        self.sparse_min_gain_elements = SPARSE_MIN_GAIN_ELEMENTS
 
     # -- hook management -----------------------------------------------------
 
@@ -304,164 +180,14 @@ class Executor:
 
     # -- execution -------------------------------------------------------------
 
-    def _evaluate(self, node: Node, out: Array,
-                  out_buffer: Optional[Array] = None) -> Array:
-        """Apply the dtype policy, output hooks and observers to one output.
-
-        ``out_buffer`` (arena replay only): a buffer the dtype policy may
-        write its result into — the same elementwise pipeline, just
-        allocation-free; ``out`` may already *be* the buffer when the
-        operator wrote in place.
-        """
-        if out_buffer is not None and self._policy_takes_out:
-            out = self.dtype_policy.apply(node, out, out=out_buffer)
-        else:
-            out = self.dtype_policy.apply(node, out)
+    def _evaluate(self, node: Node, out: Array) -> Array:
+        """Apply the dtype policy, output hooks and observers to one output."""
+        out = self.dtype_policy.apply(node, out)
         for hook in self._output_hooks:
             out = hook(node, out)
         for observer in self._observers:
             observer(node, out)
         return out
-
-    def _arena_buffer(self, key: Tuple, cached: Optional[Array],
-                      count: Optional[int]) -> Optional[Array]:
-        """The arena output buffer for one replay site, or ``None``.
-
-        The expected output shape/dtype comes from the node's cached
-        golden value (``count`` rows of its row shape for batched sites);
-        sites without a float64 golden reference stay on the allocating
-        path.  Hooks/observers disable the arena wholesale — they may
-        retain output references across trials.
-        """
-        if (self.arena is None or self._output_hooks or self._observers
-                or cached is None):
-            return None
-        cached = np.asarray(cached)
-        if cached.dtype != np.float64:
-            return None
-        shape = (cached.shape if count is None
-                 else (count,) + cached.shape[1:])
-        return self.arena.buffer(key, shape)
-
-    # -- sparse delta machinery ------------------------------------------------
-
-    def _sparse_ready(self) -> bool:
-        """Whether sparse delta propagation preserves this executor's
-        semantics: hooks and observers expect to see full dense outputs at
-        every re-evaluated node, and the dtype policy must be an exact
-        per-element map."""
-        return (not self._output_hooks and not self._observers
-                and bool(getattr(self.dtype_policy, "elementwise_exact",
-                                 False)))
-
-    def _sparse_node_eligible(self, node: Node,
-                              cached_values: Mapping[str, Array]) -> bool:
-        """Whether ``node`` can consume a sparse delta bit-exactly.
-
-        Requires the elementwise-exactness contract, a float64 golden cache
-        for the node and each batch-carrying input, matching row shapes for
-        ``"value"`` operators (no cross-row broadcasting of dirty inputs),
-        and broadcastable batch-invariant parameters.
-        """
-        op = node.op
-        if not op.elementwise_exact or isinstance(op, Placeholder):
-            return False
-        cached_out = cached_values.get(node.name)
-        if cached_out is None:
-            return False
-        out = np.asarray(cached_out)
-        if out.dtype != np.float64 or out.ndim < 1:
-            return False
-        out_row_shape = out.shape[1:]
-        for inp in node.inputs:
-            if inp not in cached_values:
-                return False
-            iop = self.graph.node(inp).op
-            ival = np.asarray(cached_values[inp])
-            if iop.batch_axis is None:
-                if op.sparse_kind == "value":
-                    try:
-                        np.broadcast_to(ival, out_row_shape)
-                    except ValueError:
-                        return False
-                continue
-            if ival.dtype != np.float64:
-                return False
-            if op.sparse_kind == "value" and ival.shape[1:] != out_row_shape:
-                return False
-        return True
-
-    def _sparse_eval_node(self, node: Node,
-                          cached_values: Mapping[str, Array],
-                          dirty_parts: Mapping[int, Tuple[Array, Array, Array]],
-                          ) -> Tuple[Array, Array, Array]:
-        """Apply one elementwise-exact operator to just the changed elements.
-
-        ``dirty_parts`` maps input *positions* to (rows, indices, values)
-        triplets — each input's delta relative to its golden cache, sorted
-        by (row, index), restricted to the rows being evaluated.  Returns
-        the node's output delta as a (rows, indices, values) triplet in the
-        same order, with the dtype policy applied and *before* retirement
-        of elements that landed back on golden bits.
-        """
-        op = node.op
-        out_row_shape = np.asarray(cached_values[node.name]).shape[1:]
-        row_size = int(np.prod(out_row_shape, dtype=np.int64))
-        if op.sparse_kind == "remap":
-            # Values pass through bit-unchanged; only positions move.
-            input_row_shapes = [np.asarray(cached_values[i]).shape[1:]
-                                for i in node.inputs]
-            parts = []
-            for pos in sorted(dirty_parts):
-                prows, pidx, pvals = dirty_parts[pos]
-                mapped = np.asarray(
-                    op.sparse_remap(pos, pidx, input_row_shapes,
-                                    out_row_shape), dtype=np.int64)
-                parts.append((prows, mapped, pvals))
-            rows, out_idx, out_vals = merge_sorted_triplets(parts)
-            # The dense path applies the dtype policy to reshape/concat
-            # outputs too; on already-policy-processed values it is
-            # idempotent, so this mirrors it bit-for-bit.
-            out_vals = np.asarray(
-                self.dtype_policy.apply(node, np.asarray(out_vals,
-                                                         dtype=np.float64)),
-                dtype=np.float64)
-        else:
-            parts = [dirty_parts[pos] for pos in sorted(dirty_parts)]
-            if len(parts) == 1:
-                rows, out_idx = parts[0][0], parts[0][1]
-            else:
-                # Union of the inputs' dirty positions (an output element
-                # changes if any input element feeding it changed).
-                all_key = np.concatenate(
-                    [p[0] * row_size + p[1] for p in parts])
-                union_key = np.unique(all_key)
-                rows = union_key // row_size
-                out_idx = union_key % row_size
-            key = rows * row_size + out_idx
-            args: List[Array] = []
-            for pos, inp in enumerate(node.inputs):
-                iop = self.graph.node(inp).op
-                ival = np.asarray(cached_values[inp])
-                if iop.batch_axis is None:
-                    # Shared parameter: sample it through the same broadcast
-                    # the dense pass applies (rows all see the same values).
-                    args.append(gather_param(ival, out_row_shape, out_idx))
-                    continue
-                # Batch-carrying input: golden values at the union
-                # positions, overlaid with this input's own delta.
-                arg = ival.reshape(-1)[out_idx]
-                part = dirty_parts.get(pos)
-                if part is not None:
-                    prows, pidx, pvals = part
-                    where = np.searchsorted(key, prows * row_size + pidx)
-                    arg[where] = pvals
-                args.append(arg)
-            out_vals = np.asarray(op.sparse_forward(out_idx, *args),
-                                  dtype=np.float64)
-            out_vals = np.asarray(
-                self.dtype_policy.apply(node, out_vals), dtype=np.float64)
-        return rows, out_idx, out_vals
 
     def run(self, feed: Optional[Mapping[str, Array]] = None,
             outputs: Optional[Sequence[str]] = None,
@@ -515,8 +241,6 @@ class Executor:
                  outputs: Optional[Sequence[str]] = None,
                  feed: Optional[Mapping[str, Array]] = None,
                  dirty_values: Optional[Mapping[str, Array]] = None,
-                 dirty_deltas: Optional[
-                     Mapping[str, Tuple[Array, Array]]] = None,
                  ) -> ExecutionResult:
         """Partial re-execution from a per-node activation cache.
 
@@ -564,65 +288,22 @@ class Executor:
             Only needed when a placeholder itself is marked dirty.
         dirty_values:
             Node name → replacement output installed without re-evaluation.
-        dirty_deltas:
-            Node name → ``(indices, values)`` sparse replacement: the
-            node's output equals its cached golden value except at the
-            C-order flat ``indices`` (strictly increasing), where it holds
-            ``values`` (final, already policy-processed — exactly the
-            ``dirty_values`` contract, expressed sparsely).  The delta is
-            carried through elementwise-exact consumers without ever
-            materializing a dense copy, bit-identical to installing the
-            equivalent dense override; the first non-elementwise consumer
-            (or a hook/observer/non-elementwise dtype policy) densifies it.
         """
         feed = dict(feed or {})
         requested = list(outputs) if outputs is not None else list(self.graph.outputs)
         if not requested:
             raise GraphError("graph has no outputs and none were requested")
         overrides = dict(dirty_values or {})
-        deltas: Dict[str, Tuple[Array, Array]] = {}
-        for name, (idx, vals) in (dirty_deltas or {}).items():
-            if name in overrides:
-                raise GraphError(
-                    f"'{name}' appears in both dirty_values and dirty_deltas")
-            deltas[name] = (np.asarray(idx, dtype=np.int64),
-                            np.asarray(vals, dtype=np.float64))
         reeval_seeds = ({dirty} if isinstance(dirty, str) else set(dirty))
         reeval_seeds -= set(overrides)
-        reeval_seeds -= set(deltas)
-        seeds = reeval_seeds | set(overrides) | set(deltas)
+        seeds = reeval_seeds | set(overrides)
         for name in seeds:
             if name not in self.graph:
                 raise GraphError(f"unknown dirty node '{name}'")
 
-        sparse_active = bool(deltas) and self._sparse_ready()
-        if deltas and not sparse_active:
-            # Hooks/observers or a non-elementwise dtype policy are active:
-            # densify the sparse seeds into ordinary overrides up front
-            # (bit-identical by construction) and run the dense path.
-            for name, (idx, vals) in deltas.items():
-                cached = cached_values.get(name)
-                if cached is None:
-                    raise GraphError(
-                        f"run_from(): sparse delta at '{name}' requires a "
-                        f"cached golden value")
-                dense = np.array(cached)
-                dense.reshape(-1)[idx] = vals
-                overrides[name] = dense
-            deltas = {}
-
         values: Dict[str, Array] = dict(cached_values)
         recomputed: Set[str] = set()
         live_dirty: Set[str] = set()
-        # Nodes whose values[] entry is stale golden, the real change held
-        # sparsely as (indices, values); and nodes whose values[] entry is
-        # fresh dense but that also carry a delta annotation for sparse
-        # consumers (re-sparsification after a densifying operator).
-        sparse_pending: Dict[str, Tuple[Array, Array]] = {}
-        sparse_annot: Dict[str, Tuple[Array, Array]] = {}
-        elements_evaluated = 0
-        elements_full = 0
-        dense_fallbacks = 0
 
         dirty_overrides: List[str] = []
         for name, value in overrides.items():
@@ -631,29 +312,6 @@ class Executor:
             if cached is None or not bit_identical(value, cached):
                 live_dirty.add(name)
                 dirty_overrides.append(name)
-        for name, (idx, vals) in deltas.items():
-            cached = cached_values.get(name)
-            if cached is None:
-                raise GraphError(
-                    f"run_from(): sparse delta at '{name}' requires a "
-                    f"cached golden value")
-            golden = np.ascontiguousarray(cached)
-            if idx.size and (int(idx[0]) < 0 or int(idx[-1]) >= golden.size
-                             or not bool(np.all(np.diff(idx) > 0))):
-                raise GraphError(
-                    f"run_from(): sparse delta indices for '{name}' must be "
-                    f"strictly increasing and within [0, {golden.size})")
-            if golden.dtype == np.float64:
-                # Prune delta elements that landed back on golden bits —
-                # the per-element analogue of the override bit_identical
-                # check above.
-                keep = bitwise_neq(vals, golden.reshape(-1)[idx])
-                if not keep.all():
-                    idx, vals = idx[keep], vals[keep]
-            if idx.size:
-                live_dirty.add(name)
-                dirty_overrides.append(name)
-                sparse_pending[name] = (idx, vals)
 
         if not seeds or (not live_dirty and not reeval_seeds):
             # Nothing can change: every requested output is cached.
@@ -668,7 +326,7 @@ class Executor:
 
         cone = self.graph.downstream(seeds)
         needed = self.graph.ancestors(requested)
-        recompute = (cone & needed) - set(overrides) - set(deltas)
+        recompute = (cone & needed) - set(overrides)
         pending_seeds = len(reeval_seeds & recompute)
         topo = self.graph.topo_index()
 
@@ -683,79 +341,14 @@ class Executor:
         last_dirty_use = max((influence_horizon(name)
                               for name in dirty_overrides), default=-1)
 
-        def materialize(name: str, count_fallback: bool = True) -> None:
-            """Scatter a pending sparse delta into a dense copy of the
-            golden cache (the densification frontier)."""
-            delta = sparse_pending.pop(name, None)
-            if delta is None:
-                return
-            nonlocal dense_fallbacks
-            idx, vals = delta
-            dense = np.array(cached_values[name])
-            dense.reshape(-1)[idx] = vals
-            values[name] = dense
-            sparse_annot[name] = delta
-            if count_fallback:
-                dense_fallbacks += 1
-
         for name in sorted(recompute, key=topo.__getitem__):
             position = topo[name]
             if not pending_seeds and position > last_dirty_use:
                 break  # no remaining node can have a dirty input
             node = self.graph.node(name)
             is_seed = name in reeval_seeds
-            dirty_inputs = [i for i in node.inputs if i in live_dirty]
-            if not is_seed and not dirty_inputs:
+            if not is_seed and not any(i in live_dirty for i in node.inputs):
                 continue  # every input is clean: the cached value stands
-            if (sparse_active and not is_seed
-                    and all(i in sparse_pending or i in sparse_annot
-                            for i in dirty_inputs)
-                    and self._sparse_node_eligible(node, cached_values)):
-                # Sparse fast path: every dirty input carries a delta and
-                # the operator is elementwise-exact — apply it to just the
-                # changed elements on top of the golden cache.
-                row_size = int(np.asarray(cached_values[name]).size)
-                dirty_parts: Dict[int, Tuple[Array, Array, Array]] = {}
-                total_nnz = 0
-                for pos, inp in enumerate(node.inputs):
-                    if inp not in live_dirty:
-                        continue
-                    delta = sparse_pending.get(inp) or sparse_annot.get(inp)
-                    if delta is None:
-                        continue
-                    idx, vals = delta
-                    dirty_parts[pos] = (
-                        np.zeros(idx.size, dtype=np.int64), idx, vals)
-                    total_nnz += idx.size
-                if (row_size >= self.sparse_min_gain_elements
-                        and total_nnz <= SPARSE_DENSITY_THRESHOLD * row_size):
-                    rows, idx, vals = self._sparse_eval_node(
-                        node, cached_values, dirty_parts)
-                    golden_flat = np.ascontiguousarray(
-                        cached_values[name]).reshape(-1)
-                    keep = bitwise_neq(vals, golden_flat[idx])
-                    recomputed.add(name)
-                    elements_evaluated += int(idx.size)
-                    elements_full += row_size
-                    if keep.any():
-                        if not keep.all():
-                            idx, vals = idx[keep], vals[keep]
-                        sparse_pending[name] = (idx, vals)
-                        live_dirty.add(name)
-                        last_dirty_use = max(last_dirty_use,
-                                             influence_horizon(name))
-                    else:
-                        # Masked fault, detected with an O(changed)
-                        # comparison: the cached value stands.
-                        live_dirty.discard(name)
-                    continue
-                # Too dense for the sparse path, or too small a row for the
-                # bookkeeping to pay for itself: fall through to a dense
-                # re-evaluation (inputs are materialized below).
-            if sparse_active:
-                for inp in set(node.inputs):
-                    materialize(inp)
-            buffer = None
             if isinstance(node.op, Placeholder):
                 if name not in feed:
                     raise GraphError(
@@ -768,90 +361,29 @@ class Executor:
                     raise GraphError(
                         f"run_from(): no cached value for input {exc} of "
                         f"node '{name}'") from None
-                buffer = self._arena_buffer(name, cached_values.get(name),
-                                            None)
-                if buffer is not None and node.op.supports_out:
-                    out = node.op.forward_out(buffer, *args)
-                else:
-                    out = node.op.forward(*args)
-            out = self._evaluate(node, out, buffer)
+                out = node.op.forward(*args)
+            out = self._evaluate(node, out)
             values[name] = out
             recomputed.add(name)
             if is_seed:
                 pending_seeds -= 1
-            if sparse_active:
-                size = int(np.asarray(out).size)
-                elements_evaluated += size
-                elements_full += size
             cached = cached_values.get(name)
             if cached is not None and bit_identical(out, cached):
                 live_dirty.discard(name)  # the change was masked
             else:
                 live_dirty.add(name)
                 last_dirty_use = max(last_dirty_use, influence_horizon(name))
-                if (sparse_active and not node.op.elementwise_exact
-                        and cached is not None):
-                    self._try_resparsify(name, out, cached, sparse_annot,
-                                         recompute)
-
-        # Materialize any requested output still carried sparsely (not a
-        # densification *fallback* — the caller simply asked for the dense
-        # array).
-        for name in requested:
-            if name in sparse_pending:
-                materialize(name, count_fallback=False)
 
         missing = [name for name in requested if name not in values]
         if missing:
             raise GraphError(
                 f"run_from(): requested outputs missing from both the cache "
                 f"and the recomputed cone: {missing}")
-        if self.arena is not None:
-            # Copy-on-exit: a requested output living in (or viewing) an
-            # arena buffer would be silently overwritten by the next
-            # replay; hand the caller a private copy.  Non-requested
-            # ``values`` entries may still reference arena buffers — they
-            # are valid until the next replay on this executor only.
-            for name in requested:
-                if self.arena.owns(values[name]):
-                    values[name] = np.array(values[name])
         return ExecutionResult(
             outputs={name: values[name] for name in requested},
             values=values,
             recomputed=recomputed,
-            elements_evaluated=elements_evaluated,
-            elements_full=elements_full,
-            dense_fallback_nodes=dense_fallbacks,
-            sparse_pending=sparse_pending,
         )
-
-    def _try_resparsify(self, name: str, out: Array, cached: Array,
-                        sparse_annot: Dict[str, Tuple[Array, Array]],
-                        recompute: Iterable[str]) -> None:
-        """Annotate a freshly densified output with its sparse diff.
-
-        After a densifying operator (conv, matmul, pooling) the diff against
-        golden is often narrow again — a k-element input delta only touches
-        the windows that cover it — so elementwise-exact consumers can
-        resume sparse propagation (the resnet18 skip-connection case).  The
-        dense value stays authoritative in ``values``; the annotation is an
-        optimization hint, only created when some consumer can use it.
-        """
-        out_arr = np.asarray(out)
-        cached_arr = np.asarray(cached)
-        if (out_arr.dtype != np.float64
-                or out_arr.shape != cached_arr.shape
-                or out_arr.size < self.sparse_min_gain_elements
-                or not any(self.graph.node(c).op.elementwise_exact
-                           for c in self.graph.successors(name)
-                           if c in recompute)):
-            return
-        diff = bitwise_neq(out_arr.reshape(-1), cached_arr.reshape(-1))
-        nnz = int(np.count_nonzero(diff))
-        if 0 < nnz <= SPARSE_DENSITY_THRESHOLD * out_arr.size:
-            idx = np.flatnonzero(diff).astype(np.int64)
-            sparse_annot[name] = (
-                idx, np.ascontiguousarray(out_arr.reshape(-1)[idx]))
 
     # -- batched partial re-execution ------------------------------------------
 
@@ -973,8 +505,6 @@ class Executor:
                          equivalence: Union[EquivalenceMode, str, None] = None,
                          max_ulps: float = DEFAULT_MAX_ULPS,
                          dirty_row_masks: Optional[Mapping[str, np.ndarray]] = None,
-                         dirty_row_deltas: Optional[
-                             Mapping[str, SparseRows]] = None,
                          ) -> BatchedExecutionResult:
         """Replay B independent trials in one batched partial re-execution.
 
@@ -1049,16 +579,6 @@ class Executor:
             enter the replay at that node (cross-site batches).  Masked
             nodes' stacked values are packed to the mask's set bits; nodes
             absent from the mapping keep the homogeneous all-rows contract.
-        dirty_row_deltas:
-            Optional node name → :class:`~repro.graph.sparse.SparseRows`
-            sparse entry frontier: instead of packing whole corrupted
-            activations, each entering row carries only its changed
-            elements relative to the batch-1 golden cache (final,
-            already policy-processed values).  Deltas flow through
-            elementwise-exact operators per element — masked rows retire
-            with an O(changed) comparison — and densify at the first
-            non-elementwise consumer.  A name may not appear in both this
-            mapping and ``stacked_dirty_values``.
         """
         mode = EquivalenceMode.coerce(equivalence, EquivalenceMode.ULP_TOLERANT)
         threshold = 0.0 if mode is EquivalenceMode.EXACT else float(max_ulps)
@@ -1083,54 +603,20 @@ class Executor:
                     f"row mask for '{name}' must be one-dimensional, got "
                     f"shape {mask.shape}")
             row_masks[name] = mask
-        sparse_entries: Dict[str, SparseRows] = {}
-        for name, sp in (dirty_row_deltas or {}).items():
-            if name in overrides:
-                raise GraphError(
-                    f"'{name}' appears in both stacked_dirty_values and "
-                    f"dirty_row_deltas")
-            sparse_entries[name] = sp
         reeval_seeds = ({dirty} if isinstance(dirty, str) else set(dirty))
         reeval_seeds -= set(overrides)
-        reeval_seeds -= set(sparse_entries)
-        seeds = reeval_seeds | set(overrides) | set(sparse_entries)
+        seeds = reeval_seeds | set(overrides)
         for name in seeds:
             if name not in self.graph:
                 raise GraphError(f"unknown dirty node '{name}'")
         batch_sizes = {value.shape[0] for name, value in overrides.items()
                        if name not in row_masks}
         batch_sizes |= {mask.shape[0] for mask in row_masks.values()}
-        batch_sizes |= {sp.batch for sp in sparse_entries.values()}
         if len(batch_sizes) > 1:
             raise GraphError(
                 f"stacked dirty values disagree on the batch size: "
                 f"{sorted(batch_sizes)}")
         batch = batch_sizes.pop() if batch_sizes else 1
-
-        sparse_active = bool(sparse_entries) and self._sparse_ready()
-        for name, sp in list(sparse_entries.items()):
-            cached = cached_values.get(name)
-            if cached is None:
-                raise GraphError(
-                    f"run_from_batched(): sparse entry at '{name}' requires "
-                    f"a cached golden value")
-            cached = np.asarray(cached)
-            sp.validate(int(cached.size))
-            if not sparse_active or cached.dtype != np.float64:
-                # Hooks, a non-elementwise dtype policy, or a non-float64
-                # cache: densify this entry into a packed override up front
-                # (bit-identical by construction).
-                entry_row_ids = np.unique(sp.rows)
-                packed = np.repeat(cached, entry_row_ids.size, axis=0)
-                flat = packed.reshape(entry_row_ids.size, -1)
-                slot = np.searchsorted(entry_row_ids, sp.rows)
-                flat[slot, sp.indices] = sp.values
-                overrides[name] = packed
-                mask = np.zeros(batch, dtype=bool)
-                mask[entry_row_ids] = True
-                row_masks[name] = mask
-                del sparse_entries[name]
-        sparse_active = sparse_active and bool(sparse_entries)
         # Normalized entry frontier: per node, the (B,) membership mask of
         # the rows entering the replay there plus their packed values (one
         # row per set bit, ascending row order).  Homogeneous overrides get
@@ -1161,26 +647,12 @@ class Executor:
                     f"run_from() for weight/constant updates")
             entry_masks[name] = mask
             entry_rows[name] = rows
-        entry_sparse: Dict[str, SparseRows] = {}
-        for name, sp in sparse_entries.items():
-            if self.graph.node(name).op.batch_axis is None:
-                raise GraphError(
-                    f"run_from_batched(): cannot install sparse deltas at "
-                    f"batch-invariant node '{name}' "
-                    f"({type(self.graph.node(name).op).__name__}); use "
-                    f"run_from() for weight/constant updates")
-            mask = sp.row_mask()
-            if not mask.any():
-                continue  # no row enters here; nothing to install
-            entry_masks[name] = mask
-            entry_sparse[name] = sp
 
         cone = self.graph.downstream_union(seeds) if seeds else frozenset()
         needed = self.graph.ancestors(requested)
         recompute = cone & frozenset(needed)
         if batch > 1:
-            coupled = [name for name in (set(recompute) | set(overrides)
-                                         | set(sparse_entries))
+            coupled = [name for name in (set(recompute) | set(overrides))
                        if not self.graph.node(name).op.batch_transparent]
             if coupled:
                 ops = {name: type(self.graph.node(name).op).__name__
@@ -1191,35 +663,20 @@ class Executor:
                     f"(training-mode BatchNorm/Dropout and axis-0 concats "
                     f"violate the batch-transparency contract)")
 
-        # Sparse dirty-row representation: per node, a boolean row mask and
+        # Packed dirty-row representation: per node, a boolean row mask and
         # the packed values of *only* the dirty rows (in row order).  Rows
         # absent from the mask are implicitly golden — masked faults cost
         # nothing downstream, nothing is ever filled with B-row copies of
         # cached activations, and a consumer whose needed rows coincide
         # with an input's dirty rows reuses the packed array with zero
         # copies (the common case inside a batch that shares a fault site).
-        #
-        # With sparse deltas a node's dirty rows split into two stores:
-        # ``dense_masks``/``dirty_rows_of`` hold the rows carried as whole
-        # packed arrays, ``sparse_store`` the rows carried per element.
-        # ``dirty_masks`` stays the *combined* mask (dense | sparse) so the
-        # need computation below is representation-agnostic; when a node
-        # has no sparse rows, its ``dense_masks`` entry is the same object.
         dirty_masks: Dict[str, np.ndarray] = {}
-        dense_masks: Dict[str, np.ndarray] = {}
         dirty_rows_of: Dict[str, Array] = {}
-        sparse_store: Dict[str, SparseRows] = {}
         recomputed: Set[str] = set()
         rows_evaluated = 0
         max_deviation = 0.0
         nodes_since_mask = 0
         big_checks_skipped = 0
-        elements_evaluated = 0
-        elements_full = 0
-        dense_fallbacks = 0
-        scatter_flag = [False]
-        arena_on = (self.arena is not None and not self._output_hooks
-                    and not self._observers)
 
         topo = self.graph.topo_index()
 
@@ -1250,20 +707,15 @@ class Executor:
             Clean rows come from the (broadcast) golden cache; dirty rows
             from the packed store.  When the consumer needs exactly the
             input's dirty rows — the common case — the packed array is
-            returned as-is, copy-free.  Rows carried sparsely are served as
-            a golden copy with the delta scattered in (the densification
-            frontier of the batched sparse path).
+            returned as-is, copy-free.
             """
             mask = dirty_masks.get(name)
             if (mask is None
                     or self.graph.node(name).op.batch_axis is None):
                 return self._broadcast_cached(cached_values, name, count)
-            sp = sparse_store.get(name)
-            dmask = dense_masks.get(name)
-            if sp is None:
-                packed = dirty_rows_of[name]
-                if mask is need or np.array_equal(mask, need):
-                    return packed
+            packed = dirty_rows_of[name]
+            if mask is need or np.array_equal(mask, need):
+                return packed
             try:
                 cached = cached_values[name]
             except KeyError:
@@ -1271,46 +723,22 @@ class Executor:
                     f"run_from_batched(): no cached value for partially "
                     f"dirty input '{name}'") from None
             cached = np.asarray(cached)
+            packed = np.asarray(packed)
             # Fill an empty buffer row-class by row-class instead of
             # materializing a full golden broadcast first and overwriting
             # the dirty rows — every row is written exactly once.  ``need``
             # may exclude rows the input is dirty for (an entry node's own
             # rows are installed, not evaluated), so the dirty scatter
             # takes the mask ∩ need subset of the packed store.
-            if dmask is not None:
-                packed = np.asarray(dirty_rows_of[name])
-                dtype = np.result_type(cached, packed)
-            else:
-                packed = None
-                dtype = cached.dtype
-            if arena_on:
-                # Per-(input, batch-width) assembly buffer — every row is
-                # (re)written below before the consumer reads it, so reuse
-                # across trials is invisible.
-                assembled = self.arena.buffer(("in", name, count),
-                                              (count,) + cached.shape[1:],
-                                              dtype)
-            else:
-                assembled = np.empty((count,) + cached.shape[1:],
-                                     dtype=dtype)
+            assembled = np.empty((count,) + cached.shape[1:],
+                                 dtype=np.result_type(cached, packed))
             position_of = np.cumsum(need) - 1
-            dense_part = (dmask if dmask is not None
-                          else np.zeros(batch, dtype=bool))
-            base = need & ~dense_part
-            if base.any():
-                assembled[position_of[base]] = cached
-            take = dense_part & need
+            take = mask & need
+            assembled[position_of[need & ~mask]] = cached
             if take.any():
-                rows = (packed if np.array_equal(take, dense_part)
-                        else packed[take[dense_part]])
+                rows = (packed if np.array_equal(take, mask)
+                        else packed[take[mask]])
                 assembled[position_of[take]] = rows
-            if sp is not None:
-                sel = need[sp.rows]
-                if sel.any():
-                    flat = assembled.reshape(count, -1)
-                    flat[position_of[sp.rows[sel]],
-                         sp.indices[sel]] = sp.values[sel]
-                    scatter_flag[0] = True
             return assembled
 
         for name in sorted(recompute, key=topo.__getitem__):
@@ -1320,7 +748,6 @@ class Executor:
             node = self.graph.node(name)
             is_seed = name in reeval_seeds
             entry = entry_masks.get(name)
-            sp_entry = entry_sparse.get(name)
             if is_seed:
                 need = np.ones(batch, dtype=bool)
             else:
@@ -1346,11 +773,7 @@ class Executor:
                 if entry is None:
                     continue  # every input row is clean: the cache stands
                 dirty_masks[name] = entry
-                if sp_entry is not None:
-                    sparse_store[name] = sp_entry
-                else:
-                    dense_masks[name] = entry
-                    dirty_rows_of[name] = entry_rows[name]
+                dirty_rows_of[name] = entry_rows[name]
                 last_dirty_use = max(last_dirty_use, influence_horizon(name))
                 continue
             if node.op.batch_axis is None:
@@ -1359,261 +782,101 @@ class Executor:
                     f"node '{name}' ({type(node.op).__name__}) in a batched "
                     f"replay; use run_from() for weight/constant updates")
             cached = cached_values.get(name)
-
-            # Partition the needed rows between representations: a row goes
-            # sparse when the node is elementwise-exact, every dirty input
-            # serving that row carries its delta sparsely, and the combined
-            # delta stays under the density threshold.
-            sparse_need = None
-            row_size = 0
-            if (sparse_active and not is_seed
-                    and self._sparse_node_eligible(node, cached_values)):
-                row_size = int(np.prod(
-                    np.asarray(cached_values[name]).shape[1:],
-                    dtype=np.int64))
-                dense_any = np.zeros(batch, dtype=bool)
-                has_sparse = np.zeros(batch, dtype=bool)
-                nnz_per_row = np.zeros(batch, dtype=np.int64)
-                for inp in set(node.inputs):
-                    dm = dense_masks.get(inp)
-                    if dm is not None:
-                        dense_any |= dm
-                    spi = sparse_store.get(inp)
-                    if spi is not None:
-                        has_sparse |= spi.row_mask()
-                        nnz_per_row += spi.nnz_by_row()
-                sparse_need = need & has_sparse & ~dense_any
-                if sparse_need.any() and row_size:
-                    sparse_need &= (nnz_per_row
-                                    <= SPARSE_DENSITY_THRESHOLD * row_size)
-                if (int(np.count_nonzero(sparse_need)) * row_size
-                        < self.sparse_min_gain_elements):
-                    # Too little displaced dense work to amortize the fixed
-                    # sparse bookkeeping: evaluate these rows dense instead.
-                    sparse_need = None
-                elif not sparse_need.any():
-                    sparse_need = None
-            dense_need = need if sparse_need is None else need & ~sparse_need
-
-            sparse_result = None  # surviving (rows, indices, values)
-            if sparse_need is not None:
-                dirty_parts: Dict[int, Tuple[Array, Array, Array]] = {}
-                for pos, inp in enumerate(node.inputs):
-                    spi = sparse_store.get(inp)
-                    if spi is None:
-                        continue
-                    sub = spi.restrict(sparse_need)
-                    if sub.rows.size:
-                        dirty_parts[pos] = (sub.rows, sub.indices,
-                                            sub.values)
-                srows, sidx, svals = self._sparse_eval_node(
-                    node, cached_values, dirty_parts)
-                golden_flat = np.ascontiguousarray(
-                    cached_values[name]).reshape(-1)
-                keep = bitwise_neq(svals, golden_flat[sidx])
-                scount = int(np.count_nonzero(sparse_need))
-                rows_evaluated += scount
-                recomputed.add(name)
-                elements_evaluated += int(sidx.size)
-                elements_full += scount * row_size
-                if keep.any():
-                    if not keep.all():
-                        srows, sidx, svals = (srows[keep], sidx[keep],
-                                              svals[keep])
-                    sparse_result = (srows, sidx, svals)
-                # Rows whose whole delta retired are masked faults, proven
-                # with an O(changed) comparison — they simply drop out.
-
-            count = 0
-            need_idx = np.zeros(0, dtype=np.int64)
-            dirty = np.zeros(0, dtype=bool)
-            out_arr = None
-            rs_triplet = None
-            if dense_need.any():
-                need_idx = np.flatnonzero(dense_need)
-                count = len(need_idx)
-                scatter_flag[0] = False
-                if isinstance(node.op, Placeholder):
-                    if name not in feed:
-                        raise GraphError(
-                            f"placeholder '{name}' is dirty but no value "
-                            f"was fed")
-                    fed = np.asarray(feed[name], dtype=np.float64)
-                    if fed.shape[0] == 1:
-                        fed = np.broadcast_to(fed, (batch,) + fed.shape[1:])
-                    elif fed.shape[0] != batch:
-                        raise GraphError(
-                            f"fed value for dirty placeholder '{name}' has "
-                            f"{fed.shape[0]} rows; expected 1 or {batch}")
-                    out = np.array(fed[need_idx], dtype=np.float64)
-                    buffer = None
-                else:
-                    try:
-                        args = [assemble_input(inp, dense_need, count)
-                                for inp in node.inputs]
-                    except KeyError as exc:  # pragma: no cover - defensive
-                        raise GraphError(
-                            f"run_from_batched(): no cached value for input "
-                            f"{exc} of node '{name}'") from None
-                    buffer = self._arena_buffer(("out", name, count),
-                                                cached, count)
-                    if buffer is not None and node.op.supports_out:
-                        out = node.op.forward_out(buffer, *args)
-                    else:
-                        out = node.op.forward(*args)
-                out = self._evaluate(node, out, buffer)
-                rows_evaluated += count
-                recomputed.add(name)
-                if scatter_flag[0]:
-                    dense_fallbacks += 1
-                out_arr = np.asarray(out)
-                out_elements = out_arr.size // count if count else 0
-                if sparse_active:
-                    elements_evaluated += count * out_elements
-                    elements_full += count * out_elements
-                checked_big = False
-                if cached is None:
-                    # Without a golden value there is nothing to snap clean
-                    # rows back to: keep every evaluated row dirty.
-                    dirty = np.ones(count, dtype=bool)
-                elif out_elements < DIVERGENCE_CHECK_MIN_ELEMENTS:
-                    # Small outputs: one exact-equality comparison still
-                    # terminates masked rows but skips the screening
-                    # machinery — a conservative subset of _row_divergence
-                    # (a row within ULP tolerance but not bit-equal simply
-                    # stays dirty, carrying its exact value; under
-                    # fixed-point policies masked rows are bit-equal
-                    # anyway).
-                    cached_arr = np.asarray(cached)
-                    if (cached_arr.dtype == out_arr.dtype
-                            and cached_arr.shape[1:] == out_arr.shape[1:]):
-                        dirty = ~(out_arr == cached_arr).reshape(
-                            count, -1).all(axis=1)
-                    else:
-                        dirty = np.ones(count, dtype=bool)
-                elif (nodes_since_mask > DIVERGENCE_BACKOFF_NODES
-                        and big_checks_skipped + 1
-                        < DIVERGENCE_BACKOFF_STRIDE):
-                    # Backed off (see DIVERGENCE_BACKOFF_NODES): nothing
-                    # has masked in a while, so skip the bandwidth-bound
-                    # screen and keep the rows dirty with their exact
-                    # values.
-                    big_checks_skipped += 1
-                    dirty = np.ones(count, dtype=bool)
-                else:
-                    checked_big = True
-                    big_checks_skipped = 0
-                    dirty, deviation = self._row_divergence(out, cached,
-                                                            threshold)
-                    max_deviation = max(max_deviation, deviation)
-                if cached is not None and (checked_big
-                                           or out_elements
-                                           < DIVERGENCE_CHECK_MIN_ELEMENTS):
-                    nodes_since_mask = 0 if dirty.shape[0] > int(dirty.sum()) \
-                        else nodes_since_mask + 1
-                # Re-sparsification: after a densifying operator the diff
-                # against golden is often narrow again (a k-element input
-                # delta only touches the windows covering it — the resnet18
-                # skip-connection case), so qualifying dirty rows move back
-                # to the sparse store for their elementwise consumers.
-                if (sparse_active and dirty.any() and cached is not None
-                        and int(dirty.sum()) * out_elements
-                        >= self.sparse_min_gain_elements
-                        and not node.op.elementwise_exact
-                        and out_arr.dtype == np.float64
-                        and np.asarray(cached).dtype == np.float64
-                        and np.asarray(cached).shape[1:] == out_arr.shape[1:]
-                        and any(self.graph.node(c).op.elementwise_exact
-                                for c in self.graph.successors(name)
-                                if c in recompute)):
-                    flat_out = out_arr.reshape(count, -1)
-                    flat_cached = np.ascontiguousarray(cached).reshape(-1)
-                    dirty_pos = np.flatnonzero(dirty)
-                    diff = bitwise_neq(flat_out[dirty_pos], flat_cached)
-                    nnz_rows = diff.sum(axis=1)
-                    narrow = (nnz_rows
-                              <= SPARSE_DENSITY_THRESHOLD * flat_out.shape[1])
-                    if narrow.any():
-                        sel = dirty_pos[narrow]
-                        sub = diff[narrow]
-                        local_rows, local_idx = np.nonzero(sub)
-                        abs_rows = need_idx[sel]
-                        if local_rows.size:
-                            rs_triplet = (
-                                abs_rows[local_rows].astype(np.int64),
-                                local_idx.astype(np.int64),
-                                flat_out[sel][sub])
-                        # nnz == 0 rows are bit-equal to golden and retire
-                        # entirely; the rest now travel sparsely.
-                        dirty[sel] = False
-                if is_seed:
-                    pending_seeds -= 1
-            elif is_seed:  # pragma: no cover - seeds always evaluate dense
+            need_idx = np.flatnonzero(need)
+            count = len(need_idx)
+            if isinstance(node.op, Placeholder):
+                if name not in feed:
+                    raise GraphError(
+                        f"placeholder '{name}' is dirty but no value was fed")
+                fed = np.asarray(feed[name], dtype=np.float64)
+                if fed.shape[0] == 1:
+                    fed = np.broadcast_to(fed, (batch,) + fed.shape[1:])
+                elif fed.shape[0] != batch:
+                    raise GraphError(
+                        f"fed value for dirty placeholder '{name}' has "
+                        f"{fed.shape[0]} rows; expected 1 or {batch}")
+                out = np.array(fed[need_idx], dtype=np.float64)
+            else:
+                try:
+                    args = [assemble_input(inp, need, count)
+                            for inp in node.inputs]
+                except KeyError as exc:  # pragma: no cover - defensive
+                    raise GraphError(
+                        f"run_from_batched(): no cached value for input "
+                        f"{exc} of node '{name}'") from None
+                out = node.op.forward(*args)
+            out = self._evaluate(node, out)
+            rows_evaluated += count
+            recomputed.add(name)
+            if is_seed:
                 pending_seeds -= 1
-
-            # Commit this node's dirty stores: the dense component (entry
-            # rows merged with surviving dense-evaluated rows, ascending row
-            # order) and the sparse component (sparse entry + surviving
-            # sparse-evaluated + re-sparsified triplets, (row, index)
-            # sorted) — plus the combined mask the need computation reads.
-            dense_entry = entry if (entry is not None
-                                    and sp_entry is None) else None
-            new_dense_mask = None
-            new_packed = None
-            if dense_entry is not None:
+            out_arr = np.asarray(out)
+            out_elements = out_arr.size // count if count else 0
+            checked_big = False
+            if cached is None:
+                # Without a golden value there is nothing to snap clean
+                # rows back to: keep every evaluated row dirty.
+                dirty = np.ones(count, dtype=bool)
+            elif out_elements < DIVERGENCE_CHECK_MIN_ELEMENTS:
+                # Small outputs: one exact-equality comparison still
+                # terminates masked rows but skips the screening machinery
+                # — a conservative subset of _row_divergence (a row within
+                # ULP tolerance but not bit-equal simply stays dirty,
+                # carrying its exact value; under fixed-point policies
+                # masked rows are bit-equal anyway).
+                cached_arr = np.asarray(cached)
+                if (cached_arr.dtype == out_arr.dtype
+                        and cached_arr.shape[1:] == out_arr.shape[1:]):
+                    dirty = ~(out_arr == cached_arr).reshape(
+                        count, -1).all(axis=1)
+                else:
+                    dirty = np.ones(count, dtype=bool)
+            elif (nodes_since_mask > DIVERGENCE_BACKOFF_NODES
+                    and big_checks_skipped + 1 < DIVERGENCE_BACKOFF_STRIDE):
+                # Backed off (see DIVERGENCE_BACKOFF_NODES): nothing has
+                # masked in a while, so skip the bandwidth-bound screen and
+                # keep the rows dirty with their exact values.
+                big_checks_skipped += 1
+                dirty = np.ones(count, dtype=bool)
+            else:
+                checked_big = True
+                big_checks_skipped = 0
+                dirty, deviation = self._row_divergence(out, cached,
+                                                        threshold)
+                max_deviation = max(max_deviation, deviation)
+            if cached is not None and (checked_big
+                                       or out_elements
+                                       < DIVERGENCE_CHECK_MIN_ELEMENTS):
+                nodes_since_mask = 0 if dirty.shape[0] > int(dirty.sum()) \
+                    else nodes_since_mask + 1
+            if entry is not None:
+                # Merge the injected entry rows with the re-evaluated ones
+                # (ascending row order, like every packed store).
                 packed_entry = np.asarray(entry_rows[name])
-                final_mask = dense_entry.copy()
-                evaluated_abs = (need_idx[dirty] if count
-                                 else np.zeros(0, dtype=np.int64))
-                final_mask[evaluated_abs] = True
-                dtype = (packed_entry.dtype if out_arr is None
-                         else np.result_type(packed_entry, out_arr))
+                final_mask = entry.copy()
+                final_mask[need_idx[dirty]] = True
+                out = np.asarray(out)
                 combined = np.empty(
-                    (int(np.count_nonzero(final_mask)),)
-                    + packed_entry.shape[1:], dtype=dtype)
+                    (int(np.count_nonzero(final_mask)),) + out.shape[1:],
+                    dtype=np.result_type(packed_entry, out))
                 position_of = np.cumsum(final_mask) - 1
-                combined[position_of[dense_entry]] = packed_entry
-                if evaluated_abs.size:
-                    combined[position_of[evaluated_abs]] = out_arr[dirty]
-                new_dense_mask, new_packed = final_mask, combined
-            elif count and dirty.any():
+                combined[position_of[entry]] = packed_entry
+                combined[position_of[need_idx[dirty]]] = out[dirty]
+                dirty_masks[name] = final_mask
+                dirty_rows_of[name] = combined
+                last_dirty_use = max(last_dirty_use, influence_horizon(name))
+            elif dirty.any():
                 mask = np.zeros(batch, dtype=bool)
                 mask[need_idx[dirty]] = True
-                new_dense_mask = mask
-                new_packed = out_arr[dirty]
-            sparse_parts = []
-            if sp_entry is not None:
-                sparse_parts.append((sp_entry.rows, sp_entry.indices,
-                                     sp_entry.values))
-            if sparse_result is not None:
-                sparse_parts.append(sparse_result)
-            if rs_triplet is not None:
-                sparse_parts.append(rs_triplet)
-            new_sparse = (merge_sorted_triplets(sparse_parts)
-                          if sparse_parts else None)
-            if new_dense_mask is None and new_sparse is None:
+                dirty_masks[name] = mask
+                # Evaluated arrays are never written after this point, so
+                # when every row survives the output is stored uncopied.
+                out = np.asarray(out)
+                dirty_rows_of[name] = out if dirty.all() else out[dirty]
+                last_dirty_use = max(last_dirty_use, influence_horizon(name))
+            else:
                 dirty_masks.pop(name, None)
-                dense_masks.pop(name, None)
                 dirty_rows_of.pop(name, None)
-                sparse_store.pop(name, None)
-                continue
-            if new_dense_mask is not None:
-                dense_masks[name] = new_dense_mask
-                dirty_rows_of[name] = new_packed
-            else:
-                dense_masks.pop(name, None)
-                dirty_rows_of.pop(name, None)
-            if new_sparse is not None:
-                sparse_store[name] = SparseRows(batch, *new_sparse)
-                combined_mask = (np.zeros(batch, dtype=bool)
-                                 if new_dense_mask is None
-                                 else new_dense_mask.copy())
-                combined_mask[new_sparse[0]] = True
-                dirty_masks[name] = combined_mask
-            else:
-                sparse_store.pop(name, None)
-                dirty_masks[name] = new_dense_mask
-            last_dirty_use = max(last_dirty_use, influence_horizon(name))
 
         results: Dict[str, Array] = {}
         for name in requested:
@@ -1622,10 +885,9 @@ class Executor:
                 results[name] = np.array(self._broadcast_cached(
                     cached_values, name, batch))
                 continue
-            sp = sparse_store.get(name)
-            dmask = dense_masks.get(name)
-            if sp is None and mask.all():
-                results[name] = np.ascontiguousarray(dirty_rows_of[name])
+            packed = dirty_rows_of[name]
+            if mask.all():
+                results[name] = np.ascontiguousarray(packed)
                 continue
             try:
                 cached = np.asarray(cached_values[name])
@@ -1636,17 +898,11 @@ class Executor:
                     f"from") from None
             full = np.array(np.broadcast_to(cached,
                                             (batch,) + cached.shape[1:]))
-            if dmask is not None:
-                full[dmask] = dirty_rows_of[name]
-            if sp is not None:
-                full.reshape(batch, -1)[sp.rows, sp.indices] = sp.values
+            full[mask] = packed
             results[name] = full
         return BatchedExecutionResult(outputs=results, recomputed=recomputed,
                                       rows_evaluated=rows_evaluated,
-                                      max_ulp_deviation=max_deviation,
-                                      elements_evaluated=elements_evaluated,
-                                      elements_full=elements_full,
-                                      dense_fallback_nodes=dense_fallbacks)
+                                      max_ulp_deviation=max_deviation)
 
     # -- training ---------------------------------------------------------------
 

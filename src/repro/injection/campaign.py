@@ -101,7 +101,6 @@ from ..analysis.metrics import (INTERVAL_METHODS, binomial_interval,
 from ..analysis.reporting import equivalence_note
 from ..graph import DTypePolicy, Executor
 from ..graph.equivalence import DEFAULT_MAX_ULPS, EquivalenceMode
-from ..graph.executor import BufferArena
 from ..models.base import Model
 from ..parallel.shm import (array_content_key, campaign_mp_context,
                             plane_scope, shared_plane)
@@ -237,13 +236,10 @@ class CampaignResult:
     batch_count: int = 0
     batched_trials: int = 0
     union_overhead_nodes: int = 0
-    #: Sparse-delta accounting (all 0 when the campaign ran with
-    #: ``sparse_delta=False`` or in full mode): ``elements_evaluated``
-    #: output elements the replays actually computed,
-    #: ``elements_full`` what dense evaluation of the same node visits
-    #: would have computed, and ``dense_fallback_nodes`` how many node
-    #: evaluations had to scatter a sparse frontier into a dense array
-    #: (the densification boundary — conv/matmul/pooling consumers).
+    #: Retired element-level replay counters, always 0: every replay
+    #: evaluates whole dense rows.  Kept (and merged) so readers of the
+    #: per-element accounting — the campaign benchmark's traced metrics —
+    #: keep working; they report 0 elements and 0 fallback nodes.
     elements_evaluated: int = 0
     elements_full: int = 0
     dense_fallback_nodes: int = 0
@@ -280,17 +276,6 @@ class CampaignResult:
     def stopped_early(self) -> bool:
         """Whether the sequential stopping rule fired before the budget."""
         return 0 < self.trials < self.trials_budget
-
-    @property
-    def sparse_evaluated_fraction(self) -> Optional[float]:
-        """Fraction of dense-equivalent element work the sparse path skipped.
-
-        ``1 - elements_evaluated / elements_full`` over every sparse-active
-        replay; ``None`` when no replay ran with sparse accounting.
-        """
-        if self.elements_full == 0:
-            return None
-        return 1.0 - self.elements_evaluated / self.elements_full
 
     @property
     def mean_batch_occupancy(self) -> Optional[float]:
@@ -471,13 +456,6 @@ class CampaignResult:
                 f"{self.batch_count} batches, mean occupancy "
                 f"{self.mean_batch_occupancy:.1f} rows/batch, union-cone "
                 f"overhead {self.union_overhead_nodes} nodes")
-        if self.elements_full:
-            lines.append(
-                f"  sparse deltas: {100.0 * self.sparse_evaluated_fraction:.1f}% "
-                f"of element work skipped "
-                f"({self.elements_evaluated}/{self.elements_full} elements "
-                f"evaluated, {self.dense_fallback_nodes} dense-fallback "
-                f"node evals)")
         for criterion in self.criteria:
             count = self.sdc_counts[criterion]
             lines.append(
@@ -526,14 +504,6 @@ class FaultInjectionCampaign:
         self.seed = seed
         self.injector = FaultInjector(model, self.fault_model, seed=seed)
         self._executor = model.executor(dtype_policy)
-        #: Replay buffer arena: partial re-executions reuse per-(node,
-        #: batch width) output buffers across this campaign's trials and
-        #: waves instead of allocating fresh arrays per node per replay.
-        #: ``run()`` never consults the arena (golden caches must own
-        #: their storage) and hooks/observers gate it off dynamically,
-        #: so attaching it is behaviour-free — see
-        #: :class:`~repro.graph.executor.BufferArena` for the audit.
-        self._executor.arena = BufferArena()
         self.injector.profile_state_space(self.inputs[:1], self._executor)
         self._golden = self._compute_golden_outputs()
         #: Per-input golden activation caches for partial re-execution,
@@ -653,7 +623,6 @@ class FaultInjectionCampaign:
             packing: Optional[Tuple[List[Tuple[int, List[int]]],
                                     List[int]]] = None,
             pool: Optional["CampaignPool"] = None,
-            sparse_delta: bool = True,
             target_half_width: Optional[float] = None,
             wave_trials: Optional[int] = None,
             strata: Optional[Stratification] = None,
@@ -723,18 +692,6 @@ class FaultInjectionCampaign:
             campaigns then reuse the workers' models and golden caches.
             Results are bit-identical either way; ``workers`` is ignored
             in favour of the pool's size.
-        sparse_delta:
-            When True (default), incremental and batched replays seed the
-            executor with the corrupted bit *positions* (a sparse delta
-            over the golden cache) instead of whole corrupted activation
-            copies; elementwise-exact stretches of the fault cone then
-            evaluate only the changed elements.  Fault records and verdicts
-            are identical either way (bit-identical for the batch-1 paths);
-            the knob exists for benchmarking and as an escape hatch.  The
-            result's ``elements_evaluated`` / ``elements_full`` /
-            ``dense_fallback_nodes`` counters (and
-            ``sparse_evaluated_fraction``) quantify what the sparse path
-            saved.  Ignored by the full (``incremental=False``) path.
         target_half_width:
             When set, the campaign runs **adaptively**: trials execute in
             waves of ``wave_trials`` each, and the campaign stops as soon
@@ -831,7 +788,7 @@ class FaultInjectionCampaign:
                     incremental=incremental, workers=workers,
                     batch_trials=batch_trials, mode=mode, max_ulps=max_ulps,
                     cache_budget_bytes=cache_budget_bytes, pool=pool,
-                    sparse_delta=sparse_delta, on_wave=group_hook)[0]
+                    on_wave=group_hook)[0]
         if plans is None:
             plans = self.generate_plans(trials)
         result = self._dispatch(plans, keep_faults=keep_faults,
@@ -840,8 +797,7 @@ class FaultInjectionCampaign:
                                 batch_trials=batch_trials, mode=mode,
                                 max_ulps=max_ulps,
                                 cache_budget_bytes=cache_budget_bytes,
-                                packing=packing, pool=pool,
-                                sparse_delta=sparse_delta)
+                                packing=packing, pool=pool)
         result.interval_method = interval_method
         return result
 
@@ -852,8 +808,7 @@ class FaultInjectionCampaign:
                   cache_budget_bytes: int,
                   packing: Optional[Tuple[List[Tuple[int, List[int]]],
                                           List[int]]],
-                  pool: Optional["CampaignPool"],
-                  sparse_delta: bool) -> CampaignResult:
+                  pool: Optional["CampaignPool"]) -> CampaignResult:
         """Run one fixed plan list through the backend dispatch.
 
         The pool → workers → batched → serial routing shared by
@@ -866,8 +821,7 @@ class FaultInjectionCampaign:
                                   incremental=incremental,
                                   trial_offset=trial_offset,
                                   batch_trials=batch_trials,
-                                  equivalence=mode, max_ulps=max_ulps,
-                                  sparse_delta=sparse_delta)
+                                  equivalence=mode, max_ulps=max_ulps)
         if workers > 1 and len(plans) > 1:
             return self._run_parallel(plans, workers=workers,
                                       keep_faults=keep_faults,
@@ -876,15 +830,13 @@ class FaultInjectionCampaign:
                                       batch_trials=batch_trials,
                                       equivalence=mode,
                                       max_ulps=max_ulps,
-                                      cache_budget_bytes=cache_budget_bytes,
-                                      sparse_delta=sparse_delta)
+                                      cache_budget_bytes=cache_budget_bytes)
         if batch_trials > 1:
             return self._run_batched(plans, batch_trials=batch_trials,
                                      keep_faults=keep_faults,
                                      trial_offset=trial_offset,
                                      mode=mode, max_ulps=max_ulps,
-                                     packing=packing,
-                                     sparse_delta=sparse_delta)
+                                     packing=packing)
         sdc_counts = {criterion.name: 0 for criterion in self.criteria}
         fault_log: List[List[FaultSpec]] = []
         # Per-trial cost of the full path: the ancestor-pruned subgraph it
@@ -892,9 +844,6 @@ class FaultInjectionCampaign:
         full_cost = len(self.model.graph.ancestors([self.model.output_name]))
         nodes_recomputed = 0
         nodes_full = 0
-        elements_evaluated = 0
-        elements_full = 0
-        dense_fallbacks = 0
 
         for position, (input_index, plan) in enumerate(plans):
             rng = trial_rng(self.seed, trial_offset + position)
@@ -902,13 +851,9 @@ class FaultInjectionCampaign:
             if incremental:
                 cache = self._golden_cache(input_index)
                 faulty, faults, result = self.injector.inject_cached(
-                    self._executor, cache, plan, rng=rng,
-                    sparse_delta=sparse_delta)
+                    self._executor, cache, plan, rng=rng)
                 nodes_recomputed += len(result.recomputed or ())
                 nodes_full += full_cost
-                elements_evaluated += result.elements_evaluated
-                elements_full += result.elements_full
-                dense_fallbacks += result.dense_fallback_nodes
             else:
                 batch = self.inputs[input_index:input_index + 1]
                 faulty, faults = self.injector.inject(self._executor, batch,
@@ -925,10 +870,7 @@ class FaultInjectionCampaign:
                               faults=fault_log,
                               nodes_recomputed=nodes_recomputed,
                               nodes_full=nodes_full,
-                              equivalence=mode.value,
-                              elements_evaluated=elements_evaluated,
-                              elements_full=elements_full,
-                              dense_fallback_nodes=dense_fallbacks)
+                              equivalence=mode.value)
 
     # -- batched scheduling ------------------------------------------------
 
@@ -1078,7 +1020,6 @@ class FaultInjectionCampaign:
                      mode: EquivalenceMode, max_ulps: float,
                      packing: Optional[Tuple[List[Tuple[int, List[int]]],
                                              List[int]]] = None,
-                     sparse_delta: bool = True,
                      ) -> CampaignResult:
         """Serial batched backend: replay packed trials in stacked passes.
 
@@ -1096,9 +1037,6 @@ class FaultInjectionCampaign:
         max_deviation = 0.0
         batched_trials = 0
         union_overhead = 0
-        elements_evaluated = 0
-        elements_full = 0
-        dense_fallbacks = 0
 
         batches, fallback = (packing if packing is not None
                              else self.pack_batches(plans, batch_trials))
@@ -1111,13 +1049,9 @@ class FaultInjectionCampaign:
             stacked, faults, result = self.injector.inject_cached_batch(
                 self._executor, cache, batch_plans, rngs,
                 equivalence=mode, max_ulps=max_ulps,
-                validate_overlap=False,  # the packer already screened
-                sparse_delta=sparse_delta)
+                validate_overlap=False)  # the packer already screened
             nodes_recomputed += result.rows_evaluated
             max_deviation = max(max_deviation, result.max_ulp_deviation)
-            elements_evaluated += result.elements_evaluated
-            elements_full += result.elements_full
-            dense_fallbacks += result.dense_fallback_nodes
             batched_trials += len(positions)
             union_overhead += self._union_overhead(positions, plans)
             for criterion in self.criteria:
@@ -1131,12 +1065,8 @@ class FaultInjectionCampaign:
             rng = trial_rng(self.seed, trial_offset + position)
             cache = self._golden_cache(input_index)
             faulty, faults, result = self.injector.inject_cached(
-                self._executor, cache, plan, rng=rng,
-                sparse_delta=sparse_delta)
+                self._executor, cache, plan, rng=rng)
             nodes_recomputed += len(result.recomputed or ())
-            elements_evaluated += result.elements_evaluated
-            elements_full += result.elements_full
-            dense_fallbacks += result.dense_fallback_nodes
             for criterion in self.criteria:
                 if criterion.is_sdc(self._golden[input_index], faulty):
                     sdc_counts[criterion.name] += 1
@@ -1153,10 +1083,7 @@ class FaultInjectionCampaign:
                               max_ulp_deviation=max_deviation,
                               batch_count=len(batches),
                               batched_trials=batched_trials,
-                              union_overhead_nodes=union_overhead,
-                              elements_evaluated=elements_evaluated,
-                              elements_full=elements_full,
-                              dense_fallback_nodes=dense_fallbacks)
+                              union_overhead_nodes=union_overhead)
 
     def ship_golden_caches(self, spec: "CampaignSpec",
                            plans: Sequence[Tuple[int, InjectionPlan]],
@@ -1197,7 +1124,6 @@ class FaultInjectionCampaign:
                       equivalence: Optional[EquivalenceMode] = None,
                       max_ulps: float = DEFAULT_MAX_ULPS,
                       cache_budget_bytes: int = DEFAULT_CACHE_BUDGET_BYTES,
-                      sparse_delta: bool = True,
                       ) -> CampaignResult:
         """Fan ``plans`` out across ``workers`` processes and merge the shards.
 
@@ -1259,13 +1185,13 @@ class FaultInjectionCampaign:
                                            trial_offset + offset,
                                            keep_faults, incremental,
                                            batch_trials, mode_value,
-                                           max_ulps, sparse_delta)
+                                           max_ulps)
                                for offset, chunk in payloads]
                 else:
                     futures = [pool.submit(_run_campaign_shard, spec, chunk,
                                            trial_offset + offset, keep_faults,
                                            incremental, batch_trials,
-                                           mode_value, max_ulps, sparse_delta)
+                                           mode_value, max_ulps)
                                for offset, chunk in payloads]
                 partials = [future.result() for future in futures]
         finally:
@@ -1319,8 +1245,7 @@ def _run_campaign_shard(spec: CampaignSpec,
                         trial_offset: int, keep_faults: bool,
                         incremental: bool, batch_trials: int = 1,
                         equivalence: Optional[str] = None,
-                        max_ulps: float = DEFAULT_MAX_ULPS,
-                        sparse_delta: bool = True) -> CampaignResult:
+                        max_ulps: float = DEFAULT_MAX_ULPS) -> CampaignResult:
     """Worker entry point: rebuild the campaign and run one shard of trials.
 
     Module-level (not a closure) so it pickles under every multiprocessing
@@ -1334,7 +1259,7 @@ def _run_campaign_shard(spec: CampaignSpec,
     return campaign.run(plans=plans, keep_faults=keep_faults,
                         incremental=incremental, trial_offset=trial_offset,
                         batch_trials=batch_trials, equivalence=equivalence,
-                        max_ulps=max_ulps, sparse_delta=sparse_delta)
+                        max_ulps=max_ulps)
 
 
 def encode_campaign_spec(plane, spec: CampaignSpec,
@@ -1375,7 +1300,7 @@ def _run_campaign_shard_shm(payload,
                             incremental: bool, batch_trials: int = 1,
                             equivalence: Optional[str] = None,
                             max_ulps: float = DEFAULT_MAX_ULPS,
-                            sparse_delta: bool = True) -> CampaignResult:
+                            ) -> CampaignResult:
     """Worker entry point for plane-encoded specs.
 
     Maps the referenced shared segments (attach-only: the parent owns
@@ -1387,7 +1312,7 @@ def _run_campaign_shard_shm(payload,
     spec, _ = shm_mod.decode(payload)
     return _run_campaign_shard(spec, plan_payload, trial_offset, keep_faults,
                                incremental, batch_trials, equivalence,
-                               max_ulps, sparse_delta)
+                               max_ulps)
 
 
 def _run_adaptive_group(campaigns: Sequence[FaultInjectionCampaign], *,
@@ -1401,7 +1326,6 @@ def _run_adaptive_group(campaigns: Sequence[FaultInjectionCampaign], *,
                         batch_trials: int, mode: EquivalenceMode,
                         max_ulps: float, cache_budget_bytes: int,
                         pool: Optional["CampaignPool"],
-                        sparse_delta: bool,
                         joint_stop: bool = True,
                         on_wave: Optional[Callable[[List[CampaignResult]],
                                                    None]] = None,
@@ -1473,7 +1397,7 @@ def _run_adaptive_group(campaigns: Sequence[FaultInjectionCampaign], *,
             workers=workers, trial_offset=offset, batch_trials=batch_trials,
             mode=mode, max_ulps=max_ulps,
             cache_budget_bytes=cache_budget_bytes, packing=packing,
-            pool=pool, sparse_delta=sparse_delta)
+            pool=pool)
         partial.interval_method = interval_method
         return partial
 
@@ -1598,7 +1522,6 @@ def compare_protection(unprotected: Model, protected: Model,
                        batch_trials: int = 1,
                        equivalence=None,
                        pool: Optional["CampaignPool"] = None,
-                       sparse_delta: bool = True,
                        target_half_width: Optional[float] = None,
                        wave_trials: Optional[int] = None,
                        strata: Optional[Stratification] = None,
@@ -1675,7 +1598,7 @@ def compare_protection(unprotected: Model, protected: Model,
                 batch_trials=batch_trials, mode=mode,
                 max_ulps=DEFAULT_MAX_ULPS,
                 cache_budget_bytes=DEFAULT_CACHE_BUDGET_BYTES, pool=pool,
-                sparse_delta=sparse_delta, joint_stop=joint_stop,
+                joint_stop=joint_stop,
                 on_wave=on_wave)
             return results[0], results[1]
         plans = base.generate_plans(trials)
@@ -1685,10 +1608,8 @@ def compare_protection(unprotected: Model, protected: Model,
         return (base.run(plans=plans, incremental=incremental,
                          workers=workers, batch_trials=batch_trials,
                          equivalence=equivalence, packing=packing, pool=pool,
-                         sparse_delta=sparse_delta,
                          interval_method=interval_method),
                 guarded.run(plans=plans, incremental=incremental,
                             workers=workers, batch_trials=batch_trials,
                             equivalence=equivalence, packing=packing,
-                            pool=pool, sparse_delta=sparse_delta,
-                            interval_method=interval_method))
+                            pool=pool, interval_method=interval_method))

@@ -25,7 +25,7 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
 import numpy as np
 
 from ..graph import (BatchedExecutionResult, ExecutionResult, Executor,
-                     Graph, Node, SparseRows)
+                     Graph, Node)
 from ..graph.equivalence import DEFAULT_MAX_ULPS, EquivalenceMode
 from ..models.base import Model
 from .fault_models import FaultModel, FaultSpec
@@ -318,41 +318,6 @@ class FaultInjector:
                                      original=original,
                                      corrupted=new_value))
 
-    def _corrupt_sparse(self, node_name: str, cached_flat: np.ndarray,
-                        elements: Sequence[Tuple[int,
-                                                 Optional[Tuple[int, int]]]],
-                        applied: List[FaultSpec],
-                        rng: np.random.Generator,
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-        """Corrupt ``elements`` of one golden activation as a sparse delta.
-
-        Returns ``(indices, values)`` — the changed flat positions (sorted,
-        unique) and their corrupted values — without ever copying the dense
-        activation.  Semantics are element-for-element identical to
-        :meth:`_corrupt_flat` on a dense copy: the same wrapping, the same
-        RNG consumption order, and sequential flips landing on the same
-        index compound (each sees the previous flip's value as its
-        ``original``), tracked here through a running-value map instead of
-        the mutated array.
-        """
-        current: Dict[int, float] = {}
-        for element, band in elements:
-            index = int(element % cached_flat.size)
-            if index in current:
-                original = current[index]
-            else:
-                original = float(cached_flat[index])
-            new_value, bit = self._corrupt_value(original, band, rng)
-            current[index] = new_value
-            applied.append(FaultSpec(node_name=node_name,
-                                     element_index=index, bit=bit,
-                                     original=original,
-                                     corrupted=new_value))
-        indices = np.array(sorted(current), dtype=np.int64)
-        values = np.array([current[int(i)] for i in indices],
-                          dtype=np.float64)
-        return indices, values
-
     def _corrupt_array(self, node_name: str, output: np.ndarray,
                        elements: Sequence[int],
                        applied: List[FaultSpec],
@@ -455,7 +420,6 @@ class FaultInjector:
                       cached_values: Mapping[str, np.ndarray],
                       plan: Optional[InjectionPlan] = None,
                       rng: Optional[np.random.Generator] = None,
-                      sparse_delta: bool = False,
                       ) -> Tuple[np.ndarray, List[FaultSpec], ExecutionResult]:
         """Replay one faulty inference by partial re-execution.
 
@@ -465,14 +429,6 @@ class FaultInjector:
         prefix is bit-identical to the golden run by construction, so the
         returned output is bit-identical to what :meth:`inject` would
         produce for the same plan and RNG state, at a fraction of the cost.
-
-        With ``sparse_delta=True`` (and a non-overlapping plan) the
-        corrupted bit positions seed the replay as a sparse frontier —
-        ``(flat index, new value)`` pairs instead of whole corrupted
-        activation copies — which elementwise-exact operators propagate
-        per element (see :meth:`Executor.run_from`'s ``dirty_deltas``).
-        Fault records and outputs are bit-identical either way; the knob
-        only changes how much arithmetic the replay performs.
 
         Returns ``(output, applied_faults, execution_result)``; the result's
         ``recomputed`` field says how much of the graph was re-evaluated.
@@ -508,25 +464,6 @@ class FaultInjector:
         # paid for again.  Corruption happens in topological order so the
         # fault model's RNG is consumed exactly as in a full faulty run.
         applied: List[FaultSpec] = []
-        if sparse_delta:
-            gen = rng if rng is not None else self.rng
-            dirty_deltas: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-            for name in names:
-                try:
-                    cached = cached_values[name]
-                except KeyError:
-                    raise InjectionError(
-                        f"no cached activation for fault site '{name}'; "
-                        f"pass the values of a fault-free run of the same "
-                        f"input") from None
-                flat = np.ascontiguousarray(
-                    np.asarray(cached, dtype=np.float64)).reshape(-1)
-                dirty_deltas[name] = self._corrupt_sparse(
-                    name, flat, pending[name], applied, gen)
-            result = executor.run_from(cached_values,
-                                       dirty_deltas=dirty_deltas,
-                                       outputs=[self.model.output_name])
-            return result.output(self.model.output_name), applied, result
         dirty_values: Dict[str, np.ndarray] = {}
         for name in names:
             try:
@@ -549,7 +486,6 @@ class FaultInjector:
                             equivalence=None,
                             max_ulps: float = DEFAULT_MAX_ULPS,
                             validate_overlap: bool = True,
-                            sparse_delta: bool = False,
                             ) -> Tuple[np.ndarray, List[List[FaultSpec]],
                                        BatchedExecutionResult]:
         """Replay B faulty trials sharing one input in a single batched pass.
@@ -583,13 +519,6 @@ class FaultInjector:
         replay in the last ULPs (see the executor's equivalence contract),
         which is why the returned outputs carry the ``ULP_TOLERANT``
         guarantee rather than bit-exactness.
-
-        With ``sparse_delta=True`` the per-trial corruptions seed the
-        replay as a :class:`~repro.graph.SparseRows` frontier per site node
-        — no golden activation is ever bulk-replicated into per-trial
-        stacks, and elementwise-exact stretches of the cone propagate each
-        row's few changed elements instead of whole rows.  Trial identity
-        (fault records, RNG consumption order) is unchanged.
 
         Returns ``(stacked_outputs, per_trial_faults, batched_result)``
         where ``stacked_outputs[i]`` is trial ``i``'s faulty output row.
@@ -634,42 +563,6 @@ class FaultInjector:
             for name in pending:
                 member_rows.setdefault(name, []).append(row)
 
-        if sparse_delta:
-            # Sparse frontier: corrupt golden *positions* per trial (same
-            # wrapping, RNG order and compounding as the dense stacks, via
-            # _corrupt_sparse's running-value map) and hand the executor
-            # one SparseRows triplet per site node.  The outer loop runs in
-            # ascending row order and _corrupt_sparse returns sorted
-            # indices, so each accumulated triplet is (row, index)-sorted
-            # by construction.
-            flats = {name: np.ascontiguousarray(
-                         np.asarray(cached_values[name],
-                                    dtype=np.float64)).reshape(-1)
-                     for name in member_rows}
-            acc: Dict[str, Tuple[List[np.ndarray], List[np.ndarray],
-                                 List[np.ndarray]]] = {}
-            per_trial_faults: List[List[FaultSpec]] = []
-            for row, (pending, rng) in enumerate(zip(pendings, rngs)):
-                applied: List[FaultSpec] = []
-                for name in sorted(pending, key=topo_index.__getitem__):
-                    idx, vals = self._corrupt_sparse(
-                        name, flats[name], pending[name], applied, rng)
-                    rr, ii, vv = acc.setdefault(name, ([], [], []))
-                    rr.append(np.full(idx.size, row, dtype=np.int64))
-                    ii.append(idx)
-                    vv.append(vals)
-                per_trial_faults.append(applied)
-            deltas = {name: SparseRows(batch, np.concatenate(rr),
-                                       np.concatenate(ii),
-                                       np.concatenate(vv))
-                      for name, (rr, ii, vv) in acc.items()}
-            result = executor.run_from_batched(
-                cached_values, dirty_row_deltas=deltas,
-                outputs=[self.model.output_name], equivalence=equivalence,
-                max_ulps=max_ulps)
-            return (result.output(self.model.output_name), per_trial_faults,
-                    result)
-
         stacked: Dict[str, np.ndarray] = {}
         slot_of: Dict[str, Dict[int, int]] = {}
         for name, rows in member_rows.items():
@@ -677,7 +570,7 @@ class FaultInjector:
             stacked[name] = np.repeat(cached, len(rows), axis=0)
             slot_of[name] = {row: slot for slot, row in enumerate(rows)}
 
-        per_trial_faults = []
+        per_trial_faults: List[List[FaultSpec]] = []
         for row, (pending, rng) in enumerate(zip(pendings, rngs)):
             applied: List[FaultSpec] = []
             # Topological site order, exactly like the batch-1 replay, so

@@ -94,13 +94,13 @@ def _run_shard_on(campaign: FaultInjectionCampaign,
                   payload: Sequence[Tuple[int, Sequence[Tuple[str, int]]]],
                   trial_offset: int, keep_faults: bool, incremental: bool,
                   batch_trials: int, equivalence: Optional[str],
-                  max_ulps: float, sparse_delta: bool) -> CampaignResult:
+                  max_ulps: float) -> CampaignResult:
     plans = [(input_index, InjectionPlan.from_payload(sites))
              for input_index, sites in payload]
     return campaign.run(plans=plans, keep_faults=keep_faults,
                         incremental=incremental, trial_offset=trial_offset,
                         batch_trials=batch_trials, equivalence=equivalence,
-                        max_ulps=max_ulps, sparse_delta=sparse_delta)
+                        max_ulps=max_ulps)
 
 
 def _run_pooled_shard(fingerprint: str, spec: CampaignSpec,
@@ -109,7 +109,6 @@ def _run_pooled_shard(fingerprint: str, spec: CampaignSpec,
                       incremental: bool, batch_trials: int,
                       equivalence: Optional[str],
                       max_ulps: float,
-                      sparse_delta: bool = True,
                       ) -> Tuple[CampaignResult, Dict[str, int]]:
     """Pooled worker entry: reuse (or rebuild and cache) the campaign, then
     run one shard of trials exactly like ``_run_campaign_shard``.
@@ -127,8 +126,7 @@ def _run_pooled_shard(fingerprint: str, spec: CampaignSpec,
         stats["hits"] = 1
         _WORKER_CAMPAIGNS.move_to_end(fingerprint)
     result = _run_shard_on(campaign, payload, trial_offset, keep_faults,
-                           incremental, batch_trials, equivalence, max_ulps,
-                           sparse_delta)
+                           incremental, batch_trials, equivalence, max_ulps)
     return result, stats
 
 
@@ -138,7 +136,6 @@ def _run_pooled_shard_shm(fingerprint: str, spec_payload,
                           incremental: bool, batch_trials: int,
                           equivalence: Optional[str],
                           max_ulps: float,
-                          sparse_delta: bool = True,
                           ) -> Tuple[CampaignResult, Dict[str, int]]:
     """Pooled worker entry for plane-encoded specs.
 
@@ -163,8 +160,7 @@ def _run_pooled_shard_shm(fingerprint: str, spec_payload,
         stats["hits"] = 1
         _WORKER_CAMPAIGNS.move_to_end(fingerprint)
     result = _run_shard_on(campaign, payload, trial_offset, keep_faults,
-                           incremental, batch_trials, equivalence, max_ulps,
-                           sparse_delta)
+                           incremental, batch_trials, equivalence, max_ulps)
     return result, stats
 
 
@@ -256,8 +252,7 @@ class CampaignPool:
                   trial_offset: int = 0,
                   batch_trials: int = 1,
                   equivalence=None,
-                  max_ulps: float = DEFAULT_MAX_ULPS,
-                  sparse_delta: bool = True) -> CampaignResult:
+                  max_ulps: float = DEFAULT_MAX_ULPS) -> CampaignResult:
         """Fan pre-sampled plans out across the persistent workers.
 
         The entry point :meth:`FaultInjectionCampaign.run` delegates to
@@ -292,7 +287,7 @@ class CampaignPool:
         futures = [self._executor.submit(
             entry, fingerprint, travelling_spec, chunk,
             trial_offset + offset, keep_faults, incremental, batch_trials,
-            mode_value, max_ulps, sparse_delta)
+            mode_value, max_ulps)
             for offset, chunk in payloads]
         outcomes = [future.result() for future in futures]
         self._stats["tasks"] += len(outcomes)

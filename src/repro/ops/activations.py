@@ -31,15 +31,6 @@ class Activation(Operator):
 
     category = "activation"
 
-    #: Elementwise-exactness audit: every activation below is a pure
-    #: per-element composition of numpy ufuncs (maximum / where / exp /
-    #: tanh / arctan and scalar arithmetic), whose result bits on a gathered
-    #: 1-D subset match the full-array evaluation element-for-element, so
-    #: the default shape-agnostic :meth:`~repro.ops.base.Operator.sparse_forward`
-    #: applies.  ``Softmax`` is *not* an Activation and stays dense (its row
-    #: normalization couples every element of the class axis).
-    elementwise_exact = True
-
     #: (low, high) if mathematically bounded, else None.
     inherent_bounds: Optional[Tuple[float, float]] = None
 
@@ -48,13 +39,9 @@ class ReLU(Activation):
     """Rectified linear unit: ``max(x, 0)``.  Unbounded above."""
 
     inherent_bounds = None
-    supports_out = True
 
     def forward(self, x: Array) -> Array:
         return np.maximum(x, 0.0)
-
-    def forward_out(self, out: Array, x: Array) -> Array:
-        return np.maximum(x, 0.0, out=out)
 
     def backward(self, grad, inputs, output):
         (x,) = inputs
@@ -64,20 +51,11 @@ class ReLU(Activation):
 class LeakyReLU(Activation):
     """Leaky ReLU with configurable negative slope."""
 
-    supports_out = True
-
     def __init__(self, alpha: float = 0.01) -> None:
         self.alpha = float(alpha)
 
     def forward(self, x: Array) -> Array:
         return np.where(x > 0.0, x, self.alpha * x)
-
-    def forward_out(self, out: Array, x: Array) -> Array:
-        # alpha * x commuted to x * alpha: IEEE multiply is commutative,
-        # so the branch bits match forward's np.where exactly.
-        np.multiply(x, self.alpha, out=out)
-        np.copyto(out, x, where=x > 0.0)
-        return out
 
     def backward(self, grad, inputs, output):
         (x,) = inputs
@@ -94,23 +72,11 @@ class ELU(Activation):
     profiled upper restriction bound.
     """
 
-    supports_out = True
-
     def __init__(self, alpha: float = 1.0) -> None:
         self.alpha = float(alpha)
 
     def forward(self, x: Array) -> Array:
         return np.where(x > 0.0, x, self.alpha * (np.exp(np.minimum(x, 0.0)) - 1.0))
-
-    def forward_out(self, out: Array, x: Array) -> Array:
-        # Same pipeline as forward with the final multiply commuted
-        # ((e-1)*alpha == alpha*(e-1) bit-exactly).
-        np.minimum(x, 0.0, out=out)
-        np.exp(out, out=out)
-        np.subtract(out, 1.0, out=out)
-        np.multiply(out, self.alpha, out=out)
-        np.copyto(out, x, where=x > 0.0)
-        return out
 
     def backward(self, grad, inputs, output):
         (x,) = inputs
@@ -125,13 +91,9 @@ class Tanh(Activation):
     """Hyperbolic tangent.  Inherently bounded to (-1, 1)."""
 
     inherent_bounds = (-1.0, 1.0)
-    supports_out = True
 
     def forward(self, x: Array) -> Array:
         return np.tanh(x)
-
-    def forward_out(self, out: Array, x: Array) -> Array:
-        return np.tanh(x, out=out)
 
     def backward(self, grad, inputs, output):
         return [grad * (1.0 - output ** 2)]
@@ -141,19 +103,9 @@ class Sigmoid(Activation):
     """Logistic sigmoid.  Inherently bounded to (0, 1)."""
 
     inherent_bounds = (0.0, 1.0)
-    supports_out = True
 
     def forward(self, x: Array) -> Array:
         return 1.0 / (1.0 + np.exp(-x))
-
-    def forward_out(self, out: Array, x: Array) -> Array:
-        # -x, exp, +1 (commuted from 1+exp), reciprocal — each step is
-        # the same IEEE operation forward performs.
-        np.negative(x, out=out)
-        np.exp(out, out=out)
-        np.add(out, 1.0, out=out)
-        np.divide(1.0, out, out=out)
-        return out
 
     def backward(self, grad, inputs, output):
         return [grad * output * (1.0 - output)]
@@ -168,13 +120,9 @@ class Atan(Activation):
     """
 
     inherent_bounds = (-np.pi / 2.0, np.pi / 2.0)
-    supports_out = True
 
     def forward(self, x: Array) -> Array:
         return np.arctan(x)
-
-    def forward_out(self, out: Array, x: Array) -> Array:
-        return np.arctan(x, out=out)
 
     def backward(self, grad, inputs, output):
         (x,) = inputs
@@ -184,8 +132,6 @@ class Atan(Activation):
 class ScaledAtan(Activation):
     """``scale * atan(x)`` — the Dave model multiplies the atan output by 2."""
 
-    supports_out = True
-
     def __init__(self, scale: float = 2.0) -> None:
         self.scale = float(scale)
         self.inherent_bounds = (-self.scale * np.pi / 2.0,
@@ -193,12 +139,6 @@ class ScaledAtan(Activation):
 
     def forward(self, x: Array) -> Array:
         return self.scale * np.arctan(x)
-
-    def forward_out(self, out: Array, x: Array) -> Array:
-        # scale * atan commuted to atan * scale (bit-exact).
-        np.arctan(x, out=out)
-        np.multiply(out, self.scale, out=out)
-        return out
 
     def backward(self, grad, inputs, output):
         (x,) = inputs
@@ -217,9 +157,6 @@ class Softmax(Operator):
     """
 
     category = "output"
-    #: Not elementwise-exact: the max-shift and sum normalization couple
-    #: every element of the class axis, so sparse deltas densify here.
-    elementwise_exact = False
 
     def forward(self, x: Array) -> Array:
         shifted = x - np.max(x, axis=-1, keepdims=True)

@@ -67,85 +67,8 @@ class Operator:
     #: broadcast to the stacked batch and which are passed through as-is.
     batch_axis: Optional[int] = 0
 
-    #: **Elementwise-exactness contract** (audited for sparse delta replay).
-    #: An operator is elementwise-exact when, at inference, output element
-    #: ``i`` of a row is a pure, deterministic function of element ``i`` of
-    #: each batch-carrying input row (plus batch-invariant parameters),
-    #: computed with per-element IEEE-754 arithmetic whose result bits do not
-    #: depend on which *other* elements are evaluated alongside it.  The
-    #: sparse replay engine then applies the operator to just the changed
-    #: elements of a cached golden activation (:meth:`sparse_forward` /
-    #: :meth:`sparse_remap`) and gets results bit-identical to a dense
-    #: forward pass at those positions.  False for anything that mixes
-    #: elements within a row (convolution, matmul, pooling, softmax, LRN) —
-    #: there the dirty frontier densifies — and for non-deterministic
-    #: operators (a fresh random draw cannot be replayed per element).
-    #: ``BatchNorm``, ``Dropout`` and ``Concatenate`` override this as a
-    #: property, mirroring :attr:`batch_transparent`.
-    elementwise_exact: bool = False
-
-    #: How a sparse delta passes through an elementwise-exact operator:
-    #: ``"value"`` operators keep the changed indices and map the *values*
-    #: (:meth:`sparse_forward`); ``"remap"`` operators carry values through
-    #: unchanged and map the *indices* (:meth:`sparse_remap`) — reshape,
-    #: flatten and concat move elements without altering their bits.
-    sparse_kind: str = "value"
-
-    #: **Preallocated-output contract** (audited for the replay buffer
-    #: arena).  True when :meth:`forward_out` writes the forward result
-    #: into a caller-provided buffer with bits identical to
-    #: :meth:`forward` — each override is a re-expression of the same
-    #: IEEE-754 elementwise computation through ufunc ``out=`` arguments
-    #: (using only bit-exact rewrites such as commuting a multiply), so
-    #: buffer reuse can never change a result byte.  Operators that
-    #: return views (``Identity``, reshape) or allocate internally
-    #: (matmul, conv) keep the default and the arena skips them.
-    supports_out: bool = False
-
     def forward(self, *inputs: Array) -> Array:
         raise NotImplementedError
-
-    def forward_out(self, out: Array, *inputs: Array) -> Array:
-        """Forward pass writing into ``out`` (same shape/dtype as the
-        result).  ``out`` is never aliased with any input — the arena
-        keys buffers per node, and a DAG node is not its own input.
-        The default ignores ``out`` and defers to :meth:`forward`;
-        overrides must return ``out``.  Only called when
-        :attr:`supports_out` is True.
-        """
-        return self.forward(*inputs)
-
-    def sparse_forward(self, indices: Array, *inputs: Array) -> Array:
-        """Evaluate only the row elements at C-order flat ``indices``.
-
-        ``inputs`` mirror :meth:`forward`'s arguments, gathered to 1-D
-        arrays aligned with ``indices``: the executor gathers batch-carrying
-        inputs from their golden caches (with each input's own delta
-        overlaid) and samples batch-invariant parameters through the same
-        broadcast the dense pass applies.  The default defers to
-        :meth:`forward`, which is bit-exact for every shape-agnostic
-        elementwise expression (``np.maximum(x, 0.0)`` computes the same
-        bits on a gathered 1-D subset as on the full array); operators whose
-        ``forward`` inspects array shapes (``BiasAdd``, ``BatchNorm``)
-        override it.  Only meaningful when :attr:`elementwise_exact` is True
-        and :attr:`sparse_kind` is ``"value"``.
-        """
-        return self.forward(*inputs)
-
-    def sparse_remap(self, input_position: int, indices: Array,
-                     input_row_shapes: Sequence[Tuple[int, ...]],
-                     output_row_shape: Tuple[int, ...]) -> Array:
-        """Map within-row flat ``indices`` of one input to output positions.
-
-        For :attr:`sparse_kind` ``"remap"`` operators only: values pass
-        through bit-unchanged, so the delta is propagated by translating
-        each changed input position (C-order flat within the row, for the
-        input at ``input_position``) to its C-order flat position within the
-        output row.  The mapping must be injective across inputs and
-        strictly increasing in ``indices`` for a fixed input.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not remap sparse indices")
 
     def backward(self, grad: Array, inputs: Sequence[Array],
                  output: Array) -> List[Optional[Array]]:
@@ -266,8 +189,6 @@ class Identity(Operator):
     """Pass-through operator, useful as a named output anchor."""
 
     category = "reshape"
-    #: The identity map is trivially elementwise-exact.
-    elementwise_exact = True
 
     def forward(self, x: Array) -> Array:
         return x

@@ -102,11 +102,6 @@ class Conv2D(Operator):
     shape ``(kh, kw, in_channels, out_channels)``.
     """
 
-    #: Not elementwise-exact: every output element reduces a kh*kw*in_c
-    #: window, so sparse deltas densify here (and may re-sparsify after —
-    #: a k-element input delta touches only the windows that cover it).
-    elementwise_exact = False
-
     def __init__(self, stride: int = 1, padding: str = "same") -> None:
         if stride < 1:
             raise ValueError(f"stride must be positive, got {stride}")

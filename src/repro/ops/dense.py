@@ -24,10 +24,6 @@ class MatMul(Operator):
     ``(in_features, out_features)``.
     """
 
-    #: Not elementwise-exact: every output element is a reduction over the
-    #: whole input row, so sparse deltas densify here.
-    elementwise_exact = False
-
     def forward(self, x: Array, w: Array) -> Array:
         if x.ndim != 2 or w.ndim != 2:
             raise OperatorError(
@@ -49,25 +45,10 @@ class MatMul(Operator):
 class BiasAdd(Operator):
     """Adds a bias vector to the last axis of the input."""
 
-    elementwise_exact = True
-    supports_out = True
-
     def forward(self, x: Array, b: Array) -> Array:
         if b.ndim != 1 or x.shape[-1] != b.shape[0]:
             raise OperatorError(
                 f"BiasAdd shape mismatch: input {x.shape}, bias {b.shape}")
-        return x + b
-
-    def forward_out(self, out: Array, x: Array, b: Array) -> Array:
-        if b.ndim != 1 or x.shape[-1] != b.shape[0]:
-            raise OperatorError(
-                f"BiasAdd shape mismatch: input {x.shape}, bias {b.shape}")
-        return np.add(x, b, out=out)
-
-    def sparse_forward(self, indices: Array, x: Array, b: Array) -> Array:
-        # The bias arrives gathered to the changed positions (the same
-        # last-axis broadcast the dense pass applies), so forward()'s shape
-        # guard must not run against the 1-D gathered operands.
         return x + b
 
     def backward(self, grad, inputs, output):
@@ -81,14 +62,8 @@ class BiasAdd(Operator):
 class Add(Operator):
     """Element-wise addition (used by ResNet shortcut connections)."""
 
-    elementwise_exact = True
-    supports_out = True
-
     def forward(self, a: Array, b: Array) -> Array:
         return a + b
-
-    def forward_out(self, out: Array, a: Array, b: Array) -> Array:
-        return np.add(a, b, out=out)
 
     def backward(self, grad, inputs, output):
         a, b = inputs
@@ -98,14 +73,8 @@ class Add(Operator):
 class Multiply(Operator):
     """Element-wise multiplication."""
 
-    elementwise_exact = True
-    supports_out = True
-
     def forward(self, a: Array, b: Array) -> Array:
         return a * b
-
-    def forward_out(self, out: Array, a: Array, b: Array) -> Array:
-        return np.multiply(a, b, out=out)
 
     def backward(self, grad, inputs, output):
         a, b = inputs
@@ -115,17 +84,11 @@ class Multiply(Operator):
 class Scale(Operator):
     """Multiplication by a compile-time scalar constant."""
 
-    elementwise_exact = True
-    supports_out = True
-
     def __init__(self, factor: float) -> None:
         self.factor = float(factor)
 
     def forward(self, x: Array) -> Array:
         return x * self.factor
-
-    def forward_out(self, out: Array, x: Array) -> Array:
-        return np.multiply(x, self.factor, out=out)
 
     def backward(self, grad, inputs, output):
         return [grad * self.factor]
@@ -139,16 +102,9 @@ class Minimum(Operator):
 
     category = "protection"
     injectable = False
-    #: Per-element comparison against a broadcast bound; the executor
-    #: gathers the bound at the changed positions.
-    elementwise_exact = True
-    supports_out = True
 
     def forward(self, x: Array, bound: Array) -> Array:
         return np.minimum(x, bound)
-
-    def forward_out(self, out: Array, x: Array, bound: Array) -> Array:
-        return np.minimum(x, bound, out=out)
 
     def backward(self, grad, inputs, output):
         x, bound = inputs
@@ -161,16 +117,9 @@ class Maximum(Operator):
 
     category = "protection"
     injectable = False
-    #: Per-element comparison against a broadcast bound; the executor
-    #: gathers the bound at the changed positions.
-    elementwise_exact = True
-    supports_out = True
 
     def forward(self, x: Array, bound: Array) -> Array:
         return np.maximum(x, bound)
-
-    def forward_out(self, out: Array, x: Array, bound: Array) -> Array:
-        return np.maximum(x, bound, out=out)
 
     def backward(self, grad, inputs, output):
         x, bound = inputs
@@ -183,9 +132,6 @@ class ClipByValue(Operator):
 
     category = "protection"
     injectable = False
-    #: Per-element clip against compile-time scalar bounds.
-    elementwise_exact = True
-    supports_out = True
 
     def __init__(self, low: float, high: float) -> None:
         if low > high:
@@ -195,9 +141,6 @@ class ClipByValue(Operator):
 
     def forward(self, x: Array) -> Array:
         return np.clip(x, self.low, self.high)
-
-    def forward_out(self, out: Array, x: Array) -> Array:
-        return np.clip(x, self.low, self.high, out=out)
 
     def backward(self, grad, inputs, output):
         (x,) = inputs

@@ -34,14 +34,6 @@ class BatchNorm(Operator):
         """
         return not self.training
 
-    @property
-    def elementwise_exact(self) -> bool:
-        """Elementwise-exact at inference only: the moving statistics are
-        per-channel constants, so each output element is a pure scalar
-        function of its input element.  Training-mode statistics couple
-        every element, exactly as for :attr:`batch_transparent`."""
-        return not self.training
-
     def __init__(self, momentum: float = 0.9, epsilon: float = 1e-5) -> None:
         self.momentum = float(momentum)
         self.epsilon = float(epsilon)
@@ -77,26 +69,6 @@ class BatchNorm(Operator):
         self._cache = (x_hat, inv_std, mean)
         return gamma * x_hat + beta
 
-    def sparse_forward(self, indices: Array, x: Array, gamma: Array,
-                       beta: Array) -> Array:
-        """Normalize just the elements at ``indices`` with moving statistics.
-
-        ``inv_std`` is computed over the full channel vector and then
-        sampled, replicating the dense pass's IEEE operation sequence
-        bit-for-bit; ``gamma``/``beta`` arrive already gathered to the
-        changed positions (channels are the last row axis, so the gather
-        lands on ``indices % channels``, the same positions used here for
-        the moving statistics).
-        """
-        if self.training or self.moving_mean is None:
-            raise OperatorError(
-                "sparse BatchNorm replay requires inference mode with "
-                "populated moving statistics")
-        channel = indices % self.moving_mean.shape[0]
-        inv_std = 1.0 / np.sqrt(self.moving_var + self.epsilon)
-        x_hat = (x - self.moving_mean[channel]) * inv_std[channel]
-        return gamma * x_hat + beta
-
     def backward(self, grad, inputs, output):
         x, gamma, beta = inputs
         axes = tuple(range(x.ndim - 1))
@@ -129,9 +101,6 @@ class LocalResponseNorm(Operator):
     """
 
     category = "normalization"
-    #: Not elementwise-exact: each output element mixes a window of
-    #: neighboring channels, so sparse deltas densify here.
-    elementwise_exact = False
 
     def __init__(self, depth_radius: int = 2, bias: float = 1.0,
                  alpha: float = 1e-4, beta: float = 0.75) -> None:

@@ -47,9 +47,6 @@ class MaxPool2D(Operator):
     """Max pooling over square windows."""
 
     category = "pooling"
-    #: Not elementwise-exact: window reductions mix elements, so sparse
-    #: deltas densify at every pooling operator.
-    elementwise_exact = False
 
     def __init__(self, pool: int = 2, stride: Optional[int] = None,
                  padding: str = "valid") -> None:

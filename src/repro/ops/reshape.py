@@ -25,21 +25,12 @@ class Reshape(Operator):
     """
 
     category = "reshape"
-    #: Values pass through bit-unchanged and the C-order flat offset of
-    #: every element within its row is preserved (only the row *shape*
-    #: changes), so the sparse index remap is the identity.
-    elementwise_exact = True
-    sparse_kind = "remap"
 
     def __init__(self, target_shape: Tuple[int, ...]) -> None:
         self.target_shape = tuple(int(d) for d in target_shape)
 
     def forward(self, x: Array) -> Array:
         return x.reshape((x.shape[0],) + self.target_shape)
-
-    def sparse_remap(self, input_position, indices, input_row_shapes,
-                     output_row_shape):
-        return indices
 
     def backward(self, grad, inputs, output):
         (x,) = inputs
@@ -56,16 +47,9 @@ class Flatten(Operator):
     """Flatten all non-batch dimensions into one."""
 
     category = "reshape"
-    #: Identity remap, exactly as :class:`Reshape`.
-    elementwise_exact = True
-    sparse_kind = "remap"
 
     def forward(self, x: Array) -> Array:
         return x.reshape(x.shape[0], -1)
-
-    def sparse_remap(self, input_position, indices, input_row_shapes,
-                     output_row_shape):
-        return indices
 
     def backward(self, grad, inputs, output):
         (x,) = inputs
@@ -93,15 +77,6 @@ class Concatenate(Operator):
         replayed batched."""
         return self.axis != 0
 
-    sparse_kind = "remap"
-
-    @property
-    def elementwise_exact(self) -> bool:
-        """Pure element movement (offset remap) for any feature axis; an
-        axis-0 concat merges rows across the batch and cannot carry a
-        per-row sparse delta (see :attr:`batch_transparent`)."""
-        return self.axis != 0
-
     def __init__(self, axis: int = -1) -> None:
         self.axis = int(axis)
 
@@ -109,23 +84,6 @@ class Concatenate(Operator):
         if not inputs:
             raise OperatorError("Concatenate requires at least one input")
         return np.concatenate(inputs, axis=self.axis)
-
-    def sparse_remap(self, input_position, indices, input_row_shapes,
-                     output_row_shape):
-        ndim = len(output_row_shape) + 1  # rows exclude the batch axis
-        axis = self.axis if self.axis >= 0 else self.axis + ndim
-        if axis == 0:
-            raise OperatorError(
-                "axis-0 Concatenate cannot remap per-row sparse indices")
-        along = axis - 1  # concat axis within the row shape
-        inner = int(np.prod(output_row_shape[along + 1:], dtype=np.int64))
-        in_extent = int(input_row_shapes[input_position][along])
-        out_extent = int(output_row_shape[along])
-        offset = int(sum(shape[along]
-                         for shape in input_row_shapes[:input_position]))
-        outer, rem = np.divmod(indices, in_extent * inner)
-        pos, rest = np.divmod(rem, inner)
-        return (outer * out_extent + pos + offset) * inner + rest
 
     def backward(self, grad, inputs, output):
         sizes = [inp.shape[self.axis] for inp in inputs]
@@ -143,10 +101,6 @@ class Pad2D(Operator):
     """Zero-pad the spatial dimensions of an NHWC tensor."""
 
     category = "reshape"
-    #: An index remap is possible in principle (the pad region is golden
-    #: zero), but no model in the zoo routes through Pad2D, so it keeps the
-    #: dense fallback rather than carrying untested remap arithmetic.
-    elementwise_exact = False
 
     def __init__(self, pad_h: Tuple[int, int], pad_w: Tuple[int, int]) -> None:
         self.pad_h = (int(pad_h[0]), int(pad_h[1]))
@@ -188,13 +142,6 @@ class Dropout(Operator):
         batch shape and on the rows evaluated before it — stacked trials
         would not reproduce their batch-1 draws.
         """
-        return not self.training or self.rate == 0.0
-
-    @property
-    def elementwise_exact(self) -> bool:
-        """Identity at inference (the default ``sparse_forward`` just passes
-        values through); a training-mode mask is a whole-array random draw
-        that per-element replay cannot reproduce."""
         return not self.training or self.rate == 0.0
 
     def __init__(self, rate: float = 0.5, seed: Optional[int] = None) -> None:

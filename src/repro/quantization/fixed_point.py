@@ -86,8 +86,7 @@ class FixedPointFormat:
         """Map integer codes back to real values."""
         return np.asarray(codes, dtype=np.float64) * self.scale
 
-    def quantize(self, values: np.ndarray,
-                 out: np.ndarray = None) -> np.ndarray:
+    def quantize(self, values: np.ndarray) -> np.ndarray:
         """Round real values onto the representable grid (encode + decode).
 
         Fused float-only fast path for the executor's per-output policy
@@ -105,19 +104,11 @@ class FixedPointFormat:
         instead of being laundered through integer 0 (``-0.0 == 0.0``
         everywhere it is compared, and :meth:`encode` still maps it to
         code 0 for bit flips).
-
-        ``out`` (replay buffer arena): a float64 buffer of the result
-        shape the fused path writes into instead of allocating — the
-        exact same ufunc pipeline, so the bits are unchanged; ``values``
-        may alias ``out`` (the arena quantizes an operator output in
-        place).  Ignored on the wide int64 path.
         """
         if self.total_bits > 53:  # codes exceed float64's exact-int range
             return self.decode(self.encode(values))
         values = np.asarray(values, dtype=np.float64)
-        if (out is None or out.shape != values.shape
-                or out.dtype != np.float64):
-            out = np.empty_like(values)
+        out = np.empty_like(values)
         np.multiply(values, 1.0 / self.scale, out=out)
         np.rint(out, out=out)
         np.clip(out, -(2 ** (self.total_bits - 1)),

@@ -30,23 +30,16 @@ class FixedPointPolicy(DTypePolicy):
         being studied.
     """
 
-    #: :meth:`FixedPointFormat.quantize` is a per-element round/saturate
-    #: (multiply, rint, clip, multiply — pure IEEE elementwise, idempotent
-    #: on grid values), and :meth:`apply`'s category skip depends only on
-    #: the node, so the sparse replay may quantize just the changed
-    #: elements bit-exactly.
-    elementwise_exact = True
-
     def __init__(self, fmt: FixedPointFormat,
                  skip_categories: Optional[Set[str]] = None) -> None:
         self.fmt = fmt
         self.skip_categories = {"variable", "input"} | set(skip_categories or ())
         self.name = f"fixed{fmt.total_bits}"
 
-    def apply(self, node: Node, value, out=None):
+    def apply(self, node: Node, value):
         if node.category in self.skip_categories:
             return value
-        return self.fmt.quantize(value, out=out)
+        return self.fmt.quantize(value)
 
 
 def fixed32_policy() -> FixedPointPolicy:

@@ -143,7 +143,7 @@ class WaveScheduler:
             trials=options.trials, seed=request.spec.seed,
             incremental=options.incremental, workers=options.workers,
             batch_trials=options.batch_trials, equivalence=options.equivalence,
-            pool=self._pool_for(options), sparse_delta=options.sparse_delta,
+            pool=self._pool_for(options),
             target_half_width=options.target_half_width,
             wave_trials=options.wave_trials, strata=options.strata,
             z=options.z, interval_method=options.interval_method,
@@ -176,7 +176,6 @@ class WaveScheduler:
                 batch_trials=options.batch_trials,
                 equivalence=options.equivalence, max_ulps=options.max_ulps,
                 pool=self._pool_for(options),
-                sparse_delta=options.sparse_delta,
                 target_half_width=options.target_half_width,
                 wave_trials=options.wave_trials, strata=options.strata,
                 z=options.z, interval_method=options.interval_method,
@@ -209,7 +208,6 @@ class WaveScheduler:
                           equivalence=options.equivalence,
                           max_ulps=options.max_ulps,
                           pool=self._pool_for(options),
-                          sparse_delta=options.sparse_delta,
                           interval_method=options.interval_method)
         if options.batch_trials > 1:
             # ULP-tolerant path: one dispatch keeps the packing global and

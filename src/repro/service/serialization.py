@@ -60,7 +60,6 @@ class RunOptions:
     batch_trials: int = 1
     equivalence: Optional[str] = None
     max_ulps: float = DEFAULT_MAX_ULPS
-    sparse_delta: bool = True
     use_pool: bool = False
     target_half_width: Optional[float] = None
     wave_trials: Optional[int] = None
@@ -87,16 +86,17 @@ class RunOptions:
         Includes everything that shapes the stored result's content —
         counts and fault records (trials, adaptivity, strata), metadata
         (equivalence mode, interval method) *and* the execution counters
-        (backend knobs: ``workers`` / ``batch_trials`` / ``use_pool`` /
-        ``sparse_delta`` change ``nodes_recomputed`` /
-        ``elements_evaluated`` even though counts stay bit-identical) —
-        so a cache hit returns exactly what a fresh run would.
+        (backend knobs: ``workers`` / ``batch_trials`` / ``use_pool``
+        change ``nodes_recomputed`` even though counts stay
+        bit-identical) — so a cache hit returns exactly what a fresh run
+        would.  The leading tag versions the tuple's layout, so disk-tier
+        entries keyed under an older layout never alias a current key.
         """
         strata = (None if self.strata is None
                   else (self.strata.layer_bands, self.strata.bit_bands))
-        return ("v1", self.trials, self.keep_faults, self.incremental,
+        return ("v2", self.trials, self.keep_faults, self.incremental,
                 self.workers, self.batch_trials, self.coerced_mode().value,
-                self.max_ulps, self.sparse_delta, self.use_pool,
+                self.max_ulps, self.use_pool,
                 self.target_half_width, self.wave_trials, strata, self.z,
                 self.interval_method, self.joint_stop)
 

@@ -2,12 +2,28 @@
 
 The expensive fixtures (trained models) are session-scoped: the whole suite
 trains LeNet and the Comma model once each and reuses them everywhere.
+
+The Hypothesis profiles are registered here, once for every property
+suite: ``ci`` (the default) keeps example budgets small, and
+``REPRO_HYPOTHESIS_PROFILE=thorough`` digs 10x deeper.  Tests that pin
+their own ``@settings`` keep them.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+
+try:
+    from hypothesis import settings
+except ImportError:  # property suites skip themselves without Hypothesis
+    pass
+else:
+    settings.register_profile("ci", max_examples=25, deadline=None)
+    settings.register_profile("thorough", max_examples=250, deadline=None)
+    settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "ci"))
 
 from repro.core import Ranger
 from repro.models import prepare_model

@@ -11,27 +11,21 @@ prefix property, a nondeterministic split breaks bit-reproducibility):
 * **determinism** — equal inputs produce equal allocations, and scaling
   all quotas by a positive constant changes nothing.
 
-Profiles are tiered like ``tests/test_sparse_property.py``: CI runs a
-small example budget, ``REPRO_HYPOTHESIS_PROFILE=thorough`` digs 10×
-deeper.
+Example budgets come from the Hypothesis profiles registered in
+``tests/conftest.py``: CI runs a small budget,
+``REPRO_HYPOTHESIS_PROFILE=thorough`` digs 10× deeper.
 """
-
-import os
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.injection import largest_remainder, neyman_allocation, uniform_allocation
 from repro.injection.sampling import SHARE_EPSILON, Stratification, StratumSpace
 from repro.quantization import FIXED32
 from repro.injection import SingleBitFlip
-
-settings.register_profile("ci", max_examples=25, deadline=None)
-settings.register_profile("thorough", max_examples=250, deadline=None)
-settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "ci"))
 
 #: Finite, non-negative quotas over a wide magnitude range.  Degenerate
 #: all-zero vectors are valid input (the allocator falls back to uniform).
