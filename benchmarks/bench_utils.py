@@ -73,10 +73,25 @@ def guard_minimum(result, label, value, minimum):
     across changes is the git history of the committed copies in
     ``benchmarks/results/``.
     """
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{result.name}.txt")
-    with open(path, "a") as handle:
-        handle.write(f"guard: {label} = {value:.2f} (minimum {minimum})\n")
+    path = _record_guard(result, f"{label} = {value:.2f} (minimum {minimum})")
     assert value >= minimum, (
         f"performance regression: {label} = {value:.2f}, expected >= "
         f"{minimum} (see {path})")
+
+
+def guard_maximum(result, label, value, maximum):
+    """Regression guard on a lower-is-better quantity: fail when ``value``
+    exceeds ``maximum`` (recorded like :func:`guard_minimum`)."""
+    path = _record_guard(result, f"{label} = {value:.2f} (maximum {maximum})")
+    assert value <= maximum, (
+        f"performance regression: {label} = {value:.2f}, expected <= "
+        f"{maximum} (see {path})")
+
+
+def _record_guard(result, line):
+    """Append one guard line to the experiment's results file."""
+    os.makedirs(RESULTS_DIR, exist_ok=True)
+    path = os.path.join(RESULTS_DIR, f"{result.name}.txt")
+    with open(path, "a") as handle:
+        handle.write(f"guard: {line}\n")
+    return path

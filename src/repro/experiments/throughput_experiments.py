@@ -229,6 +229,7 @@ def _measure_batched(model, inputs: np.ndarray, fmt, policy, trials: int,
         "mean_occupancy": batched_result.mean_batch_occupancy or 0.0,
         "batched_fraction": batched_result.batched_fraction,
         "union_overhead_nodes": batched_result.union_overhead_nodes,
+        "conv_window_fraction": batched_result.conv_window_fraction or 0.0,
         "pack_seconds": pack_seconds,
         "pack_fraction": pack_seconds / (batched_seconds + pack_seconds),
     }
@@ -366,13 +367,14 @@ def run_campaign_throughput(scale: Optional[ExperimentScale] = None,
                                  stats["mean_occupancy"],
                                  stats["batched_fraction"],
                                  stats["union_overhead_nodes"],
+                                 100.0 * stats["conv_window_fraction"],
                                  100.0 * stats["pack_fraction"],
                                  stats["max_ulp_deviation"]])
     rendered += "\n\n" + render_table(
         ["model", "datatype", "incr trials/s",
          f"batched[B={BATCH_WIDTH}] trials/s", "speedup",
          "occupancy rows/batch", "batched frac", "union overhead",
-         "pack %", "max ulp dev"],
+         "conv window %", "pack %", "max ulp dev"],
         batched_rows,
         title=(f"Campaign throughput — union-cone batched (ULP_TOLERANT) "
                f"vs. incremental replay ({batched_trials} trials, "

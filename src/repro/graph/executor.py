@@ -23,6 +23,7 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
 import numpy as np
 
 from ..ops.base import Array, Operator, Placeholder, Variable
+from ..ops.conv import Conv2D, ConvGolden
 from .equivalence import (DEFAULT_MAX_ULPS, EquivalenceMode,
                           max_row_ulp_distance)
 from .graph import Graph, GraphError, Node
@@ -64,6 +65,13 @@ class DTypePolicy:
     policies in :mod:`repro.quantization` subclass this to round every value
     to a Qm.n grid with saturation, which is how the paper's "32-bit
     fixed-point datatype" configuration is modelled.
+
+    Contract: ``apply`` must be idempotent bit for bit —
+    ``apply(node, apply(node, v))`` has the same bytes as
+    ``apply(node, v)``, NaNs, signed zeros and saturated values included.
+    Batched replay relies on it: a windowed conv splices the cached
+    (already policy-processed) golden output into its result and the
+    policy then runs over the whole spliced array.
     """
 
     name = "float64"
@@ -124,12 +132,18 @@ class BatchedExecutionResult:
     row that change propagation declared *clean* and its batch-1 golden
     value — the tolerance the run actually consumed, reported alongside
     ULP_TOLERANT results so the equivalence claim is auditable.
+    ``conv_positions_evaluated`` / ``conv_positions_total`` count the
+    output positions (summed over rows) of every re-evaluated ``Conv2D``
+    that were computed, and that a full conv would have computed; they
+    differ only where windowed conv replay served positions from golden.
     """
 
     outputs: Dict[str, Array]
     recomputed: Set[str] = field(default_factory=set)
     rows_evaluated: int = 0
     max_ulp_deviation: float = 0.0
+    conv_positions_evaluated: int = 0
+    conv_positions_total: int = 0
 
     def output(self, name: Optional[str] = None) -> Array:
         if name is not None:
@@ -550,6 +564,15 @@ class Executor:
         relative to the cache but cannot turn batched BLAS calls bit-stable,
         which is why campaigns refuse ``EXACT`` for ``batch_trials > 1``.
 
+        **Windowed conv.**  Under ``ULP_TOLERANT`` (and with no output
+        hooks registered), a re-evaluated ``Conv2D`` whose golden input and
+        output are both cached receives them, and computes each row only
+        at the output positions its changed inputs can reach; the rest of
+        its output is the golden value, which is exact there (see
+        :func:`repro.ops.conv.conv_window`).  ``EXACT`` mode always runs
+        the full conv: a row-subset GEMM is not bit-identical to the full
+        one on every BLAS.
+
         Parameters
         ----------
         cached_values:
@@ -580,6 +603,10 @@ class Executor:
         """
         mode = EquivalenceMode.coerce(equivalence, EquivalenceMode.ULP_TOLERANT)
         threshold = 0.0 if mode is EquivalenceMode.EXACT else float(max_ulps)
+        # Output hooks would see (and re-apply themselves to) the spliced
+        # golden positions, so a hooked replay keeps the full conv.
+        windowed = (mode is EquivalenceMode.ULP_TOLERANT
+                    and not self._output_hooks)
         feed = dict(feed or {})
         requested = list(outputs) if outputs is not None else list(self.graph.outputs)
         if not requested:
@@ -672,6 +699,7 @@ class Executor:
         dirty_rows_of: Dict[str, Array] = {}
         recomputed: Set[str] = set()
         rows_evaluated = 0
+        conv_evaluated = conv_total = 0
         max_deviation = 0.0
         nodes_since_mask = 0
         big_checks_skipped = 0
@@ -814,7 +842,19 @@ class Executor:
                     raise GraphError(
                         f"run_from_batched(): no cached value for input "
                         f"{exc} of node '{name}'") from None
-                out = node.op.forward(*args)
+                if isinstance(node.op, Conv2D):
+                    golden_x = cached_values.get(node.inputs[0])
+                    golden = (ConvGolden(golden_x, cached)
+                              if windowed and not is_seed
+                              and golden_x is not None and cached is not None
+                              else None)
+                    out = node.op.forward(*args, golden=golden)
+                    positions = out.shape[0] * out.shape[1] * out.shape[2]
+                    conv_total += positions
+                    conv_evaluated += (positions if golden is None
+                                       else golden.positions_evaluated)
+                else:
+                    out = node.op.forward(*args)
                 del args
                 for inp in node.inputs:
                     if last_reader.get(inp) == name and inp not in kept:
@@ -917,7 +957,9 @@ class Executor:
             results[name] = full
         return BatchedExecutionResult(outputs=results, recomputed=recomputed,
                                       rows_evaluated=rows_evaluated,
-                                      max_ulp_deviation=max_deviation)
+                                      max_ulp_deviation=max_deviation,
+                                      conv_positions_evaluated=conv_evaluated,
+                                      conv_positions_total=conv_total)
 
     # -- training ---------------------------------------------------------------
 

@@ -101,7 +101,7 @@ from ..analysis.reporting import equivalence_note
 from ..graph import DTypePolicy, Executor
 from ..graph.equivalence import DEFAULT_MAX_ULPS, EquivalenceMode
 from ..models.base import Model
-from ..parallel.fanout import campaign_executor
+from ..parallel.fanout import campaign_executor, log_fallback_once
 from ..parallel.shm import (array_content_key, log_pickle_dispatch,
                             plane_scope, shared_plane)
 from .fault_models import FaultModel, FaultSpec, SingleBitFlip
@@ -236,6 +236,12 @@ class CampaignResult:
     batch_count: int = 0
     batched_trials: int = 0
     union_overhead_nodes: int = 0
+    #: Conv output positions (summed over stacked rows) batched replay
+    #: computed, and those a full conv would have computed; they differ
+    #: where windowed conv served positions from the golden output (both
+    #: 0 outside the batched path).
+    conv_positions_evaluated: int = 0
+    conv_positions_total: int = 0
     #: Retired element-level replay counters, always 0: every replay
     #: evaluates whole dense rows.  Kept (and merged) so readers of the
     #: per-element accounting — the campaign benchmark's traced metrics —
@@ -290,6 +296,13 @@ class CampaignResult:
         if self.trials == 0:
             return 0.0
         return self.batched_trials / self.trials
+
+    @property
+    def conv_window_fraction(self) -> Optional[float]:
+        """Share of batched conv output positions actually computed."""
+        if self.conv_positions_total == 0:
+            return None
+        return self.conv_positions_evaluated / self.conv_positions_total
 
     @property
     def recompute_fraction(self) -> Optional[float]:
@@ -415,6 +428,9 @@ class CampaignResult:
             batch_count=sum(s.batch_count for s in shards),
             batched_trials=sum(s.batched_trials for s in shards),
             union_overhead_nodes=sum(s.union_overhead_nodes for s in shards),
+            conv_positions_evaluated=sum(s.conv_positions_evaluated
+                                         for s in shards),
+            conv_positions_total=sum(s.conv_positions_total for s in shards),
             elements_evaluated=sum(s.elements_evaluated for s in shards),
             elements_full=sum(s.elements_full for s in shards),
             dense_fallback_nodes=sum(s.dense_fallback_nodes for s in shards),
@@ -1037,6 +1053,7 @@ class FaultInjectionCampaign:
         max_deviation = 0.0
         batched_trials = 0
         union_overhead = 0
+        conv_evaluated = conv_total = 0
 
         batches, fallback = (packing if packing is not None
                              else self.pack_batches(plans, batch_trials))
@@ -1052,6 +1069,8 @@ class FaultInjectionCampaign:
                 validate_overlap=False)  # the packer already screened
             nodes_recomputed += result.rows_evaluated
             max_deviation = max(max_deviation, result.max_ulp_deviation)
+            conv_evaluated += result.conv_positions_evaluated
+            conv_total += result.conv_positions_total
             batched_trials += len(positions)
             union_overhead += self._union_overhead(positions, plans)
             for criterion in self.criteria:
@@ -1060,6 +1079,12 @@ class FaultInjectionCampaign:
             if keep_faults:
                 for position, trial_faults in zip(positions, faults):
                     fault_log[position] = trial_faults
+        if fallback:
+            log_fallback_once(
+                "batched: overlapping sites",
+                "%d of %d trials have a fault site inside another site's "
+                "cone and replay one at a time instead of batched",
+                len(fallback), len(plans))
         for position in fallback:
             input_index, plan = plans[position]
             rng = trial_rng(self.seed, trial_offset + position)
@@ -1083,7 +1108,9 @@ class FaultInjectionCampaign:
                               max_ulp_deviation=max_deviation,
                               batch_count=len(batches),
                               batched_trials=batched_trials,
-                              union_overhead_nodes=union_overhead)
+                              union_overhead_nodes=union_overhead,
+                              conv_positions_evaluated=conv_evaluated,
+                              conv_positions_total=conv_total)
 
     def ship_golden_caches(self, spec: "CampaignSpec",
                            plans: Sequence[Tuple[int, InjectionPlan]],
