@@ -35,6 +35,7 @@ wherever the benchmark executes.
 """
 
 import os
+import pickle
 import time
 
 from repro.analysis import render_table
@@ -47,6 +48,7 @@ from repro.experiments import (
 from repro.experiments.common import ExperimentResult, get_prepared
 from repro.experiments.throughput_experiments import fanout_note
 from repro.injection import CampaignPool, FaultInjectionCampaign, SingleBitFlip
+from repro.injection.pool import _run_pooled_shard
 from repro.quantization import FIXED32, fixed32_policy
 
 from bench_utils import (guard_maximum, guard_minimum, run_and_report,
@@ -170,12 +172,12 @@ def test_campaign_throughput(benchmark):
                       result.data["pool"]["speedup"], 0.5)
 
 
-#: Dedicated scale for the shm-dispatch section.  Per-task dispatch payload
-#: bytes are a deterministic function of the campaign spec — not of wall
-#: clock — so the campaign itself stays short; vgg11 is the zoo's heaviest
-#: spec (largest weight arrays), the worst case legacy dispatch pickles
-#: into every worker task.
-SHM_DISPATCH_SCALE = ExperimentScale(
+#: Dedicated scale for the dispatch-payload section.  Payload bytes and
+#: worker-cache hits are deterministic functions of the campaign spec and
+#: the plan shards — not of wall clock — so the campaign itself stays
+#: short; vgg11 is the zoo's heaviest spec (largest weight arrays), the
+#: worst case for a resend.
+DISPATCH_SCALE = ExperimentScale(
     trials=64,
     num_inputs=4,
     classifier_models=(),
@@ -186,24 +188,23 @@ SHM_DISPATCH_SCALE = ExperimentScale(
     seed=0,
 )
 
-SHM_DISPATCH_WORKERS = 2
-#: Back-to-back campaigns per dispatch backend (the second run exercises
-#: the worker-side campaign-cache hit path, where shm dispatch skips the
-#: spec decode entirely).
-SHM_DISPATCH_REPEATS = 2
+DISPATCH_WORKERS = 2
+#: Back-to-back campaigns on one pool: the first fills the worker caches
+#: through resends, the second must travel without its spec.
+DISPATCH_CAMPAIGNS = 2
+#: Ceiling on one pickled hit task (fingerprint + plan payload).
+HIT_TASK_MAX_BYTES = 16 * 2 ** 10
 
 
-def run_shm_dispatch(scale):
-    """Worker dispatch economics of the shared-memory cache plane.
+def run_dispatch_payload(scale):
+    """Worker dispatch economics of spec-on-miss dispatch.
 
-    Runs the same vgg11 campaign through two fresh persistent pools — one
-    forced onto the legacy pickle-everything dispatch (``use_shm=False``),
-    one on the shared-memory cache plane (the default) — and reports the
-    per-task dispatch payload bytes plus the peak worker RSS of each
-    phase.  Each phase owns fresh worker processes because ``VmHWM`` is a
-    per-process high-water mark and cannot be reset.  Per-criterion SDC
-    counts must be identical across the two backends (the plane's
-    bit-identity guarantee), asserted on every run.
+    Runs the same vgg11 campaign back-to-back on one fresh persistent
+    pool and reports, per campaign, the first-send tasks, worker-cache
+    hits, bounced tasks and resent spec bytes, next to the pickled size
+    of one hit task and of the spec a miss resends.  Per-criterion SDC
+    counts must equal the serial run's on every campaign, asserted on
+    every run.
     """
     prepared = get_prepared("vgg11", scale)
     inputs, _ = prepared.correctly_predicted_inputs(scale.num_inputs,
@@ -214,91 +215,73 @@ def run_shm_dispatch(scale):
             prepared.model, inputs, fault_model=SingleBitFlip(FIXED32),
             dtype_policy=fixed32_policy(), seed=scale.seed)
 
-    plans = fresh_campaign().generate_plans(scale.trials)
-    reference = None
-    phases = {}
-    for backend, use_shm in (("pickle", False), ("shm", None)):
-        pool = CampaignPool(workers=SHM_DISPATCH_WORKERS, use_shm=use_shm)
-        try:
+    serial = fresh_campaign()
+    plans = serial.generate_plans(scale.trials)
+    reference = serial.run(plans=plans)
+    campaigns = []
+    with CampaignPool(workers=DISPATCH_WORKERS) as pool:
+        for _ in range(DISPATCH_CAMPAIGNS):
+            before = pool.stats()
             start = time.perf_counter()
-            for _ in range(SHM_DISPATCH_REPEATS):
-                result = fresh_campaign().run(plans=plans, pool=pool)
-                if reference is None:
-                    reference = result
-                elif result.sdc_counts != reference.sdc_counts:
-                    raise RuntimeError(
-                        f"shm dispatch diverged from the pickle reference: "
-                        f"{result.sdc_counts} != {reference.sdc_counts}")
+            campaign = fresh_campaign()
+            result = campaign.run(plans=plans, pool=pool)
             seconds = time.perf_counter() - start
-            stats = pool.stats()
-            # Worker pids are only reachable while the pool is open.
-            rss = worker_peak_rss_bytes(pool)
-            blas_threads = pool.worker_blas_threads()
-        finally:
-            pool.close()
-        phases[backend] = dict(
-            stats,
-            seconds=seconds,
-            payload_per_task=stats["payload_bytes"] / max(stats["tasks"], 1),
-            peak_worker_rss=max(rss.values(), default=0),
-            worker_blas_threads=blas_threads,
-        )
-
-    payload_reduction = 1.0 - (phases["shm"]["payload_per_task"]
-                               / phases["pickle"]["payload_per_task"])
-    rss_ratio = (phases["pickle"]["peak_worker_rss"]
-                 / phases["shm"]["peak_worker_rss"]
-                 if phases["shm"]["peak_worker_rss"] else None)
-    rows = [[backend, entry["tasks"], entry["shm_tasks"],
-             entry["payload_per_task"], entry["hits"], entry["remaps"],
-             entry["peak_worker_rss"] / 2 ** 20]
-            for backend, entry in phases.items()]
+            if result.sdc_counts != reference.sdc_counts:
+                raise RuntimeError(
+                    f"pooled dispatch diverged from the serial reference: "
+                    f"{result.sdc_counts} != {reference.sdc_counts}")
+            after = pool.stats()
+            campaigns.append(dict(
+                {key: after[key] - before[key] for key in after},
+                seconds=seconds))
+        hit_task = max(len(pickle.dumps((_run_pooled_shard, task),
+                                        protocol=pickle.HIGHEST_PROTOCOL))
+                       for task in pool._shard_tasks(campaign, plans))
+        rss = worker_peak_rss_bytes(pool)
+        blas_threads = pool.worker_blas_threads()
+    spec_bytes = len(pickle.dumps(campaign.spec(),
+                                  protocol=pickle.HIGHEST_PROTOCOL))
+    rows = [[index + 1, entry["tasks"], entry["hits"], entry["misses"],
+             entry["payload_bytes"], entry["seconds"]]
+            for index, entry in enumerate(campaigns)]
     rendered = render_table(
-        ["backend", "tasks", "shm tasks", "payload bytes/task",
-         "worker-cache hits", "remaps", "peak worker RSS MiB"],
+        ["campaign", "tasks", "worker-cache hits", "resends",
+         "spec bytes resent", "seconds"],
         rows,
-        title=(f"Campaign dispatch — shared-memory cache plane vs. pickled "
-               f"specs (vgg11, {scale.trials} trials, "
-               f"{SHM_DISPATCH_WORKERS} workers, "
-               f"{SHM_DISPATCH_REPEATS} campaigns/backend; payload "
-               f"reduction {100.0 * payload_reduction:.1f}%; "
-               f"{fanout_note(phases['shm']['worker_blas_threads'])})"))
+        title=(f"Campaign dispatch — spec on miss (vgg11, {scale.trials} "
+               f"trials, {DISPATCH_WORKERS} workers; hit task "
+               f"{hit_task} B, resent spec {spec_bytes} B; peak worker RSS "
+               f"{max(rss.values(), default=0) / 2 ** 20:.1f} MiB; "
+               f"{fanout_note(blas_threads)})"))
     return ExperimentResult(
-        name="shm_dispatch",
+        name="dispatch_payload",
         paper_reference="Sec. IV campaign methodology",
-        data={"phases": phases, "payload_reduction": payload_reduction,
-              "rss_ratio": rss_ratio, "workers": SHM_DISPATCH_WORKERS},
+        data={"campaigns": campaigns, "hit_task_bytes": hit_task,
+              "spec_bytes": spec_bytes, "workers": DISPATCH_WORKERS},
         rendered=rendered)
 
 
-def test_shm_dispatch_payload(benchmark):
-    """Dispatch payload and worker RSS, legacy pickled specs vs. the plane.
+def test_dispatch_payload(benchmark):
+    """Spec-on-miss dispatch: warm tasks travel without the spec.
 
-    The payload guard is deterministic (payload bytes are a pure function
-    of the spec and the plane's externalization rules — no timing in the
-    ratio), so it carries no noise margin and holds on any host.  The RSS
-    guard is a no-regression bound: with ``fork`` workers, copy-on-write
-    already shares the parent's pages, so the plane's RSS win on a warm
-    pool is modest — the guard catches the plane *costing* memory.
+    Every guard is deterministic (task payloads are a pure function of
+    the spec and the plan shards, hit counts of the worker caches), so
+    none carries a noise margin.
     """
-    result = run_and_report(benchmark, run_shm_dispatch, SHM_DISPATCH_SCALE)
-    phases = result.data["phases"]
-    # Every task of the shm phase must actually travel via the plane, and
-    # the legacy phase must never touch it (it is the before-measurement).
-    assert phases["shm"]["shm_tasks"] == phases["shm"]["tasks"] > 0
-    assert phases["pickle"]["shm_tasks"] == 0
-    # The second campaign of the shm phase must be served from the
-    # worker-side campaign cache without re-decoding the spec.
-    guard_minimum(result, "shm worker-cache hits",
-                  phases["shm"]["hits"], SHM_DISPATCH_WORKERS)
-    # Headline: >=90% fewer dispatch payload bytes per worker task on the
-    # vgg11-scale campaign (weights + inputs ride in shared segments; only
-    # the graph skeleton and the segment manifest still travel).
-    guard_minimum(result, "per-task dispatch payload reduction via shm",
-                  result.data["payload_reduction"], 0.90)
-    if result.data["rss_ratio"] is not None:
-        guard_minimum(result, "peak worker RSS ratio (pickle/shm)",
-                      result.data["rss_ratio"], 0.8)
+    result = run_and_report(benchmark, run_dispatch_payload, DISPATCH_SCALE)
+    first, second = result.data["campaigns"]
+    # Every resend carries exactly one pickled spec.
+    for entry in (first, second):
+        assert entry["hits"] + entry["misses"] == entry["tasks"] > 0
+        assert (entry["payload_bytes"]
+                == entry["misses"] * result.data["spec_bytes"])
+    # The second campaign is served from the worker-side campaign caches.
+    guard_minimum(result, "worker-cache hits on the second campaign",
+                  second["hits"], DISPATCH_WORKERS)
+    # A hit task carries the fingerprint and its plans, never the spec.
+    guard_maximum(result, "pickled hit-task payload KiB",
+                  result.data["hit_task_bytes"] / 2 ** 10,
+                  HIT_TASK_MAX_BYTES / 2 ** 10)
 
 
 #: Dedicated scale for the fan-out scaling sweep: one deep model, enough

@@ -187,8 +187,8 @@ def campaign_pool_stats() -> Dict[int, Dict[str, int]]:
     """Aggregated :meth:`CampaignPool.stats` per live pool worker count.
 
     The runner prints these next to the artifact-store summary so the
-    worker-cache hit rate and the shared-memory dispatch payload are
-    observable per sweep.
+    worker-cache hit rate and the resent spec bytes are observable per
+    sweep.
     """
     return {workers: pool.stats()
             for workers, pool in sorted(_CAMPAIGN_POOLS.items())

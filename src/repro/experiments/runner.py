@@ -94,14 +94,13 @@ def run_all_experiments(scale: Optional[ExperimentScale] = None,
             print("artifact store:", ", ".join(
                 f"{kind}: {s['hits']} hits / {s['misses']} misses"
                 for kind, s in stats.items()))
-        # Worker-side campaign-cache reuse and shared-memory dispatch
-        # economics of the persistent pools (one line per worker count).
+        # Worker-side campaign-cache reuse and spec-resend payload of the
+        # persistent pools (one line per worker count).
         for workers, pool_stats in campaign_pool_stats().items():
             print(f"campaign pool ({workers} workers): "
                   f"{pool_stats['hits']} hits / {pool_stats['misses']} "
-                  f"misses / {pool_stats['remaps']} remaps, "
-                  f"{pool_stats['shm_tasks']}/{pool_stats['tasks']} tasks "
-                  f"via shm, {pool_stats['payload_bytes']} payload bytes")
+                  f"misses over {pool_stats['tasks']} tasks, "
+                  f"{pool_stats['payload_bytes']} spec bytes resent")
     return results
 
 

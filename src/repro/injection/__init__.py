@@ -2,7 +2,6 @@
 
 from ..graph.equivalence import DEFAULT_MAX_ULPS, EquivalenceMode
 from .campaign import (
-    DEFAULT_CACHE_BUDGET_BYTES,
     DEFAULT_INTERVAL_METHOD,
     CampaignResult,
     CampaignSpec,
@@ -49,7 +48,6 @@ __all__ = [
     "CampaignResult",
     "CampaignSpec",
     "ConsecutiveBitFlip",
-    "DEFAULT_CACHE_BUDGET_BYTES",
     "DEFAULT_INTERVAL_METHOD",
     "DEFAULT_MAX_ULPS",
     "EquivalenceMode",

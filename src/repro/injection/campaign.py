@@ -17,10 +17,11 @@ Parallel execution
 ------------------
 
 Trials are embarrassingly parallel once the ``(input, plan)`` pairs are
-pre-sampled, so ``run(workers=N)`` shards them across ``N`` worker processes.
-Each worker rebuilds its model, executor and golden activation caches from a
-picklable :class:`CampaignSpec` and runs its contiguous shard of trials; the
-parent merges the per-worker partial results with :meth:`CampaignResult.merge`.
+pre-sampled, so ``run(workers=N)`` shards them across ``N`` worker processes
+of one ephemeral :class:`~repro.injection.pool.CampaignPool`.  Each worker
+rebuilds its model, executor and golden activation caches from a picklable
+:class:`CampaignSpec` and runs its contiguous shard of trials; the parent
+merges the per-worker partial results with :meth:`CampaignResult.merge`.
 
 **Determinism guarantee.**  Every trial draws its corruption randomness from
 its own generator, derived from the campaign seed and the *global* trial
@@ -67,8 +68,8 @@ pre-sampled for the whole budget and every trial keeps its index-keyed
 :func:`trial_rng` stream, a stopped campaign is *bit-identical to a
 prefix* of the fixed-budget run — adaptivity changes when the campaign
 stops looking, never what any trial computes — and composes with every
-backend above (each wave chunk goes through the same pool → workers →
-batched → serial dispatch).  ``run(strata=Stratification(...))``
+backend above (each wave chunk goes through the same pool → batched →
+serial dispatch).  ``run(strata=Stratification(...))``
 additionally importance-samples the fault space: trials are allocated
 across (layer × bit-band) strata — uniformly at first, then toward
 strata whose verdicts are still uncertain — and the result carries
@@ -86,7 +87,7 @@ the same pure-function spec either way).
 
 from __future__ import annotations
 
-import hashlib
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping,
@@ -101,9 +102,7 @@ from ..analysis.reporting import equivalence_note
 from ..graph import DTypePolicy, Executor
 from ..graph.equivalence import DEFAULT_MAX_ULPS, EquivalenceMode
 from ..models.base import Model
-from ..parallel.fanout import campaign_executor, log_fallback_once
-from ..parallel.shm import (array_content_key, log_pickle_dispatch,
-                            plane_scope, shared_plane)
+from ..parallel.fanout import log_fallback_once
 from .fault_models import FaultModel, FaultSpec, SingleBitFlip
 from .injector import FaultInjector, InjectionPlan
 from .sampling import (Stratification, StratumKey, StratumSpace,
@@ -112,28 +111,6 @@ from .sdc import SDCCriterion, criteria_for_model
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pool imports us)
     from .pool import CampaignPool
-
-#: Default ceiling (bytes) on the golden activation caches shipped inside a
-#: pickled :class:`CampaignSpec` to worker processes.  Below the budget,
-#: workers reuse the parent's caches instead of rebuilding them; above it,
-#: the spec ships without caches and workers rebuild lazily as before.
-#: The default is deliberately small: the spec is pickled once per worker
-#: task, so shipping costs ``workers x (pickle + unpickle)`` of the payload
-#: while the lazy rebuild costs one batch-1 inference per (worker, input)
-#: — measured on this zoo, the transfer only beats the rebuild when the
-#: payload is tiny relative to the model's inference cost.  Raise the
-#: budget for deployments where worker-side compute is the scarce resource
-#: (e.g. heavily oversubscribed hosts), or set 0 to never ship.
-DEFAULT_CACHE_BUDGET_BYTES = 1 * 2 ** 20
-
-#: Golden-cache shipping ceiling when the shared-memory cache plane is
-#: active (see :mod:`repro.parallel.shm`).  The plane publishes the
-#: caches **once** into shared segments and ships only tiny references,
-#: so the old per-worker ``pickle + unpickle`` economics that kept
-#: :data:`DEFAULT_CACHE_BUDGET_BYTES` at 1 MiB no longer apply; the only
-#: real cost left is one parent-side copy into ``/dev/shm``, which the
-#: lazy per-(worker, input) rebuild always loses against.
-PLANE_CACHE_BUDGET_BYTES = 256 * 2 ** 20
 
 #: First spawn-key element of the plan-sampling stream
 #: (:meth:`FaultInjectionCampaign.generate_plans`): a two-element key, so
@@ -615,11 +592,9 @@ class FaultInjectionCampaign:
     def spec_fingerprint(self) -> str:
         """Content fingerprint of this campaign's spec, computed once.
 
-        The same SHA-1 the :class:`~repro.injection.pool.CampaignPool`
-        worker cache and the service's
-        :class:`~repro.service.store.ArtifactStore` key by, so the
-        shared-memory cache plane's segments (``body:<fingerprint>`` /
-        ``golden:<fingerprint>:...``) line up with both.
+        The SHA-1 the :class:`~repro.injection.pool.CampaignPool` worker
+        cache and the service's :class:`~repro.service.store.ArtifactStore`
+        key by.
         """
         if self._fingerprint is None:
             from .pool import spec_fingerprint
@@ -635,7 +610,6 @@ class FaultInjectionCampaign:
             batch_trials: int = 1,
             equivalence=None,
             max_ulps: float = DEFAULT_MAX_ULPS,
-            cache_budget_bytes: int = DEFAULT_CACHE_BUDGET_BYTES,
             packing: Optional[Tuple[List[Tuple[int, List[int]]],
                                     List[int]]] = None,
             pool: Optional["CampaignPool"] = None,
@@ -659,8 +633,10 @@ class FaultInjectionCampaign:
         workers:
             Number of worker processes.  ``1`` (default) runs in-process;
             ``N > 1`` pre-samples the plans, shards them into contiguous
-            chunks, and fans the chunks out to ``N`` processes that each
-            rebuild the campaign from its :meth:`spec` and run their shard.
+            chunks, and fans the chunks out over one ephemeral
+            :class:`~repro.injection.pool.CampaignPool` of ``N`` processes
+            (opened once for the whole call, every adaptive wave
+            included) that rebuild the campaign from its :meth:`spec`.
             Results are bit-identical for every worker count (see the
             module docstring's determinism guarantee).
         trial_offset:
@@ -689,23 +665,19 @@ class FaultInjectionCampaign:
             stability.
         max_ulps:
             Row-masking tolerance (float64 ULPs) for batched replay.
-        cache_budget_bytes:
-            Ceiling on the golden activation caches shipped to worker
-            processes inside the pickled spec (0 disables shipping); above
-            the budget workers rebuild their caches lazily as before.
         packing:
             Optional pre-computed ``(batches, fallback)`` groups for the
             serial batched path (the shape :meth:`pack_batches` returns).
             :func:`compare_protection` packs once on the unprotected side
             and reuses the groups on the protected side so the paired
-            batches stay bit-aligned; ignored when ``workers > 1`` (each
+            batches stay bit-aligned; ignored when the run fans out (each
             shard packs its own contiguous chunk).
         pool:
             Optional :class:`~repro.injection.pool.CampaignPool`.  When
             given (and more than one trial is to run), the campaign is
             fanned out across the pool's persistent worker processes
-            instead of spawning a fresh process pool — back-to-back
-            campaigns then reuse the workers' models and golden caches.
+            instead of an ephemeral pool — back-to-back campaigns then
+            reuse the workers' models and golden caches.
             Results are bit-identical either way; ``workers`` is ignored
             in favour of the pool's size.
         target_half_width:
@@ -793,41 +765,37 @@ class FaultInjectionCampaign:
                     "trial_offset must be 0")
             group_hook = (None if on_wave is None
                           else lambda snapshots: on_wave(snapshots[0]))
-            # The scope pins the plane segments the per-wave dispatches
-            # publish, so waves re-use them instead of republishing.
-            with plane_scope():
+            with _fan_out(pool, workers) as pool:
                 return _run_adaptive_group(
                     [self], trials=trials, plans=plans,
                     wave_trials=wave_trials,
                     target_half_width=target_half_width, strata=strata, z=z,
                     interval_method=interval_method, keep_faults=keep_faults,
-                    incremental=incremental, workers=workers,
-                    batch_trials=batch_trials, mode=mode, max_ulps=max_ulps,
-                    cache_budget_bytes=cache_budget_bytes, pool=pool,
+                    incremental=incremental, batch_trials=batch_trials,
+                    mode=mode, max_ulps=max_ulps, pool=pool,
                     on_wave=group_hook)[0]
         if plans is None:
             plans = self.generate_plans(trials)
-        result = self._dispatch(plans, keep_faults=keep_faults,
-                                incremental=incremental, workers=workers,
-                                trial_offset=trial_offset,
-                                batch_trials=batch_trials, mode=mode,
-                                max_ulps=max_ulps,
-                                cache_budget_bytes=cache_budget_bytes,
-                                packing=packing, pool=pool)
+        with _fan_out(pool, min(workers, len(plans))) as pool:
+            result = self._dispatch(plans, keep_faults=keep_faults,
+                                    incremental=incremental,
+                                    trial_offset=trial_offset,
+                                    batch_trials=batch_trials, mode=mode,
+                                    max_ulps=max_ulps, packing=packing,
+                                    pool=pool)
         result.interval_method = interval_method
         return result
 
     def _dispatch(self, plans: List[Tuple[int, InjectionPlan]], *,
-                  keep_faults: bool, incremental: bool, workers: int,
+                  keep_faults: bool, incremental: bool,
                   trial_offset: int, batch_trials: int,
                   mode: EquivalenceMode, max_ulps: float,
-                  cache_budget_bytes: int,
                   packing: Optional[Tuple[List[Tuple[int, List[int]]],
                                           List[int]]],
                   pool: Optional["CampaignPool"]) -> CampaignResult:
         """Run one fixed plan list through the backend dispatch.
 
-        The pool → workers → batched → serial routing shared by
+        The pool → batched → serial routing shared by
         fixed-budget runs (one call) and adaptive runs (one call per wave
         chunk, anchored by ``trial_offset``); parameters are pre-validated
         by :meth:`run`.
@@ -838,15 +806,6 @@ class FaultInjectionCampaign:
                                   trial_offset=trial_offset,
                                   batch_trials=batch_trials,
                                   equivalence=mode, max_ulps=max_ulps)
-        if workers > 1 and len(plans) > 1:
-            return self._run_parallel(plans, workers=workers,
-                                      keep_faults=keep_faults,
-                                      incremental=incremental,
-                                      trial_offset=trial_offset,
-                                      batch_trials=batch_trials,
-                                      equivalence=mode,
-                                      max_ulps=max_ulps,
-                                      cache_budget_bytes=cache_budget_bytes)
         if batch_trials > 1:
             return self._run_batched(plans, batch_trials=batch_trials,
                                      keep_faults=keep_faults,
@@ -1112,116 +1071,6 @@ class FaultInjectionCampaign:
                               conv_positions_evaluated=conv_evaluated,
                               conv_positions_total=conv_total)
 
-    def ship_golden_caches(self, spec: "CampaignSpec",
-                           plans: Sequence[Tuple[int, InjectionPlan]],
-                           cache_budget_bytes: int) -> bool:
-        """Attach this campaign's golden caches to ``spec`` when they fit.
-
-        Builds the caches of every input the plans reference and ships them
-        inside the spec when their total payload stays within
-        ``cache_budget_bytes``, so workers skip the per-process golden
-        rebuild.  Above the budget the spec ships without caches and
-        workers rebuild lazily as before.  Returns whether the caches were
-        attached.
-
-        Per-input cache sizes are identical (same graph, same shapes), so
-        any already-built cache prices the whole payload without building
-        the rest — an over-budget campaign is rejected after at most one
-        parent-side cache build (which stays in ``_golden_caches`` for any
-        later in-process run), never after building all of them.
-        """
-        if cache_budget_bytes <= 0:
-            return False
-        needed = sorted({input_index for input_index, _ in plans})
-        if not needed:
-            return False
-        probe = next(iter(self._golden_caches.values()), None)
-        if probe is None:
-            probe = self._golden_cache(needed[0])
-        per_input = sum(np.asarray(value).nbytes for value in probe.values())
-        if per_input * len(needed) > cache_budget_bytes:
-            return False
-        spec.golden_caches = {input_index: self._golden_cache(input_index)
-                              for input_index in needed}
-        return True
-
-    def _run_parallel(self, plans: List[Tuple[int, InjectionPlan]],
-                      workers: int, keep_faults: bool, incremental: bool,
-                      trial_offset: int, batch_trials: int = 1,
-                      equivalence: Optional[EquivalenceMode] = None,
-                      max_ulps: float = DEFAULT_MAX_ULPS,
-                      cache_budget_bytes: int = DEFAULT_CACHE_BUDGET_BYTES,
-                      ) -> CampaignResult:
-        """Fan ``plans`` out across ``workers`` processes and merge the shards.
-
-        Plans travel as plain-tuple payloads (see
-        :meth:`InjectionPlan.to_payload`) next to a pickled
-        :class:`CampaignSpec`; each worker rebuilds the model and executor,
-        and either reuses the parent's golden activation caches (shipped
-        with the spec when they fit ``cache_budget_bytes``) or rebuilds its
-        own, so no process shares mutable state.  Shard results come back
-        in trial order and are merged with :meth:`CampaignResult.merge`.
-
-        When the shared-memory cache plane is available (see
-        :mod:`repro.parallel.shm`) the spec's large arrays — weights,
-        inputs, golden caches — are published **once** into shared
-        segments and workers map them as read-only zero-copy views; only
-        a few-KiB skeleton pickle travels per shard, and the golden-cache
-        shipping budget is lifted to :data:`PLANE_CACHE_BUDGET_BYTES`.
-        ``REPRO_DISABLE_SHM=1`` (or any plane failure) falls back to the
-        legacy pickle path, bit-identically.
-        """
-        shards = shard_plans(plans, workers)
-        spec = self.spec()
-        plane = shared_plane()
-        shipped = False
-        if incremental:
-            budget = (max(cache_budget_bytes, PLANE_CACHE_BUDGET_BYTES)
-                      if plane is not None else cache_budget_bytes)
-            shipped = self.ship_golden_caches(spec, plans, budget)
-        encoded = None
-        if plane is not None:
-            encoded = encode_campaign_spec(plane, spec,
-                                           self.spec_fingerprint())
-            if encoded is None:
-                log_pickle_dispatch(plane)
-            if encoded is None and shipped:
-                # The plane fell back *after* the lifted-budget ship:
-                # re-check the caches against the pickle budget so the
-                # fallback never ships a payload the legacy path would
-                # have refused.
-                caches = spec.golden_caches or {}
-                nbytes = sum(np.asarray(value).nbytes
-                             for cache in caches.values()
-                             for value in cache.values())
-                if nbytes > cache_budget_bytes:
-                    spec.golden_caches = None
-        payloads = [(offset, [(index, plan.to_payload())
-                              for index, plan in chunk])
-                    for offset, chunk in shards]
-        mode_value = equivalence.value if equivalence is not None else None
-        try:
-            with campaign_executor(len(payloads)) as pool:
-                if encoded is not None:
-                    futures = [pool.submit(_run_campaign_shard_shm,
-                                           encoded.payload, chunk,
-                                           trial_offset + offset,
-                                           keep_faults, incremental,
-                                           batch_trials, mode_value,
-                                           max_ulps)
-                               for offset, chunk in payloads]
-                else:
-                    futures = [pool.submit(_run_campaign_shard, spec, chunk,
-                                           trial_offset + offset, keep_faults,
-                                           incremental, batch_trials,
-                                           mode_value, max_ulps)
-                               for offset, chunk in payloads]
-                partials = [future.result() for future in futures]
-        finally:
-            if encoded is not None:
-                encoded.release()
-        return CampaignResult.merge(partials)
-
 
 @dataclass
 class CampaignSpec:
@@ -1232,14 +1081,9 @@ class CampaignSpec:
     list, the dtype policy and the seed.  ``build()`` reruns the campaign
     constructor, which re-profiles the injectable state space and recomputes
     the golden outputs, so a rebuilt campaign is indistinguishable from the
-    original (both are pure functions of this state).
-
-    ``golden_caches`` optionally carries the parent's per-input golden
-    activation caches (see
-    :meth:`FaultInjectionCampaign.ship_golden_caches`): the caches are pure
-    functions of the same state, so pre-seeding them in ``build()`` changes
-    nothing about the rebuilt campaign's results — it only skips the
-    worker's most expensive fixed cost.
+    original (both are pure functions of this state).  Golden activation
+    caches are a pure function of it too, so they never travel: a worker
+    builds its own lazily.
     """
 
     model: Model
@@ -1248,94 +1092,27 @@ class CampaignSpec:
     criteria: List[SDCCriterion]
     dtype_policy: Optional[DTypePolicy]
     seed: int
-    golden_caches: Optional[Dict[int, Dict[str, np.ndarray]]] = None
 
     def build(self) -> FaultInjectionCampaign:
-        campaign = FaultInjectionCampaign(self.model, self.inputs,
-                                          fault_model=self.fault_model,
-                                          criteria=self.criteria,
-                                          dtype_policy=self.dtype_policy,
-                                          seed=self.seed)
-        if self.golden_caches:
-            campaign._golden_caches.update(
-                {int(index): dict(cache)
-                 for index, cache in self.golden_caches.items()})
-        return campaign
+        return FaultInjectionCampaign(self.model, self.inputs,
+                                      fault_model=self.fault_model,
+                                      criteria=self.criteria,
+                                      dtype_policy=self.dtype_policy,
+                                      seed=self.seed)
 
 
-def _run_campaign_shard(spec: CampaignSpec,
-                        payload: Sequence[Tuple[int, Sequence[Tuple[str, int]]]],
-                        trial_offset: int, keep_faults: bool,
-                        incremental: bool, batch_trials: int = 1,
-                        equivalence: Optional[str] = None,
-                        max_ulps: float = DEFAULT_MAX_ULPS) -> CampaignResult:
-    """Worker entry point: rebuild the campaign and run one shard of trials.
+@contextlib.contextmanager
+def _fan_out(pool: Optional["CampaignPool"], workers: int):
+    """The pool a call fans out over: the caller's ``pool``, else one
+    ephemeral ``workers``-process pool for the whole call, else ``None``
+    (``workers == 1``: the call runs in-process)."""
+    if pool is not None or workers <= 1:
+        yield pool
+        return
+    from .pool import CampaignPool
 
-    Module-level (not a closure) so it pickles under every multiprocessing
-    start method.  ``trial_offset`` anchors the shard's per-trial RNG
-    streams at the trials' global indices; ``equivalence`` travels as the
-    mode's string value to keep the payload plain.
-    """
-    campaign = spec.build()
-    plans = [(input_index, InjectionPlan.from_payload(sites))
-             for input_index, sites in payload]
-    return campaign.run(plans=plans, keep_faults=keep_faults,
-                        incremental=incremental, trial_offset=trial_offset,
-                        batch_trials=batch_trials, equivalence=equivalence,
-                        max_ulps=max_ulps)
-
-
-def encode_campaign_spec(plane, spec: CampaignSpec,
-                         fingerprint: str):
-    """Publish ``spec``'s big arrays through the cache plane.
-
-    Routes the evaluation inputs to a content-keyed segment (shared by
-    the two arms of a paired comparison), the golden caches to a
-    ``golden:<fingerprint>:<shipped indices>`` segment, and everything
-    else (weights, criteria state) to ``body:<fingerprint>``.  Returns
-    the :class:`~repro.parallel.shm.EncodedObject` — whose ``payload``
-    is the per-task skeleton pickle — or ``None`` when the plane
-    declined (caller takes the pickle path).
-    """
-    golden_ids: frozenset = frozenset()
-    golden_key = None
-    if spec.golden_caches:
-        golden_ids = frozenset(
-            id(value) for cache in spec.golden_caches.values()
-            for value in cache.values())
-        subset = hashlib.sha1(
-            repr(sorted(spec.golden_caches)).encode()).hexdigest()[:12]
-        golden_key = f"golden:{fingerprint}:{subset}"
-    inputs_array = None
-    inputs_key = None
-    if (type(spec.inputs) is np.ndarray and spec.inputs.flags.c_contiguous
-            and not spec.inputs.dtype.hasobject):
-        inputs_array = spec.inputs
-        inputs_key = f"inputs:{array_content_key(spec.inputs)}"
-    return plane.encode(spec, body_key=f"body:{fingerprint}",
-                        inputs_array=inputs_array, inputs_key=inputs_key,
-                        golden_ids=golden_ids, golden_key=golden_key)
-
-
-def _run_campaign_shard_shm(payload,
-                            plan_payload: Sequence[Tuple[int, Sequence]],
-                            trial_offset: int, keep_faults: bool,
-                            incremental: bool, batch_trials: int = 1,
-                            equivalence: Optional[str] = None,
-                            max_ulps: float = DEFAULT_MAX_ULPS,
-                            ) -> CampaignResult:
-    """Worker entry point for plane-encoded specs.
-
-    Maps the referenced shared segments (attach-only: the parent owns
-    every unlink), rebuilds the spec around read-only zero-copy views
-    and runs the shard exactly like :func:`_run_campaign_shard`.
-    """
-    from ..parallel import shm as shm_mod
-
-    spec, _ = shm_mod.decode(payload)
-    return _run_campaign_shard(spec, plan_payload, trial_offset, keep_faults,
-                               incremental, batch_trials, equivalence,
-                               max_ulps)
+    with CampaignPool(workers) as ephemeral:
+        yield ephemeral
 
 
 def _run_adaptive_group(campaigns: Sequence[FaultInjectionCampaign], *,
@@ -1345,10 +1122,9 @@ def _run_adaptive_group(campaigns: Sequence[FaultInjectionCampaign], *,
                         target_half_width: Optional[float],
                         strata: Optional[Stratification],
                         z: float, interval_method: str,
-                        keep_faults: bool, incremental: bool, workers: int,
+                        keep_faults: bool, incremental: bool,
                         batch_trials: int, mode: EquivalenceMode,
-                        max_ulps: float, cache_budget_bytes: int,
-                        pool: Optional["CampaignPool"],
+                        max_ulps: float, pool: Optional["CampaignPool"],
                         joint_stop: bool = True,
                         on_wave: Optional[Callable[[List[CampaignResult]],
                                                    None]] = None,
@@ -1417,18 +1193,16 @@ def _run_adaptive_group(campaigns: Sequence[FaultInjectionCampaign], *,
     def dispatch(index: int, chunk, offset: int, packing) -> CampaignResult:
         partial = campaigns[index]._dispatch(
             chunk, keep_faults=keep_faults, incremental=incremental,
-            workers=workers, trial_offset=offset, batch_trials=batch_trials,
-            mode=mode, max_ulps=max_ulps,
-            cache_budget_bytes=cache_budget_bytes, packing=packing,
-            pool=pool)
+            trial_offset=offset, batch_trials=batch_trials, mode=mode,
+            max_ulps=max_ulps, packing=packing, pool=pool)
         partial.interval_method = interval_method
         return partial
 
     def pack(chunk):
         # Same policy as fixed-budget runs: the leader packs once per
         # (serial, batched) chunk and every campaign replays the same
-        # groups; parallel/pool backends pack their own shards.
-        if batch_trials > 1 and workers == 1 and pool is None:
+        # groups; pooled shards pack their own chunks.
+        if batch_trials > 1 and pool is None:
             return leader.pack_batches(chunk, batch_trials)
         return None
 
@@ -1602,12 +1376,8 @@ def compare_protection(unprotected: Model, protected: Model,
     guarded = FaultInjectionCampaign(protected, inputs, fault_model=fault_model,
                                      criteria=criteria,
                                      dtype_policy=dtype_policy, seed=seed)
-    # One plane scope over both arms: the content-keyed segments the arms
-    # share (notably the evaluation-inputs bundle — both campaigns hold
-    # the same `inputs` array) are published once by the first arm and
-    # stay pinned until the second arm is done, instead of being unlinked
-    # and republished between the runs.
-    with plane_scope():
+    # One pool over both arms and every wave.
+    with _fan_out(pool, workers) as pool:
         if (target_half_width is not None or strata is not None
                 or wave_trials is not None):
             mode = EquivalenceMode.coerce(
@@ -1617,16 +1387,14 @@ def compare_protection(unprotected: Model, protected: Model,
                 [base, guarded], trials=trials, plans=None,
                 wave_trials=wave_trials, target_half_width=target_half_width,
                 strata=strata, z=z, interval_method=interval_method,
-                keep_faults=False, incremental=incremental, workers=workers,
+                keep_faults=False, incremental=incremental,
                 batch_trials=batch_trials, mode=mode,
-                max_ulps=DEFAULT_MAX_ULPS,
-                cache_budget_bytes=DEFAULT_CACHE_BUDGET_BYTES, pool=pool,
-                joint_stop=joint_stop,
+                max_ulps=DEFAULT_MAX_ULPS, pool=pool, joint_stop=joint_stop,
                 on_wave=on_wave)
             return results[0], results[1]
         plans = base.generate_plans(trials)
         packing = None
-        if batch_trials > 1 and workers == 1 and pool is None:
+        if batch_trials > 1 and pool is None:
             packing = base.pack_batches(plans, batch_trials)
         return (base.run(plans=plans, incremental=incremental,
                          workers=workers, batch_trials=batch_trials,

@@ -1,35 +1,29 @@
-"""Persistent campaign worker pool for back-to-back experiment sweeps.
+"""Campaign worker pool: the one fan-out backend of every campaign.
 
-Experiment grids (the fig6 / fig9 / fig11-style sweeps) run many campaigns
-back-to-back, and the per-campaign multiprocess backend of
-:meth:`~repro.injection.campaign.FaultInjectionCampaign.run` pays two fixed
-costs every time: spawning a fresh process pool and, in each worker, a full
-campaign rebuild (model unpickle, state-space profiling, golden-output
-pass, lazy golden activation caches).  :class:`CampaignPool` keeps one
-process pool alive for the whole sweep and caches rebuilt campaigns
-*inside* the workers, keyed by a content fingerprint of the campaign spec —
-so every campaign after the first that shares a (model, inputs, fault
-model, criteria, dtype policy, seed) skips both costs, and even distinct
-campaigns skip the pool spawn.
+A multiprocess campaign pays two fixed costs: spawning worker processes
+and, in each worker, a full campaign rebuild (model unpickle, state-space
+profiling, golden-output pass, lazy golden activation caches).
+:class:`CampaignPool` keeps its workers alive and caches rebuilt campaigns
+*inside* them, keyed by a content fingerprint of the campaign spec, so a
+campaign that shares a (model, inputs, fault model, criteria, dtype
+policy, seed) with an earlier one skips both costs.  ``run(workers=N)``
+and ``compare_protection(workers=N)`` open one ephemeral pool for the
+whole call (every adaptive wave included); sweeps, the experiments runner
+and the campaign service keep one pool across many campaigns.
 
-The spec still travels with every task (a task cannot target a specific
-worker), but unpickling a spec is orders of magnitude cheaper than the
-rebuild it replaces; on a cache hit the worker drops it immediately.
+**Spec on miss.**  A task carries only ``(fingerprint, plans)``.  A
+worker whose cache lacks the fingerprint returns a miss marker, and the
+parent resends that one shard with the pickled spec.  The parent pickles
+each spec once and holds the bytes per fingerprint, so a warm pool ships
+a few KiB of plans per task, and a miss costs one extra round trip.
 
-**Determinism.**  A pooled run ships the same pre-sampled plan payloads and
-per-trial RNG anchors as the fresh multiprocess path, and the worker-side
-campaign is a pure function of its spec (reuse only skips recomputing that
-pure function), so pooled results are **bit-identical** to fresh
-per-campaign runs for every pool size and reuse pattern — enforced by
-``tests/test_union_cone_batching.py``.
-
-Adaptive campaigns (``run(target_half_width=...)``) lean on the pool the
-same way a sweep does: every wave is one more dispatch of the same spec,
-so across the many small waves of a sequentially-stopped campaign the
-workers' cached campaigns are rebuilt once and reused for the rest —
-wave granularity adds no per-wave rebuild cost.  The wave chunks carry
-global trial offsets, so pooled adaptive results stay bit-identical to
-the serial adaptive path (``tests/test_adaptive_campaign.py``).
+**Determinism.**  A pooled shard runs the same pre-sampled plans with the
+same global trial offsets as the serial path, and the worker-side campaign
+is a pure function of its spec (reuse only skips recomputing that pure
+function), so pooled results are **bit-identical** to serial runs for
+every pool size, reuse pattern and miss pattern — enforced by
+``tests/test_parallel_campaign.py``, ``tests/test_union_cone_batching.py``
+and ``tests/test_adaptive_campaign.py``.
 """
 
 from __future__ import annotations
@@ -38,20 +32,20 @@ import hashlib
 import multiprocessing
 import pickle
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..graph.equivalence import DEFAULT_MAX_ULPS, EquivalenceMode
 from ..parallel.fanout import campaign_executor, openblas_threads
-from ..parallel.shm import log_pickle_dispatch, shared_plane
 from .campaign import (CampaignResult, CampaignSpec, FaultInjectionCampaign,
-                       encode_campaign_spec, shard_plans)
+                       shard_plans)
 from .injector import InjectionPlan
 
 #: Rebuilt campaigns kept alive per worker process, most recently used
-#: last.  Sweeps interleave at most a handful of distinct campaign configs
-#: (model × datatype × protection), so a small cache captures the reuse
-#: while bounding worker memory (each entry holds a model plus its golden
+#: last; the parent keeps the same number of pickled specs.  Sweeps
+#: interleave at most a handful of distinct campaign configs (model ×
+#: datatype × protection), so a small cache captures the reuse while
+#: bounding worker memory (each entry holds a model plus its golden
 #: caches).
 WORKER_CAMPAIGN_CACHE_LIMIT = 4
 
@@ -59,16 +53,9 @@ WORKER_CAMPAIGN_CACHE_LIMIT = 4
 #: copy stays empty).
 _WORKER_CAMPAIGNS: "OrderedDict[str, FaultInjectionCampaign]" = OrderedDict()
 
-#: Plane-encoded spec payloads the pool keeps pinned between campaigns,
-#: most recently used last (see :attr:`CampaignPool._leases`).  Matches
-#: :data:`WORKER_CAMPAIGN_CACHE_LIMIT`: the parent keeps a segment alive
-#: exactly as long as the workers plausibly still have the campaign it
-#: backs cached.
-ENCODED_SPEC_LEASE_LIMIT = 4
-
 
 def spec_fingerprint(spec: CampaignSpec) -> str:
-    """Content fingerprint of a campaign spec (golden caches excluded).
+    """Content fingerprint of a campaign spec.
 
     SHA-1 over the pickled configuration leaves — (model, inputs, fault
     model, criteria, dtype policy, seed) — so two campaign *objects* built
@@ -84,85 +71,41 @@ def spec_fingerprint(spec: CampaignSpec) -> str:
     return hashlib.sha1(payload).hexdigest()
 
 
-def _cache_campaign(fingerprint: str,
-                    campaign: FaultInjectionCampaign) -> None:
-    _WORKER_CAMPAIGNS[fingerprint] = campaign
-    while len(_WORKER_CAMPAIGNS) > WORKER_CAMPAIGN_CACHE_LIMIT:
-        _WORKER_CAMPAIGNS.popitem(last=False)
+def _run_pooled_shard(fingerprint: str, spec: Optional[bytes],
+                      payload: Sequence[Tuple[int, Sequence[Tuple[str, int]]]],
+                      trial_offset: int, keep_faults: bool,
+                      incremental: bool, batch_trials: int = 1,
+                      equivalence: Optional[str] = None,
+                      max_ulps: float = DEFAULT_MAX_ULPS,
+                      ) -> Optional[CampaignResult]:
+    """Worker entry point: run one shard of trials on the cached campaign.
 
+    ``spec`` is the pickled :class:`CampaignSpec`, or ``None`` on a first
+    send.  A worker that has ``fingerprint`` cached runs the shard on it;
+    one that does not rebuilds (and caches) the campaign from ``spec``, or
+    returns ``None`` — the miss marker — when no spec came along.
 
-def _run_shard_on(campaign: FaultInjectionCampaign,
-                  payload: Sequence[Tuple[int, Sequence[Tuple[str, int]]]],
-                  trial_offset: int, keep_faults: bool, incremental: bool,
-                  batch_trials: int, equivalence: Optional[str],
-                  max_ulps: float) -> CampaignResult:
+    Module-level (not a closure) so it pickles under every multiprocessing
+    start method.  ``trial_offset`` anchors the shard's per-trial RNG
+    streams at the trials' global indices; ``equivalence`` travels as the
+    mode's string value to keep the payload plain.
+    """
+    campaign = _WORKER_CAMPAIGNS.get(fingerprint)
+    if campaign is not None:
+        _WORKER_CAMPAIGNS.move_to_end(fingerprint)
+    elif spec is None:
+        return None
+    else:
+        campaign = pickle.loads(spec).build()
+        _WORKER_CAMPAIGNS[fingerprint] = campaign
+        while len(_WORKER_CAMPAIGNS) > WORKER_CAMPAIGN_CACHE_LIMIT:
+            _WORKER_CAMPAIGNS.popitem(last=False)
     plans = [(input_index, InjectionPlan.from_payload(sites))
              for input_index, sites in payload]
     return campaign.run(plans=plans, keep_faults=keep_faults,
                         incremental=incremental, trial_offset=trial_offset,
                         batch_trials=batch_trials, equivalence=equivalence,
                         max_ulps=max_ulps)
-
-
-def _run_pooled_shard(fingerprint: str, spec: CampaignSpec,
-                      payload: Sequence[Tuple[int, Sequence[Tuple[str, int]]]],
-                      trial_offset: int, keep_faults: bool,
-                      incremental: bool, batch_trials: int,
-                      equivalence: Optional[str],
-                      max_ulps: float,
-                      ) -> Tuple[CampaignResult, Dict[str, int]]:
-    """Pooled worker entry: reuse (or rebuild and cache) the campaign, then
-    run one shard of trials exactly like ``_run_campaign_shard``.
-
-    Returns ``(result, stats)`` where ``stats`` carries the worker-cache
-    hit/miss counters :meth:`CampaignPool.stats` aggregates.
-    """
-    stats = {"hits": 0, "misses": 0, "remaps": 0}
-    campaign = _WORKER_CAMPAIGNS.get(fingerprint)
-    if campaign is None:
-        stats["misses"] = 1
-        campaign = spec.build()
-        _cache_campaign(fingerprint, campaign)
-    else:
-        stats["hits"] = 1
-        _WORKER_CAMPAIGNS.move_to_end(fingerprint)
-    result = _run_shard_on(campaign, payload, trial_offset, keep_faults,
-                           incremental, batch_trials, equivalence, max_ulps)
-    return result, stats
-
-
-def _run_pooled_shard_shm(fingerprint: str, spec_payload,
-                          payload: Sequence[Tuple[int, Sequence]],
-                          trial_offset: int, keep_faults: bool,
-                          incremental: bool, batch_trials: int,
-                          equivalence: Optional[str],
-                          max_ulps: float,
-                          ) -> Tuple[CampaignResult, Dict[str, int]]:
-    """Pooled worker entry for plane-encoded specs.
-
-    On a campaign-cache hit the payload is dropped without even mapping
-    its segments (the warm-pool fast path: no unpickle, no attach).  On
-    a miss the worker maps the referenced segments — ``remaps`` counts
-    segments this process had already attached for an earlier campaign,
-    the re-map-instead-of-re-unpickle reuse the plane exists for — and
-    rebuilds the campaign around read-only zero-copy views.
-    """
-    stats = {"hits": 0, "misses": 0, "remaps": 0}
-    campaign = _WORKER_CAMPAIGNS.get(fingerprint)
-    if campaign is None:
-        from ..parallel import shm as shm_mod
-
-        spec, decode_stats = shm_mod.decode(spec_payload)
-        stats["misses"] = 1
-        stats["remaps"] = decode_stats["segments_remapped"]
-        campaign = spec.build()
-        _cache_campaign(fingerprint, campaign)
-    else:
-        stats["hits"] = 1
-        _WORKER_CAMPAIGNS.move_to_end(fingerprint)
-    result = _run_shard_on(campaign, payload, trial_offset, keep_faults,
-                           incremental, batch_trials, equivalence, max_ulps)
-    return result, stats
 
 
 class CampaignPool:
@@ -182,34 +125,23 @@ class CampaignPool:
                 campaign = build_campaign(config)
                 result = campaign.run(trials=3000, pool=pool)
 
-    The pool composes with everything ``run`` supports in its multiprocess
-    backend (``batch_trials``, ``keep_faults``, paired comparisons via
-    ``compare_protection(pool=...)``); only ``workers`` is superseded by
-    the pool's size.
+    The pool composes with everything ``run`` supports (``batch_trials``,
+    ``keep_faults``, adaptive waves, paired comparisons via
+    ``compare_protection(pool=...)``); ``workers`` is superseded by the
+    pool's size.
     """
 
     def __init__(self, workers: int,
                  context: Optional[multiprocessing.context.BaseContext] = None,
-                 use_shm: Optional[bool] = None) -> None:
+                 ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
         self.workers = workers
         self._executor: Optional[ProcessPoolExecutor] = campaign_executor(
             workers, context)
-        #: ``None`` → use the shared-memory cache plane whenever it is
-        #: available; ``False`` → always ship full pickled specs (the
-        #: benchmark's before-phase); ``True`` → require the plane (still
-        #: falls back per-call if publication fails).
-        self.use_shm = use_shm
-        #: Plane-encoded spec payloads kept pinned between campaigns,
-        #: keyed by (fingerprint, shipped golden indices).  Holding the
-        #: lease keeps the segments linked, so a warm pool re-dispatches
-        #: the same few-KiB skeleton instead of re-publishing — and a
-        #: worker that missed its campaign cache can still attach.
-        self._leases: "OrderedDict[Tuple[str, Tuple[int, ...]], object]" = \
-            OrderedDict()
-        self._stats = {"tasks": 0, "hits": 0, "misses": 0, "remaps": 0,
-                       "shm_tasks": 0, "payload_bytes": 0}
+        #: Pickled specs by fingerprint, most recently used last.
+        self._specs: "OrderedDict[str, bytes]" = OrderedDict()
+        self._stats = {"tasks": 0, "misses": 0, "payload_bytes": 0}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -218,17 +150,11 @@ class CampaignPool:
         return self._executor is None
 
     def close(self) -> None:
-        """Shut the worker processes down and drop every plane lease
-        (idempotent)."""
+        """Shut the worker processes down (idempotent)."""
         if self._executor is not None:
             self._executor.shutdown()
             self._executor = None
-        self._release_leases()
-
-    def _release_leases(self) -> None:
-        while self._leases:
-            _, encoded = self._leases.popitem(last=False)
-            encoded.release()
+        self._specs.clear()
 
     def __enter__(self) -> "CampaignPool":
         return self
@@ -243,108 +169,88 @@ class CampaignPool:
     #: worker-side rebuild.
     fingerprint = staticmethod(spec_fingerprint)
 
-    def run_plans(self, campaign: FaultInjectionCampaign,
-                  plans: List[Tuple[int, InjectionPlan]], *,
-                  keep_faults: bool = False,
-                  incremental: bool = True,
-                  trial_offset: int = 0,
-                  batch_trials: int = 1,
-                  equivalence=None,
-                  max_ulps: float = DEFAULT_MAX_ULPS) -> CampaignResult:
-        """Fan pre-sampled plans out across the persistent workers.
-
-        The entry point :meth:`FaultInjectionCampaign.run` delegates to
-        when called with ``pool=...``; mirrors the fresh multiprocess
-        backend shard-for-shard (same contiguous chunks, same trial-offset
-        RNG anchoring, same order-insensitive merge).
-        """
-        if self._executor is None:
-            raise RuntimeError("CampaignPool is closed")
-        spec = campaign.spec()
-        fingerprint = campaign.spec_fingerprint()
-        shards = shard_plans(plans, self.workers)
-        payloads = [(offset, [(index, plan.to_payload())
-                              for index, plan in chunk])
-                    for offset, chunk in shards]
+    def _shard_tasks(self, campaign: FaultInjectionCampaign,
+                    plans: List[Tuple[int, InjectionPlan]], *,
+                    keep_faults: bool = False,
+                    incremental: bool = True,
+                    trial_offset: int = 0,
+                    batch_trials: int = 1,
+                    equivalence=None,
+                    max_ulps: float = DEFAULT_MAX_ULPS) -> List[tuple]:
+        """The first-send argument tuples of :func:`_run_pooled_shard`,
+        one per shard: ``(fingerprint, None, plans, offset, ...)``."""
         mode_value = (EquivalenceMode.coerce(
             equivalence, EquivalenceMode.EXACT if batch_trials == 1
             else EquivalenceMode.ULP_TOLERANT).value
             if equivalence is not None else None)
-        encoded = None
-        if self.use_shm is not False:
-            encoded = self._encoded_spec(campaign, spec, fingerprint, plans)
-        if encoded is not None:
-            submit = [(_run_pooled_shard_shm, encoded.payload)]
-            per_task_bytes = encoded.payload_bytes
-            self._stats["shm_tasks"] += len(payloads)
-        else:
-            submit = [(_run_pooled_shard, spec)]
-            per_task_bytes = len(pickle.dumps(
-                spec, protocol=pickle.HIGHEST_PROTOCOL))
-        entry, travelling_spec = submit[0]
-        futures = [self._executor.submit(
-            entry, fingerprint, travelling_spec, chunk,
-            trial_offset + offset, keep_faults, incremental, batch_trials,
-            mode_value, max_ulps)
-            for offset, chunk in payloads]
-        outcomes = [future.result() for future in futures]
-        self._stats["tasks"] += len(outcomes)
-        self._stats["payload_bytes"] += per_task_bytes * len(outcomes)
-        for _, worker_stats in outcomes:
-            for key in ("hits", "misses", "remaps"):
-                self._stats[key] += worker_stats[key]
-        return CampaignResult.merge([result for result, _ in outcomes])
+        fingerprint = campaign.spec_fingerprint()
+        return [(fingerprint, None,
+                 [(index, plan.to_payload()) for index, plan in chunk],
+                 trial_offset + offset, keep_faults, incremental,
+                 batch_trials, mode_value, max_ulps)
+                for offset, chunk in shard_plans(plans, self.workers)]
 
-    def _encoded_spec(self, campaign: FaultInjectionCampaign,
-                      spec: CampaignSpec, fingerprint: str,
-                      plans: Sequence[Tuple[int, InjectionPlan]]):
-        """The pinned plane encoding of ``spec``, built at most once per
-        (fingerprint, shipped golden subset) while the lease is warm.
+    def run_plans(self, campaign: FaultInjectionCampaign,
+                  plans: List[Tuple[int, InjectionPlan]],
+                  **options) -> CampaignResult:
+        """Fan pre-sampled plans out across the workers and merge the shards.
 
-        Unlike the fresh multiprocess backend the pool never *builds*
-        golden caches just to ship them (workers keep their own across
-        campaigns); it ships whichever caches the parent campaign has
-        already built for the planned inputs — through the plane they
-        cost one ``/dev/shm`` copy total, not per worker.  Returns
-        ``None`` when the plane is unavailable or declined (legacy
-        pickled-spec dispatch).
+        The entry point :meth:`FaultInjectionCampaign.run` delegates to
+        when it fans out.  ``options`` are the keywords of
+        :meth:`_shard_tasks`.  Plans are cut into contiguous shards
+        (:func:`~repro.injection.campaign.shard_plans`) anchored at their
+        global trial offsets, and the shard results merge with the
+        order-insensitive :meth:`CampaignResult.merge`.  A bounced shard
+        is resent with the spec as soon as its miss marker arrives, so the
+        other shards keep running meanwhile.
         """
-        plane = shared_plane()
-        if plane is None:
-            log_pickle_dispatch(None)
-            return None
-        needed = {input_index for input_index, _ in plans}
-        subset = {index: cache
-                  for index, cache in sorted(campaign._golden_caches.items())
-                  if index in needed}
-        lease_key = (fingerprint, tuple(subset))
-        encoded = self._leases.get(lease_key)
-        if encoded is not None:
-            self._leases.move_to_end(lease_key)
-            return encoded
-        if subset:
-            spec.golden_caches = subset
-        encoded = encode_campaign_spec(plane, spec, fingerprint)
-        spec.golden_caches = None
-        if encoded is None:
-            log_pickle_dispatch(plane)
-            return None
-        self._leases[lease_key] = encoded
-        while len(self._leases) > ENCODED_SPEC_LEASE_LIMIT:
-            _, stale = self._leases.popitem(last=False)
-            stale.release()
-        return encoded
+        if self._executor is None:
+            raise RuntimeError("CampaignPool is closed")
+        tasks = self._shard_tasks(campaign, plans, **options)
+        pending = {self._executor.submit(_run_pooled_shard, *task): index
+                   for index, task in enumerate(tasks)}
+        self._stats["tasks"] += len(tasks)
+        results: List[Optional[CampaignResult]] = [None] * len(tasks)
+        while pending:
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                index = pending.pop(future)
+                result = future.result()
+                if result is not None:
+                    results[index] = result
+                    continue
+                spec = self._pickled_spec(campaign)
+                fingerprint, _, *rest = tasks[index]
+                pending[self._executor.submit(
+                    _run_pooled_shard, fingerprint, spec, *rest)] = index
+                self._stats["misses"] += 1
+                self._stats["payload_bytes"] += len(spec)
+        return CampaignResult.merge(results)
+
+    def _pickled_spec(self, campaign: FaultInjectionCampaign) -> bytes:
+        """``campaign``'s spec, pickled once per fingerprint."""
+        fingerprint = campaign.spec_fingerprint()
+        spec = self._specs.get(fingerprint)
+        if spec is None:
+            spec = pickle.dumps(campaign.spec(),
+                                protocol=pickle.HIGHEST_PROTOCOL)
+            self._specs[fingerprint] = spec
+            while len(self._specs) > WORKER_CAMPAIGN_CACHE_LIMIT:
+                self._specs.popitem(last=False)
+        else:
+            self._specs.move_to_end(fingerprint)
+        return spec
 
     def stats(self) -> Dict[str, int]:
-        """Aggregated worker-cache and dispatch-payload counters.
+        """Aggregated dispatch counters.
 
-        ``hits`` / ``misses`` count worker-side campaign-cache outcomes
-        (one per task), ``remaps`` counts shared segments a worker
-        re-mapped instead of re-unpickling, ``shm_tasks`` the tasks that
-        travelled plane-encoded, and ``payload_bytes`` the total spec
-        bytes actually pickled into the task queue.
+        ``tasks`` counts first sends (one per shard), ``misses`` the
+        tasks a worker bounced for want of the campaign (each resent once
+        with the spec), ``hits`` the rest, and ``payload_bytes`` the total
+        pickled-spec bytes the resends carried.
         """
-        return dict(self._stats)
+        return dict(self._stats,
+                    hits=self._stats["tasks"] - self._stats["misses"])
 
     def worker_blas_threads(self) -> Optional[int]:
         """The OpenBLAS thread count a pool worker reports (``None``

@@ -1,4 +1,4 @@
-"""Campaign worker fan-out and its shared-memory cache plane."""
+"""Campaign worker fan-out: start method, BLAS thread cap, fallback log."""
 
 from .fanout import (
     START_METHOD_ENV,
@@ -9,43 +9,28 @@ from .fanout import (
     openblas_threads,
     usable_cpus,
 )
-from .shm import (
-    DISABLE_ENV,
-    MIN_SHM_ARRAY_BYTES,
-    SEGMENT_PREFIX,
-    EncodedObject,
-    PlaneScope,
-    SharedCachePlane,
-    array_content_key,
-    decode,
-    is_shm_payload,
-    map_segment,
-    plane_scope,
-    reset_plane_for_tests,
-    shared_plane,
-    shm_disabled_by_env,
-)
+
+
+# Compatibility names for campaign_bench, which still imports them:
+# workloads.py and host.py call shared_plane(), tracer.py wraps
+# SharedCachePlane.encode.  There is no shared-memory plane any more, so
+# shared_plane() is always None and encode is never called.  The next
+# change to campaign_bench drops both names.
+class SharedCachePlane:
+    def encode(self, *args, **kwargs):
+        raise NotImplementedError("campaigns have no shared-memory plane")
+
+
+def shared_plane() -> None:
+    return None
+
 
 __all__ = [
-    "DISABLE_ENV",
-    "MIN_SHM_ARRAY_BYTES",
-    "SEGMENT_PREFIX",
     "START_METHOD_ENV",
-    "EncodedObject",
-    "PlaneScope",
-    "SharedCachePlane",
-    "array_content_key",
     "blas_threads_per_worker",
     "campaign_executor",
     "campaign_mp_context",
-    "decode",
-    "is_shm_payload",
     "log_fallback_once",
-    "map_segment",
     "openblas_threads",
-    "plane_scope",
-    "reset_plane_for_tests",
-    "shared_plane",
-    "shm_disabled_by_env",
     "usable_cpus",
 ]

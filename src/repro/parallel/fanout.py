@@ -1,8 +1,9 @@
 """Campaign worker processes: start method, BLAS thread cap, fallback log.
 
-Every multiprocess campaign path — a fresh ``run(workers=N)`` and the
-persistent :class:`~repro.injection.pool.CampaignPool` (and through it
-the campaign service and the experiments runner) — starts its workers
+Every multiprocess campaign path goes through
+:class:`~repro.injection.pool.CampaignPool` — the ephemeral one of a
+``run(workers=N)`` and the persistent ones of sweeps, the campaign
+service and the experiments runner — and the pool starts its workers
 with :func:`campaign_executor`.
 
 **BLAS threads.**  numpy's OpenBLAS sizes its thread pool to the host's
@@ -10,14 +11,15 @@ CPUs, and a worker inherits that size.  N workers on C CPUs would run
 ``N x C`` BLAS threads that spin against each other, so each worker caps
 its OpenBLAS at ``max(1, C // N)`` threads (never more than the parent
 runs).  The initializer calls the library's own setter through
-:mod:`ctypes`; numpy is already imported when an initializer runs, so the
-one mechanism covers fork and spawn workers alike.  The parent's thread
+:mod:`ctypes` after importing numpy, which maps OpenBLAS into a spawn
+worker that has not loaded it yet, so the one mechanism covers fork and
+spawn workers alike.  The parent's thread
 count is never touched, so serial campaigns keep every BLAS thread.
 
 **Fallback log.**  Fast paths that fall back to a slower one (no
-OpenBLAS setter for the cap, a dispatch that ships a pickled spec
-instead of a shared-memory one) log once per cause to the
-``repro.parallel`` logger via :func:`log_fallback_once`.
+OpenBLAS setter for the cap, overlapping fault sites replayed per trial)
+log once per cause to the ``repro.parallel`` logger via
+:func:`log_fallback_once`.
 """
 
 from __future__ import annotations
@@ -131,6 +133,8 @@ def openblas_threads() -> Optional[int]:
 
 def _cap_worker_blas(threads: int) -> None:
     """Worker initializer: set this process's OpenBLAS to ``threads``."""
+    import numpy  # noqa: F401  (maps OpenBLAS into a fresh spawn worker)
+
     setter, _ = _openblas_function(_SETTERS)
     if setter is not None:
         setter.argtypes = [ctypes.c_int]

@@ -240,13 +240,7 @@ class WaveScheduler:
         caches = self.store.get("golden", spec_key)
         if caches is None:
             return False
-        if hasattr(caches, "materialize"):
-            # Plane-backed handle (see SharedGoldenCaches): the mapping
-            # rebuilds around read-only zero-copy views of the shared
-            # segments — no unpickle, no private copy.
-            caches = caches.materialize()
-        # Same seeding path CampaignSpec.build uses for shipped caches:
-        # the caches are a pure function of the spec, so reuse only skips
+        # The caches are a pure function of the spec, so reuse only skips
         # recomputing them.
         campaign._golden_caches.update(
             {index: dict(cache) for index, cache in caches.items()})

@@ -213,8 +213,7 @@ class CampaignServer:
         if self.pool is not None and self._owns_pool:
             self.pool.close()
         if self._owns_store:
-            # Releases the store's plane-backed golden handles, so the
-            # shared segments they pin are unlinked with the server.
+            # Frees the memory tier of the store this server created.
             self.store.close()
 
     # -- submission ---------------------------------------------------------

@@ -33,18 +33,12 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from ..parallel.shm import shared_plane
-
 #: Artifact kinds the store recognises (open set; these are the built-ins).
 ARTIFACT_KINDS = ("result", "golden", "ranger_profile")
 
-#: Default ceiling (bytes) on one golden-cache artifact **on the pickle
-#: path**.  Golden caches hold every activation of every referenced
-#: input; past this size the rebuild is cheaper than the private memory
-#: the store would pin.  When the shared-memory cache plane is available
-#: the gate is lifted entirely: the caches live once in ``/dev/shm`` and
-#: every consumer maps the same physical pages, so pinning them costs
-#: one copy total instead of one per process.
+#: Default ceiling (bytes) on one golden-cache artifact.  Golden caches
+#: hold every activation of every referenced input; past this size the
+#: rebuild is cheaper than the memory the store would pin.
 DEFAULT_GOLDEN_BUDGET_BYTES = 64 * 2 ** 20
 
 
@@ -60,42 +54,6 @@ def content_key(*parts: Any) -> str:
     for part in parts:
         digest.update(pickle.dumps(part, protocol=pickle.HIGHEST_PROTOCOL))
     return digest.hexdigest()
-
-
-class SharedGoldenCaches:
-    """A golden-cache artifact living on the shared-memory cache plane.
-
-    ``get("golden", ...)`` hands this out instead of a pickled dict when
-    the plane published the caches; consumers call :meth:`materialize`
-    for the ``{input index: {node: activations}}`` mapping rebuilt
-    around **read-only zero-copy views** of the shared segments.  The
-    handle pins the segments; the store releases the pin when the entry
-    is evicted or the store is closed.
-    """
-
-    def __init__(self, plane, encoded) -> None:
-        self._plane = plane
-        self._encoded = encoded
-        self._lock = threading.Lock()
-        self._cached: Optional[Dict[int, Dict[str, np.ndarray]]] = None
-
-    @property
-    def nbytes(self) -> int:
-        """Shared payload size (what the segments pin in ``/dev/shm``)."""
-        return self._encoded.inline_bytes + self._encoded.shared_bytes
-
-    def materialize(self) -> Dict[int, Dict[str, np.ndarray]]:
-        with self._lock:
-            if self._cached is None:
-                self._cached = self._plane.decode_local(
-                    self._encoded.payload)
-            return self._cached
-
-    def release(self) -> None:
-        """Drop the segment pins (idempotent; a prior :meth:`materialize`
-        keeps its views valid — unlinking removes the name, not live
-        mappings)."""
-        self._encoded.release()
 
 
 class ArtifactStore:
@@ -155,14 +113,8 @@ class ArtifactStore:
             self._misses[kind] = self._misses.get(kind, 0) + 1
             return None
 
-    def put(self, kind: str, key: str, value: Any,
-            disk_value: Any = None) -> None:
-        """Store an artifact (write-through to disk when rooted).
-
-        ``disk_value`` overrides what the disk tier receives — the
-        golden path stores a plane handle in memory but a plain pickled
-        mapping on disk, so artifacts survive restarts (segments do not).
-        """
+    def put(self, kind: str, key: str, value: Any) -> None:
+        """Store an artifact (write-through to disk when rooted)."""
         with self._lock:
             self._insert(kind, key, value)
             path = self._path(kind, key)
@@ -170,16 +122,14 @@ class ArtifactStore:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 tmp = path.with_suffix(".tmp")
                 with tmp.open("wb") as handle:
-                    pickle.dump(value if disk_value is None else disk_value,
-                                handle, protocol=pickle.HIGHEST_PROTOCOL)
+                    pickle.dump(value, handle,
+                                protocol=pickle.HIGHEST_PROTOCOL)
                 tmp.replace(path)  # atomic: readers never see partial pickles
 
     def _insert(self, kind: str, key: str, value: Any) -> None:
         """Memory-tier insert + LRU eviction sweep (caller holds the lock)."""
         entries = self._memory.setdefault(kind, OrderedDict())
-        previous = entries.pop(key, None)
-        if previous is not None and previous is not value:
-            self._release_value(previous)
+        entries.pop(key, None)
         entries[key] = value
         if kind in self.byte_budgets:
             self._nbytes.setdefault(kind, {})[key] = \
@@ -193,21 +143,12 @@ class ArtifactStore:
                     > byte_budget)):
             if len(entries) == 1:
                 break  # never evict the entry just inserted
-            stale_key, stale = entries.popitem(last=False)
+            stale_key, _ = entries.popitem(last=False)
             self._nbytes.get(kind, {}).pop(stale_key, None)
-            self._release_value(stale)
             self._evictions[kind] = self._evictions.get(kind, 0) + 1
 
     @staticmethod
-    def _release_value(value: Any) -> None:
-        release = getattr(value, "release", None)
-        if callable(release):
-            release()
-
-    @staticmethod
     def _value_nbytes(value: Any) -> int:
-        if hasattr(value, "nbytes") and not isinstance(value, np.ndarray):
-            return int(value.nbytes)
         if (isinstance(value, dict)
                 and all(isinstance(entry, dict) for entry in value.values())):
             return golden_caches_nbytes(value)
@@ -240,12 +181,8 @@ class ArtifactStore:
             return out
 
     def close(self) -> None:
-        """Drop the memory tier and release every plane-backed handle
-        (idempotent; the disk tier is untouched)."""
+        """Drop the memory tier (idempotent; the disk tier is untouched)."""
         with self._lock:
-            for entries in self._memory.values():
-                for value in entries.values():
-                    self._release_value(value)
             self._memory.clear()
             self._nbytes.clear()
 
@@ -253,33 +190,11 @@ class ArtifactStore:
 
     def put_golden_caches(self, spec_key: str,
                           caches: Dict[int, Dict[str, np.ndarray]]) -> bool:
-        """Store a campaign's golden caches.
-
-        With the shared-memory cache plane available the caches are
-        published once into shared segments and the store keeps a
-        :class:`SharedGoldenCaches` handle — **no size gate**: the
-        payload exists once in ``/dev/shm`` regardless of how many
-        campaigns and workers consume it.  The disk tier (when rooted)
-        still receives the plain pickled mapping, so artifacts survive
-        restarts.  Without the plane the legacy pickle path applies its
-        ``golden_budget_bytes`` gate unchanged.  Returns whether the
-        caches were stored; empty mappings are always skipped.
-        """
+        """Store a campaign's golden caches, gated by
+        ``golden_budget_bytes``.  Returns whether the caches were stored;
+        empty mappings are always skipped."""
         if not caches:
             return False
-        plane = shared_plane()
-        if plane is not None:
-            encoded = plane.encode(caches,
-                                   body_key=f"store-golden:{spec_key}")
-            if encoded is not None and encoded.shared_bytes > 0:
-                handle = SharedGoldenCaches(plane, encoded)
-                self.put("golden", spec_key, handle, disk_value=caches)
-                return True
-            if encoded is not None:
-                # Nothing was worth externalizing (tiny arrays stay
-                # inline) — the shared handle buys nothing; keep the
-                # pickle path and its budget gate.
-                encoded.release()
         if golden_caches_nbytes(caches) > self.golden_budget_bytes:
             return False
         self.put("golden", spec_key, caches)

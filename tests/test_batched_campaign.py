@@ -294,62 +294,32 @@ class TestVectorizedCriteria:
         assert verdicts.tolist() == [True, False, True]
 
 
-class TestWorkerCacheShipping:
-    def test_spec_ships_caches_under_budget(self, lenet_prepared):
-        inputs, _ = lenet_prepared.correctly_predicted_inputs(3, seed=0)
-        campaign = FaultInjectionCampaign(lenet_prepared.model, inputs, seed=0)
-        plans = campaign.generate_plans(12)
-        spec = campaign.spec()
-        assert campaign.ship_golden_caches(spec, plans,
-                                           cache_budget_bytes=1 << 30)
-        used_inputs = {index for index, _ in plans}
-        assert set(spec.golden_caches) == used_inputs
-        # A worker seeded with the shipped caches reuses them verbatim.
-        rebuilt = spec.build()
-        for index in used_inputs:
-            for name, value in campaign._golden_caches[index].items():
-                assert rebuilt._golden_caches[index][name] is value
-
-    def test_budget_overflow_falls_back_to_rebuild(self, lenet_prepared):
-        inputs, _ = lenet_prepared.correctly_predicted_inputs(2, seed=0)
-        campaign = FaultInjectionCampaign(lenet_prepared.model, inputs, seed=0)
-        plans = campaign.generate_plans(6)
-        spec = campaign.spec()
-        assert not campaign.ship_golden_caches(spec, plans,
-                                               cache_budget_bytes=128)
-        assert spec.golden_caches is None
-        assert not campaign.ship_golden_caches(spec, plans,
-                                               cache_budget_bytes=0)
-
-    def test_shipped_caches_keep_results_bit_identical(self, lenet_prepared):
-        inputs, _ = lenet_prepared.correctly_predicted_inputs(3, seed=0)
-
-        def build():
-            return FaultInjectionCampaign(lenet_prepared.model, inputs, seed=0)
-
-        serial = build()
-        plans = serial.generate_plans(18)
-        reference = serial.run(plans=plans, keep_faults=True)
-        shipped = build().run(plans=plans, keep_faults=True, workers=2,
-                              cache_budget_bytes=1 << 30)
-        rebuilt = build().run(plans=plans, keep_faults=True, workers=2,
-                              cache_budget_bytes=0)
-        assert shipped.sdc_counts == reference.sdc_counts
-        assert shipped.faults == reference.faults
-        assert rebuilt.sdc_counts == reference.sdc_counts
-        assert rebuilt.faults == reference.faults
-
-    def test_spec_with_caches_survives_pickle(self, lenet_prepared):
+class TestSpecRebuild:
+    def test_pickled_spec_rebuilds_bit_identically(self, lenet_prepared):
+        """Workers rebuild campaigns (golden caches included) from the
+        pickled spec alone; the rebuild replays bit-identically."""
         import pickle
 
         inputs, _ = lenet_prepared.correctly_predicted_inputs(2, seed=0)
         campaign = FaultInjectionCampaign(lenet_prepared.model, inputs, seed=0)
         plans = campaign.generate_plans(6)
-        spec = campaign.spec()
-        campaign.ship_golden_caches(spec, plans, cache_budget_bytes=1 << 30)
-        restored = pickle.loads(pickle.dumps(spec))
+        restored = pickle.loads(pickle.dumps(campaign.spec()))
         rebuilt = restored.build()
+        assert not rebuilt._golden_caches
         result = rebuilt.run(plans=plans, keep_faults=True)
         reference = campaign.run(plans=plans, keep_faults=True)
         assert result.sdc_counts == reference.sdc_counts
         assert result.faults == reference.faults
+
+    def test_spec_never_carries_golden_caches(self, lenet_prepared):
+        """Golden caches built by a run stay out of the spec: its pickle
+        (and so every resend) is the same bytes before and after."""
+        import pickle
+
+        inputs, _ = lenet_prepared.correctly_predicted_inputs(2, seed=0)
+        campaign = FaultInjectionCampaign(lenet_prepared.model, inputs, seed=0)
+        before = pickle.dumps(campaign.spec(), protocol=pickle.HIGHEST_PROTOCOL)
+        campaign.run(plans=campaign.generate_plans(6))
+        assert campaign._golden_caches
+        after = pickle.dumps(campaign.spec(), protocol=pickle.HIGHEST_PROTOCOL)
+        assert after == before

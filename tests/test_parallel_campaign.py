@@ -14,15 +14,24 @@ guarantee rests on three properties, each tested here:
 3. ``CampaignResult.merge`` aggregates purely additive counters, so merged
    statistics equal those of an unsharded run in any shard order.
 
-The workers' BLAS thread cap is tested here too (``TestWorkerBlasThreads``),
+Every fan-out goes through :class:`~repro.injection.pool.CampaignPool`,
+whose tasks carry only ``(fingerprint, plans)``: a worker lacking the
+campaign bounces the task and the parent resends it with the pickled spec.
+``TestSpecOnMiss`` covers that protocol under both start methods, and
+``TestPoolLifecycle`` the pool's worker processes and LRU caches.  The
+workers' BLAS thread cap is tested here too (``TestWorkerBlasThreads``),
 so the CI fork/spawn matrix, which runs this file, covers both start
 methods.
 """
 
 import itertools
+import multiprocessing
 import os
 import pickle
+import signal
 import time
+from collections import OrderedDict
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -40,10 +49,12 @@ from repro.injection import (
     shard_plans,
     trial_rng,
 )
-from repro.injection import campaign as campaign_module
-from repro.injection.campaign import _run_campaign_shard
+from repro.injection import pool as pool_module
+from repro.injection.pool import (WORKER_CAMPAIGN_CACHE_LIMIT,
+                                  _run_pooled_shard)
 from repro.models import prepare_model
-from repro.parallel import blas_threads_per_worker, fanout, openblas_threads
+from repro.parallel import (START_METHOD_ENV, blas_threads_per_worker,
+                            fanout, openblas_threads)
 from repro.quantization import FIXED16, FIXED32, fixed16_policy
 
 #: Models the parallel-vs-serial sweep covers: the smallest model of the zoo
@@ -120,16 +131,21 @@ class TestParallelEqualsSerial:
         assert result.sdc_counts == reference.sdc_counts
         assert result.faults == reference.faults
 
-    def test_worker_shard_rebuilds_from_pickled_spec(self, lenet_prepared):
+    def test_worker_shard_rebuilds_from_pickled_spec(self, lenet_prepared,
+                                                     monkeypatch):
         """One shard run through the pickled worker protocol equals serial."""
+        monkeypatch.setattr(pool_module, "_WORKER_CAMPAIGNS", OrderedDict())
         inputs, _ = lenet_prepared.correctly_predicted_inputs(2, seed=0)
         campaign = FaultInjectionCampaign(lenet_prepared.model, inputs, seed=0)
         plans = campaign.generate_plans(8)
         reference = campaign.run(plans=plans, keep_faults=True)
-        spec = pickle.loads(pickle.dumps(campaign.spec()))
+        spec = pickle.dumps(campaign.spec())
         payload = [(index, plan.to_payload()) for index, plan in plans]
-        shard = _run_campaign_shard(spec, payload, trial_offset=0,
-                                    keep_faults=True, incremental=True)
+        fingerprint = campaign.spec_fingerprint()
+        assert _run_pooled_shard(fingerprint, None, payload, 0, True,
+                                 True) is None  # miss marker
+        shard = _run_pooled_shard(fingerprint, spec, payload, trial_offset=0,
+                                  keep_faults=True, incremental=True)
         assert shard.sdc_counts == reference.sdc_counts
         assert shard.faults == reference.faults
 
@@ -360,15 +376,15 @@ class TestWorkerBlasThreads:
     @requires_openblas
     def test_fresh_shard_workers_report_the_derived_count(
             self, untrained_lenet, monkeypatch):
-        real_executor = campaign_module.campaign_executor
+        real_executor = pool_module.campaign_executor
         reports = {}
 
-        def probed_executor(workers):
-            executor = real_executor(workers)
+        def probed_executor(workers, context=None):
+            executor = real_executor(workers, context)
             reports.update(_reports_from_every_worker(executor, workers))
             return executor
 
-        monkeypatch.setattr(campaign_module, "campaign_executor",
+        monkeypatch.setattr(pool_module, "campaign_executor",
                             probed_executor)
         parent = openblas_threads()
         inputs = untrained_lenet.dataset.x_val[:2]
@@ -401,3 +417,263 @@ class TestWorkerBlasThreads:
                     if record.name == "repro.parallel"]
         assert len(messages) == 1
         assert cause in messages[0]
+
+
+@pytest.fixture(params=["fork", "spawn"])
+def start_method(request, monkeypatch):
+    """Run the test's pools (ephemeral ones included) under each start
+    method."""
+    monkeypatch.setenv(START_METHOD_ENV, request.param)
+
+
+def _spec_bytes(campaign):
+    return len(pickle.dumps(campaign.spec(), protocol=pickle.HIGHEST_PROTOCOL))
+
+
+@pytest.mark.usefixtures("start_method")
+class TestSpecOnMiss:
+    """Tasks carry ``(fingerprint, plans)``; a worker without the campaign
+    bounces the task and the parent resends it with the pickled spec."""
+
+    @staticmethod
+    def _campaign(prepared, seed=0):
+        return FaultInjectionCampaign(prepared.model,
+                                      prepared.dataset.x_val[:2],
+                                      fault_model=SingleBitFlip(FIXED16),
+                                      seed=seed)
+
+    def test_bounced_tasks_resend_bit_identically(self, untrained_lenet):
+        serial = self._campaign(untrained_lenet)
+        plans = serial.generate_plans(TRIALS)
+        reference = serial.run(plans=plans, keep_faults=True)
+        with CampaignPool(workers=2) as pool:
+            result = self._campaign(untrained_lenet).run(
+                plans=plans, keep_faults=True, pool=pool)
+            stats = pool.stats()
+        # A fresh pool's workers hold no campaign: every first send bounces.
+        assert stats["misses"] == stats["tasks"] == 2
+        assert result.sdc_counts == reference.sdc_counts
+        assert result.faults == reference.faults
+        assert result.nodes_recomputed == reference.nodes_recomputed
+
+    def test_evicted_campaign_is_resent(self, untrained_lenet):
+        campaigns = [self._campaign(untrained_lenet, seed=seed)
+                     for seed in range(WORKER_CAMPAIGN_CACHE_LIMIT + 1)]
+        with CampaignPool(workers=1) as pool:
+            for campaign in campaigns:
+                campaign.run(trials=2, pool=pool)
+            assert pool.stats()["misses"] == len(campaigns)
+            # The one worker kept the newest LIMIT campaigns.
+            for campaign in campaigns[1:]:
+                campaign.run(trials=2, pool=pool)
+            assert pool.stats()["misses"] == len(campaigns)
+            before = pool.stats()
+            campaigns[0].run(trials=2, pool=pool)
+            after = pool.stats()
+        assert after["misses"] - before["misses"] == 1
+        assert (after["payload_bytes"] - before["payload_bytes"]
+                == _spec_bytes(campaigns[0]))
+
+    def test_payload_counts_only_resent_specs(self, untrained_lenet):
+        campaign = self._campaign(untrained_lenet)
+        with CampaignPool(workers=2) as pool:
+            for _ in range(3):
+                campaign.run(trials=TRIALS, pool=pool)
+            stats = pool.stats()
+            hit_task = pool._shard_tasks(campaign,
+                                         campaign.generate_plans(TRIALS))[0]
+        assert stats["tasks"] == 3 * 2
+        assert stats["hits"] + stats["misses"] == stats["tasks"]
+        assert stats["misses"] >= 2
+        assert stats["payload_bytes"] == stats["misses"] * _spec_bytes(
+            campaign)
+        # A hit travels without the spec.
+        assert hit_task[1] is None
+        assert len(pickle.dumps(hit_task)) < _spec_bytes(campaign)
+
+    def test_adaptive_run_opens_one_pool(self, untrained_lenet, monkeypatch):
+        real_executor = pool_module.campaign_executor
+        opened = []
+
+        def counted_executor(workers, context=None):
+            opened.append(workers)
+            return real_executor(workers, context)
+
+        monkeypatch.setattr(pool_module, "campaign_executor",
+                            counted_executor)
+        options = dict(trials=60, wave_trials=10, target_half_width=0.01)
+        reference = self._campaign(untrained_lenet).run(**options)
+        result = self._campaign(untrained_lenet).run(workers=2, **options)
+        assert opened == [2]
+        assert result.waves == reference.waves > 1
+        assert result.trials == reference.trials
+        assert result.sdc_counts == reference.sdc_counts
+
+
+def _child_pids():
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+class TestPoolLifecycle:
+    """Worker processes and pickled specs live exactly as long as their
+    pool, and the two caches (parent specs, worker campaigns) stay LRU
+    bounded at ``WORKER_CAMPAIGN_CACHE_LIMIT``."""
+
+    @staticmethod
+    def _campaign(prepared, seed=0):
+        return FaultInjectionCampaign(prepared.model,
+                                      prepared.dataset.x_val[:2],
+                                      fault_model=SingleBitFlip(FIXED16),
+                                      seed=seed)
+
+    def test_ephemeral_pools_leave_no_workers(self, untrained_lenet,
+                                              monkeypatch):
+        real_executor = pool_module.campaign_executor
+        opened = []
+
+        def counted_executor(workers, context=None):
+            opened.append(workers)
+            return real_executor(workers, context)
+
+        monkeypatch.setattr(pool_module, "campaign_executor",
+                            counted_executor)
+        before = _child_pids()
+        campaign = self._campaign(untrained_lenet)
+        plans = campaign.generate_plans(TRIALS)
+        reference = self._campaign(untrained_lenet).run(plans=plans)
+        result = campaign.run(plans=plans, workers=2)
+        assert result.sdc_counts == reference.sdc_counts
+        assert _child_pids() <= before
+        inputs = untrained_lenet.dataset.x_val[:2]
+        serial = compare_protection(untrained_lenet.model,
+                                    untrained_lenet.model, inputs,
+                                    trials=TRIALS, seed=3)
+        fanned = compare_protection(untrained_lenet.model,
+                                    untrained_lenet.model, inputs,
+                                    trials=TRIALS, seed=3, workers=2)
+        for reference, result in zip(serial, fanned):
+            assert result.sdc_counts == reference.sdc_counts
+        # One executor per call, each shut down before the call returned.
+        assert opened == [2, 2]
+        assert _child_pids() <= before
+
+    def test_close_stops_workers_and_drops_specs(self, untrained_lenet):
+        campaign = self._campaign(untrained_lenet)
+        pool = CampaignPool(workers=2)
+        try:
+            campaign.run(trials=TRIALS, pool=pool)
+            workers = set(pool._executor._processes)
+            assert workers and workers <= _child_pids()
+            assert list(pool._specs) == [campaign.spec_fingerprint()]
+        finally:
+            pool.close()
+        assert pool.closed
+        assert not pool._specs
+        assert not workers & _child_pids()
+        with pytest.raises(RuntimeError, match="closed"):
+            pool.worker_blas_threads()
+
+    def test_worker_crash_surfaces_and_close_still_works(self,
+                                                         untrained_lenet):
+        campaign = self._campaign(untrained_lenet)
+        plans = campaign.generate_plans(TRIALS)
+        pool = CampaignPool(workers=2)
+        try:
+            campaign.run(plans=plans, pool=pool)
+            workers = set(pool._executor._processes)
+            os.kill(next(iter(workers)), signal.SIGKILL)
+            # The executor notices the death on the next interaction.
+            with pytest.raises(BrokenProcessPool):
+                deadline = time.monotonic() + 30.0
+                while time.monotonic() < deadline:
+                    campaign.run(plans=plans, pool=pool)
+        finally:
+            pool.close()
+        assert pool.closed
+        assert not workers & _child_pids()
+
+    def test_parent_pickles_each_spec_once_lru(self, untrained_lenet):
+        campaigns = [self._campaign(untrained_lenet, seed=seed)
+                     for seed in range(WORKER_CAMPAIGN_CACHE_LIMIT + 1)]
+        with CampaignPool(workers=1) as pool:
+            first = pool._pickled_spec(campaigns[0])
+            assert pool._pickled_spec(campaigns[0]) is first
+            assert pickle.loads(first).build().spec_fingerprint() == (
+                campaigns[0].spec_fingerprint())
+            for campaign in campaigns[1:-1]:
+                pool._pickled_spec(campaign)
+            # Touching the oldest spec protects it from the next eviction.
+            assert pool._pickled_spec(campaigns[0]) is first
+            pool._pickled_spec(campaigns[-1])
+            held = list(pool._specs)
+        assert len(held) == WORKER_CAMPAIGN_CACHE_LIMIT
+        assert campaigns[1].spec_fingerprint() not in held
+        assert held[-2:] == [campaigns[0].spec_fingerprint(),
+                             campaigns[-1].spec_fingerprint()]
+
+    def test_worker_cache_evicts_least_recently_used(self, untrained_lenet,
+                                                     monkeypatch):
+        monkeypatch.setattr(pool_module, "_WORKER_CAMPAIGNS", OrderedDict())
+        campaigns = [self._campaign(untrained_lenet, seed=seed)
+                     for seed in range(WORKER_CAMPAIGN_CACHE_LIMIT + 1)]
+        plans = campaigns[0].generate_plans(2)
+        payload = [(index, plan.to_payload()) for index, plan in plans]
+
+        def shard(campaign, with_spec):
+            spec = pickle.dumps(campaign.spec()) if with_spec else None
+            return _run_pooled_shard(campaign.spec_fingerprint(), spec,
+                                     payload, 0, False, True)
+
+        for campaign in campaigns[:-1]:
+            assert shard(campaign, with_spec=True) is not None
+        assert shard(campaigns[0], with_spec=False) is not None  # a hit
+        assert shard(campaigns[-1], with_spec=True) is not None
+        cached = pool_module._WORKER_CAMPAIGNS
+        assert len(cached) == WORKER_CAMPAIGN_CACHE_LIMIT
+        assert shard(campaigns[1], with_spec=False) is None  # evicted
+        assert shard(campaigns[0], with_spec=False) is not None
+        assert (shard(campaigns[-1], with_spec=False).sdc_counts
+                == campaigns[-1].run(plans=plans).sdc_counts)
+
+    def test_equal_configs_share_a_warm_worker(self, untrained_lenet):
+        first = self._campaign(untrained_lenet)
+        second = self._campaign(untrained_lenet)
+        assert first is not second
+        assert first.spec_fingerprint() == second.spec_fingerprint()
+        assert (self._campaign(untrained_lenet, seed=1).spec_fingerprint()
+                != first.spec_fingerprint())
+        plans = first.generate_plans(TRIALS)
+        reference = self._campaign(untrained_lenet).run(plans=plans,
+                                                        keep_faults=True)
+        with CampaignPool(workers=1) as pool:
+            first.run(plans=plans, pool=pool)
+            assert pool.stats()["misses"] == 1
+            result = second.run(plans=plans, keep_faults=True, pool=pool)
+            stats = pool.stats()
+        # The second object's task hit the worker the first one warmed.
+        assert stats["misses"] == 1 and stats["hits"] == 1
+        assert result.sdc_counts == reference.sdc_counts
+        assert result.faults == reference.faults
+
+
+class TestServerPoolOwnership:
+    def test_server_closes_only_the_pool_it_owns(self, untrained_lenet):
+        from repro.service import CampaignServer
+
+        owned = CampaignServer(pool_workers=1)
+        owned.close()
+        assert owned.pool.closed
+        campaign = FaultInjectionCampaign(untrained_lenet.model,
+                                          untrained_lenet.dataset.x_val[:2],
+                                          seed=0)
+        plans = campaign.generate_plans(4)
+        with CampaignPool(workers=1) as pool:
+            borrowed = CampaignServer(pool=pool)
+            borrowed.close()
+            assert not pool.closed
+            # The caller's pool outlives the server and still runs.
+            assert (campaign.run(plans=plans, pool=pool).sdc_counts
+                    == campaign.run(plans=plans).sdc_counts)
+            with pytest.raises(ValueError, match="not both"):
+                CampaignServer(pool_workers=1, pool=pool)
+        assert pool.closed
