@@ -22,7 +22,6 @@ from ..injection import (
     FaultInjectionCampaign,
     FaultModel,
     SingleBitFlip,
-    compare_protection,
 )
 from ..models import CLASSIFIER_MODELS, STEERING_MODELS, PreparedModel, prepare_model
 from ..quantization import FIXED16, FIXED32, fixed16_policy, fixed32_policy
@@ -64,13 +63,6 @@ class ExperimentScale:
     #: Campaign results are bit-identical for every value, so this is purely
     #: a wall-clock knob; 1 keeps everything in-process.
     workers: int = 1
-    #: Route the sweep grids' paired campaigns through the process-wide
-    #: campaign service (:func:`campaign_server`) — repeated
-    #: (model × dtype × protection) cells across figures are then served
-    #: from the content-addressed artifact store instead of re-running.
-    #: Results are bit-identical either way; False calls the campaign
-    #: engine directly.
-    use_service: bool = True
     #: When set, each sweep cell runs **adaptively**: trials execute in
     #: waves and the cell stops once every criterion's CI half-width fits
     #: the target (``trials`` stays the hard budget).  Each stopped cell
@@ -219,9 +211,8 @@ def campaign_server(scale: ExperimentScale) -> CampaignServer:
     Sweep grids submit their paired campaigns here instead of calling the
     engine directly: every server shares one artifact store, so a
     (model × dtype × protection) cell that already ran — in *any*
-    experiment of the process — is served from the result cache, and
-    overlapping cells reuse stored golden activation caches.  Servers are
-    created lazily per worker count (borrowing the matching persistent
+    experiment of the process — is served from the result cache.  Servers
+    are created lazily per worker count (borrowing the matching persistent
     :func:`campaign_pool`) and close at interpreter exit.
     """
     server = _CAMPAIGN_SERVERS.get(scale.workers)
@@ -240,36 +231,27 @@ def paired_sdc_rates(prepared: PreparedModel, protected, scale: ExperimentScale,
     """SDC rates (percent) per criterion for the original and protected model,
     using the same fault plans on both.
 
-    By default the paired campaign is submitted to the process-wide
-    campaign service (:func:`campaign_server`): results are bit-identical
-    to the direct path, and cells repeated across figures come back from
-    the artifact store's result cache.  ``scale.target_half_width`` makes
-    each cell stop adaptively on its own criteria
-    (``scale.joint_stop=False`` additionally lets the two arms stop
-    independently).
+    The paired campaign is submitted to the process-wide campaign service
+    (:func:`campaign_server`): results are bit-identical to a direct
+    :func:`~repro.injection.compare_protection`, and cells repeated across
+    figures come back from the artifact store's result cache.
+    ``scale.target_half_width`` makes each cell stop adaptively on its own
+    criteria (``scale.joint_stop=False`` additionally lets the two arms
+    stop independently).
     """
     inputs, _ = prepared.correctly_predicted_inputs(scale.num_inputs,
                                                     seed=scale.seed)
     fault_model = fault_model or SingleBitFlip(FIXED32)
     dtype_policy = (dtype_policy if dtype_policy is not None
                     else fixed32_policy())
-    if scale.use_service:
-        request = request_from_campaign(
-            prepared.model, inputs, fault_model=fault_model,
-            criteria=criteria, dtype_policy=dtype_policy, seed=scale.seed,
-            protected_model=protected, trials=scale.trials,
-            workers=scale.workers, use_pool=scale.workers > 1,
-            target_half_width=scale.target_half_width,
-            wave_trials=scale.wave_trials, joint_stop=scale.joint_stop)
-        base, guarded = campaign_server(scale).submit(request).result()
-    else:
-        base, guarded = compare_protection(
-            prepared.model, protected, inputs, fault_model=fault_model,
-            criteria=criteria, dtype_policy=dtype_policy,
-            trials=scale.trials, seed=scale.seed, workers=scale.workers,
-            pool=campaign_pool(scale),
-            target_half_width=scale.target_half_width,
-            wave_trials=scale.wave_trials, joint_stop=scale.joint_stop)
+    request = request_from_campaign(
+        prepared.model, inputs, fault_model=fault_model, criteria=criteria,
+        dtype_policy=dtype_policy, seed=scale.seed,
+        protected_model=protected, trials=scale.trials,
+        workers=scale.workers, use_pool=scale.workers > 1,
+        target_half_width=scale.target_half_width,
+        wave_trials=scale.wave_trials, joint_stop=scale.joint_stop)
+    base, guarded = campaign_server(scale).submit(request).result()
     original = {c: base.sdc_rate_percent(c) for c in base.criteria}
     with_ranger = {c: guarded.sdc_rate_percent(c) for c in guarded.criteria}
     return original, with_ranger

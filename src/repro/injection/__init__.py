@@ -6,6 +6,7 @@ from .campaign import (
     CampaignResult,
     CampaignSpec,
     FaultInjectionCampaign,
+    RunOptions,
     compare_protection,
     shard_plans,
     trial_rng,
@@ -59,6 +60,7 @@ __all__ = [
     "InjectionPlan",
     "MultiBitFlip",
     "RandomValueFault",
+    "RunOptions",
     "STEERING_THRESHOLDS",
     "SDCCriterion",
     "SingleBitFlip",

@@ -76,6 +76,17 @@ strata whose verdicts are still uncertain — and the result carries
 per-stratum counters that reweight into unbiased Horvitz–Thompson rate
 estimates (see :mod:`repro.injection.sampling`).
 
+One driver
+----------
+
+Fixed, waved, paired and served campaigns all run through one wave loop,
+:func:`run_group`, configured by one frozen :class:`RunOptions` that
+validates every option when it is built.  ``run()`` and
+:func:`compare_protection` turn their keywords into a ``RunOptions``, and
+the campaign service carries one per request; a fixed-budget run is a
+single wave over its whole plan list, and a paired comparison is a group
+of two campaigns that replay the leader's plans wave by wave.
+
 For experiment sweeps that run many campaigns back-to-back (the fig6 /
 fig9 / fig11-style grids), :class:`~repro.injection.pool.CampaignPool`
 keeps worker processes — and their models, executors and golden activation
@@ -90,8 +101,8 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping,
-                    Optional, Sequence, Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -99,7 +110,7 @@ from ..analysis.metrics import (INTERVAL_METHODS, binomial_interval,
                                 merge_count_dicts, merge_partial_count_dicts,
                                 stratified_interval, stratified_rate)
 from ..analysis.reporting import equivalence_note
-from ..graph import DTypePolicy, Executor
+from ..graph import DTypePolicy
 from ..graph.equivalence import DEFAULT_MAX_ULPS, EquivalenceMode
 from ..models.base import Model
 from ..parallel.fanout import log_fallback_once
@@ -175,6 +186,116 @@ def shard_plans(plans: Sequence[Tuple[int, InjectionPlan]], shards: int
         start = int(indices[0])
         out.append((start, list(plans[start:start + len(indices)])))
     return out
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """How a campaign, or a paired group of campaigns, runs.
+
+    The one options object behind every entry point:
+    :meth:`FaultInjectionCampaign.run` and :func:`compare_protection` build
+    one from their keywords, and each campaign-service request carries one
+    (see :mod:`repro.service.serialization`).  Construction validates every
+    field, so all entry points refuse the same inputs with the same
+    message.  Fields mirror the keywords of :meth:`FaultInjectionCampaign.run`
+    and are plain picklable values.  ``use_pool`` routes a service job
+    through the server's persistent :class:`~repro.injection.pool.CampaignPool`
+    (a wall-clock knob: results are bit-identical on every backend);
+    ``joint_stop`` only matters to paired groups (see
+    :func:`compare_protection`).
+    """
+
+    trials: int = 100
+    keep_faults: bool = False
+    incremental: bool = True
+    workers: int = 1
+    batch_trials: int = 1
+    equivalence: Optional[str] = None
+    max_ulps: float = DEFAULT_MAX_ULPS
+    use_pool: bool = False
+    target_half_width: Optional[float] = None
+    wave_trials: Optional[int] = None
+    strata: Optional[Stratification] = None
+    z: float = 1.96
+    interval_method: str = DEFAULT_INTERVAL_METHOD
+    joint_stop: bool = True
+
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ValueError(f"trials must be positive, got {self.trials}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be positive, got {self.workers}")
+        if self.batch_trials < 1:
+            raise ValueError(
+                f"batch_trials must be positive, got {self.batch_trials}")
+        if self.interval_method not in INTERVAL_METHODS:
+            raise ValueError(
+                f"unknown interval method {self.interval_method!r}; expected "
+                f"one of {INTERVAL_METHODS}")
+        mode = self.mode  # rejects unknown equivalence values
+        if self.batch_trials > 1 and mode is EquivalenceMode.EXACT:
+            raise ValueError(
+                "batch_trials > 1 cannot satisfy EXACT equivalence: "
+                "BLAS kernels are not bit-stable across batch shapes; "
+                "request ULP_TOLERANT (the batched default) or run with "
+                "batch_trials=1")
+        if self.batch_trials > 1 and not self.incremental:
+            raise ValueError(
+                "batch_trials > 1 requires the incremental engine "
+                "(batched replay resumes from golden activation caches)")
+        if (self.target_half_width is not None
+                and not 0.0 < self.target_half_width < 1.0):
+            raise ValueError(
+                f"target_half_width must be in (0, 1), got "
+                f"{self.target_half_width}")
+        if self.wave_trials is not None and self.wave_trials < 1:
+            raise ValueError(
+                f"wave_trials must be positive, got {self.wave_trials}")
+        if self.strata is not None and not self.joint_stop:
+            raise ValueError(
+                "stratified groups stop jointly: the Neyman allocation pools "
+                "every campaign's stratum statistics, so independent stopping "
+                "would let an idle campaign perturb the plans the others draw")
+
+    @property
+    def mode(self) -> EquivalenceMode:
+        """The equivalence mode the run satisfies: ``equivalence`` when
+        given, else ``EXACT`` at ``batch_trials=1`` and ``ULP_TOLERANT``
+        above it."""
+        return EquivalenceMode.coerce(
+            self.equivalence, EquivalenceMode.EXACT if self.batch_trials == 1
+            else EquivalenceMode.ULP_TOLERANT)
+
+    @property
+    def waved(self) -> bool:
+        """Whether the run is adaptive or waved: it reports its budget and
+        wave count, and may stream ``on_wave`` snapshots."""
+        return (self.target_half_width is not None
+                or self.strata is not None
+                or self.wave_trials is not None)
+
+    def canonical(self) -> Tuple:
+        """The deterministic tuple the campaign service's result
+        fingerprint hashes (:func:`repro.service.result_fingerprint`).
+
+        Includes everything that shapes a result's content — counts and
+        fault records (trials, adaptivity, strata), metadata (equivalence
+        mode, interval method) *and* the execution counters (backend
+        knobs: ``workers`` / ``batch_trials`` / ``use_pool`` change
+        ``nodes_recomputed`` even though counts stay bit-identical) — so a
+        cache hit returns exactly what a fresh run would.  The leading tag
+        versions the tuple's layout and the content it keys, so disk-tier
+        entries keyed under an older tag never alias a current key
+        (``"v3"``: served compare jobs began honouring ``keep_faults`` and
+        ``max_ulps``).
+        """
+        strata = (None if self.strata is None
+                  else (self.strata.layer_bands, self.strata.bit_bands))
+        return ("v3", self.trials, self.keep_faults, self.incremental,
+                self.workers, self.batch_trials, self.mode.value,
+                self.max_ulps, self.use_pool,
+                self.target_half_width, self.wave_trials, strata, self.z,
+                self.interval_method, self.joint_stop)
 
 
 @dataclass
@@ -502,11 +623,10 @@ class FaultInjectionCampaign:
         #: Per-input golden activation caches for partial re-execution,
         #: built lazily the first time a trial uses an input.
         self._golden_caches: Dict[int, Dict[str, np.ndarray]] = {}
-        #: Hoisted per-fault-node-set packing state, shared by
-        #: :meth:`group_batches` and :meth:`pack_batches`: the within-plan
-        #: overlap verdict and the needed-restricted union cone.  Both
-        #: depend only on the node *set*, and campaigns sample the same
-        #: sets over and over, so screening/packing cost stays
+        #: Hoisted per-fault-node-set packing state of :meth:`pack_batches`:
+        #: the within-plan overlap verdict and the needed-restricted union
+        #: cone.  Both depend only on the node *set*, and campaigns sample
+        #: the same sets over and over, so screening/packing cost stays
         #: O(trials log trials) instead of paying cone queries per trial.
         self._overlap_memo: Dict[frozenset, bool] = {}
         self._cone_memo: Dict[frozenset, frozenset] = {}
@@ -610,8 +730,6 @@ class FaultInjectionCampaign:
             batch_trials: int = 1,
             equivalence=None,
             max_ulps: float = DEFAULT_MAX_ULPS,
-            packing: Optional[Tuple[List[Tuple[int, List[int]]],
-                                    List[int]]] = None,
             pool: Optional["CampaignPool"] = None,
             target_half_width: Optional[float] = None,
             wave_trials: Optional[int] = None,
@@ -642,7 +760,8 @@ class FaultInjectionCampaign:
         trial_offset:
             Global index of the first trial in ``plans``; used by the
             parallel backend so each shard derives the same per-trial RNG
-            streams the serial path would.
+            streams the serial path would.  Waved runs own the whole trial
+            index space, so it must be 0 for them.
         batch_trials:
             Maximum number of trials replayed per batched executor call.
             ``1`` (default) keeps the bit-exact incremental path.  ``B > 1``
@@ -665,13 +784,6 @@ class FaultInjectionCampaign:
             stability.
         max_ulps:
             Row-masking tolerance (float64 ULPs) for batched replay.
-        packing:
-            Optional pre-computed ``(batches, fallback)`` groups for the
-            serial batched path (the shape :meth:`pack_batches` returns).
-            :func:`compare_protection` packs once on the unprotected side
-            and reuses the groups on the protected side so the paired
-            batches stay bit-aligned; ignored when the run fans out (each
-            shard packs its own contiguous chunk).
         pool:
             Optional :class:`~repro.injection.pool.CampaignPool`.  When
             given (and more than one trial is to run), the campaign is
@@ -723,95 +835,41 @@ class FaultInjectionCampaign:
             cancellation).  Requires a waved run — set
             ``target_half_width`` or ``wave_trials``.
         """
-        if trials <= 0 and plans is None:
-            raise ValueError("trials must be positive")
-        if workers < 1:
-            raise ValueError(f"workers must be positive, got {workers}")
-        if batch_trials < 1:
-            raise ValueError(
-                f"batch_trials must be positive, got {batch_trials}")
-        if interval_method not in INTERVAL_METHODS:
-            raise ValueError(
-                f"unknown interval method {interval_method!r}; expected one "
-                f"of {INTERVAL_METHODS}")
-        mode = EquivalenceMode.coerce(
-            equivalence, EquivalenceMode.EXACT if batch_trials == 1
-            else EquivalenceMode.ULP_TOLERANT)
-        if batch_trials > 1:
-            if mode is EquivalenceMode.EXACT:
-                raise ValueError(
-                    "batch_trials > 1 cannot satisfy EXACT equivalence: "
-                    "BLAS kernels are not bit-stable across batch shapes; "
-                    "request ULP_TOLERANT (the batched default) or run with "
-                    "batch_trials=1")
-            if not incremental:
-                raise ValueError(
-                    "batch_trials > 1 requires the incremental engine "
-                    "(batched replay resumes from golden activation caches)")
-        adaptive = (target_half_width is not None or strata is not None
-                    or wave_trials is not None)
-        if on_wave is not None and not adaptive:
-            raise ValueError(
-                "on_wave snapshots require a waved run; set wave_trials "
-                "(or target_half_width) so there are waves to snapshot")
-        if adaptive:
-            if packing is not None:
-                raise ValueError(
-                    "adaptive campaigns pack each wave's chunk themselves; "
-                    "precomputed packing is only valid for fixed plan lists")
-            if trial_offset:
-                raise ValueError(
-                    "adaptive campaigns own the whole trial index space; "
-                    "trial_offset must be 0")
-            group_hook = (None if on_wave is None
-                          else lambda snapshots: on_wave(snapshots[0]))
-            with _fan_out(pool, workers) as pool:
-                return _run_adaptive_group(
-                    [self], trials=trials, plans=plans,
-                    wave_trials=wave_trials,
-                    target_half_width=target_half_width, strata=strata, z=z,
-                    interval_method=interval_method, keep_faults=keep_faults,
-                    incremental=incremental, batch_trials=batch_trials,
-                    mode=mode, max_ulps=max_ulps, pool=pool,
-                    on_wave=group_hook)[0]
-        if plans is None:
-            plans = self.generate_plans(trials)
-        with _fan_out(pool, min(workers, len(plans))) as pool:
-            result = self._dispatch(plans, keep_faults=keep_faults,
-                                    incremental=incremental,
-                                    trial_offset=trial_offset,
-                                    batch_trials=batch_trials, mode=mode,
-                                    max_ulps=max_ulps, packing=packing,
-                                    pool=pool)
-        result.interval_method = interval_method
-        return result
+        options = RunOptions(
+            trials=len(plans) if plans is not None else trials,
+            keep_faults=keep_faults, incremental=incremental,
+            workers=workers, batch_trials=batch_trials,
+            equivalence=equivalence, max_ulps=max_ulps,
+            target_half_width=target_half_width, wave_trials=wave_trials,
+            strata=strata, z=z, interval_method=interval_method)
+        _check_on_wave(options, on_wave)
+        hook = None if on_wave is None else (
+            lambda snapshots: on_wave(snapshots[0]))
+        return run_group([self], options, plans=plans,
+                         trial_offset=trial_offset, pool=pool,
+                         on_wave=hook)[0]
 
-    def _dispatch(self, plans: List[Tuple[int, InjectionPlan]], *,
-                  keep_faults: bool, incremental: bool,
-                  trial_offset: int, batch_trials: int,
-                  mode: EquivalenceMode, max_ulps: float,
+    def _dispatch(self, plans: List[Tuple[int, InjectionPlan]],
+                  options: RunOptions, *, trial_offset: int,
                   packing: Optional[Tuple[List[Tuple[int, List[int]]],
                                           List[int]]],
                   pool: Optional["CampaignPool"]) -> CampaignResult:
-        """Run one fixed plan list through the backend dispatch.
+        """Run one wave's plan list through the backend dispatch.
 
-        The pool → batched → serial routing shared by
-        fixed-budget runs (one call) and adaptive runs (one call per wave
-        chunk, anchored by ``trial_offset``); parameters are pre-validated
-        by :meth:`run`.
+        The pool → batched → serial routing :func:`run_group` sends every
+        wave chunk through, anchored by ``trial_offset``.
         """
+        mode = options.mode
         if pool is not None and len(plans) > 1:
-            return pool.run_plans(self, plans, keep_faults=keep_faults,
-                                  incremental=incremental,
+            return pool.run_plans(self, plans, keep_faults=options.keep_faults,
+                                  incremental=options.incremental,
                                   trial_offset=trial_offset,
-                                  batch_trials=batch_trials,
-                                  equivalence=mode, max_ulps=max_ulps)
-        if batch_trials > 1:
-            return self._run_batched(plans, batch_trials=batch_trials,
-                                     keep_faults=keep_faults,
-                                     trial_offset=trial_offset,
-                                     mode=mode, max_ulps=max_ulps,
+                                  batch_trials=options.batch_trials,
+                                  equivalence=mode, max_ulps=options.max_ulps)
+        if options.batch_trials > 1:
+            return self._run_batched(plans, options, trial_offset=trial_offset,
                                      packing=packing)
+        keep_faults = options.keep_faults
         sdc_counts = {criterion.name: 0 for criterion in self.criteria}
         fault_log: List[List[FaultSpec]] = []
         # Per-trial cost of the full path: the ancestor-pruned subgraph it
@@ -823,7 +881,7 @@ class FaultInjectionCampaign:
         for position, (input_index, plan) in enumerate(plans):
             rng = trial_rng(self.seed, trial_offset + position)
             golden = self._golden[input_index]
-            if incremental:
+            if options.incremental:
                 cache = self._golden_cache(input_index)
                 faulty, faults, result = self.injector.inject_cached(
                     self._executor, cache, plan, rng=rng)
@@ -848,40 +906,6 @@ class FaultInjectionCampaign:
                               equivalence=mode.value)
 
     # -- batched scheduling ------------------------------------------------
-
-    def group_batches(self, plans: Sequence[Tuple[int, InjectionPlan]],
-                      batch_trials: int,
-                      ) -> Tuple[List[Tuple[int, List[int]]], List[int]]:
-        """Group trial positions into identical-fault-site stacks.
-
-        The conservative grouper: trials batch together only when they
-        share an input *and* a fault-node set (their stacked corruptions
-        then share one replay cone); each group is chunked into batches of
-        at most ``batch_trials``.  The runtime batched path uses the
-        cross-site :meth:`pack_batches` instead — which fills batches to
-        full width — but this grouping remains the reference for
-        occupancy comparisons and for callers that want single-cone
-        batches.  Returns ``(batches, fallback)`` where each batch is
-        ``(input_index, positions)`` and ``fallback`` lists positions of
-        plans with overlapping sites, which must be replayed hook-based one
-        at a time.  Grouping is deterministic (first-seen order) and does
-        not reorder trial identities — every position keeps its global
-        :func:`trial_rng` stream.
-        """
-        groups: Dict[Tuple[int, frozenset], List[int]] = {}
-        fallback: List[int] = []
-        for position, (input_index, plan) in enumerate(plans):
-            sites = frozenset(plan.node_names())
-            if self._sites_overlap(sites):
-                fallback.append(position)
-                continue
-            groups.setdefault((input_index, sites), []).append(position)
-        batches: List[Tuple[int, List[int]]] = []
-        for (input_index, _), positions in groups.items():
-            for start in range(0, len(positions), batch_trials):
-                batches.append((input_index,
-                                positions[start:start + batch_trials]))
-        return batches, fallback
 
     # Per-node-set memo helpers: overlap verdicts and cones depend only on
     # the fault-node *set*, which repeats across thousands of trials.
@@ -911,15 +935,15 @@ class FaultInjectionCampaign:
                      ) -> Tuple[List[Tuple[int, List[int]]], List[int]]:
         """Pack trials into cross-site batches by cone-suffix affinity.
 
-        The union-cone successor of :meth:`group_batches`: trials only need
-        to share an *input* to stack (each row enters the replay at its own
-        fault site), so the packer greedily fills batches to the full
-        ``batch_trials`` width instead of stopping at identical-site
-        groups.  Per input, trials are ordered by the topological index of
-        their earliest fault site (sites adjacent in topological order have
-        nested, suffix-like cones in feed-forward graphs — their union
-        costs barely more than the largest member), with identical
-        fault-node sets kept adjacent; a trial joins the current batch
+        Trials only need to share an *input* to stack (each row enters the
+        replay at its own fault site), so the packer greedily fills batches
+        to the full ``batch_trials`` width instead of stopping at
+        identical-site groups.  Per input, trials are ordered by the
+        topological index of their earliest fault site (sites adjacent in
+        topological order have nested, suffix-like cones in feed-forward
+        graphs — their union costs barely more than the largest member),
+        with identical fault-node sets kept adjacent; a trial joins the
+        current batch
         while the batch has room **and** the union cone stays within
         ``union_cost_factor`` times the largest member cone (both
         restricted to the output's ancestor set).  A trial whose cone
@@ -929,10 +953,11 @@ class FaultInjectionCampaign:
 
         All per-node-set state (overlap verdicts, union cones) is memoized,
         so packing costs O(trials log trials) set-joins in the trial count.
-        Returns ``(batches, fallback)`` in the same shape as
-        :meth:`group_batches`; packing is deterministic and never reorders
-        trial identities (every position keeps its :func:`trial_rng`
-        stream).
+        Returns ``(batches, fallback)``: each batch is ``(input_index,
+        positions)``, and ``fallback`` lists positions of plans with
+        overlapping sites, which replay hook-based one at a time.  Packing
+        is deterministic and never reorders trial identities (every
+        position keeps its :func:`trial_rng` stream).
         """
         if union_cost_factor is None:
             union_cost_factor = DEFAULT_UNION_COST_FACTOR
@@ -991,19 +1016,17 @@ class FaultInjectionCampaign:
         return len(union) - max(len(cone) for cone in cones)
 
     def _run_batched(self, plans: List[Tuple[int, InjectionPlan]],
-                     batch_trials: int, keep_faults: bool, trial_offset: int,
-                     mode: EquivalenceMode, max_ulps: float,
+                     options: RunOptions, trial_offset: int,
                      packing: Optional[Tuple[List[Tuple[int, List[int]]],
-                                             List[int]]] = None,
+                                             List[int]]],
                      ) -> CampaignResult:
         """Serial batched backend: replay packed trials in stacked passes.
 
-        ``packing`` optionally supplies pre-computed ``(batches, fallback)``
-        groups (the shape :meth:`pack_batches` / :meth:`group_batches`
-        return); paired comparisons pass the unprotected side's packing to
-        the protected side so both replay bit-aligned groups without
-        packing twice.
+        ``packing`` supplies the :meth:`pack_batches` groups of the group
+        leader (``None``: pack here), so the paired arms of a comparison
+        replay bit-aligned groups without packing twice.
         """
+        mode, keep_faults = options.mode, options.keep_faults
         sdc_counts = {criterion.name: 0 for criterion in self.criteria}
         fault_log: List[Optional[List[FaultSpec]]] = [None] * len(plans)
         full_cost = len(self.model.graph.ancestors([self.model.output_name]))
@@ -1014,8 +1037,9 @@ class FaultInjectionCampaign:
         union_overhead = 0
         conv_evaluated = conv_total = 0
 
-        batches, fallback = (packing if packing is not None
-                             else self.pack_batches(plans, batch_trials))
+        batches, fallback = (
+            packing if packing is not None
+            else self.pack_batches(plans, options.batch_trials))
         for input_index, positions in batches:
             cache = self._golden_cache(input_index)
             golden = self._golden[input_index]
@@ -1024,7 +1048,7 @@ class FaultInjectionCampaign:
                     for position in positions]
             stacked, faults, result = self.injector.inject_cached_batch(
                 self._executor, cache, batch_plans, rngs,
-                equivalence=mode, max_ulps=max_ulps,
+                equivalence=mode, max_ulps=options.max_ulps,
                 validate_overlap=False)  # the packer already screened
             nodes_recomputed += result.rows_evaluated
             max_deviation = max(max_deviation, result.max_ulp_deviation)
@@ -1115,40 +1139,54 @@ def _fan_out(pool: Optional["CampaignPool"], workers: int):
         yield ephemeral
 
 
-def _run_adaptive_group(campaigns: Sequence[FaultInjectionCampaign], *,
-                        trials: int,
-                        plans: Optional[List[Tuple[int, InjectionPlan]]],
-                        wave_trials: Optional[int],
-                        target_half_width: Optional[float],
-                        strata: Optional[Stratification],
-                        z: float, interval_method: str,
-                        keep_faults: bool, incremental: bool,
-                        batch_trials: int, mode: EquivalenceMode,
-                        max_ulps: float, pool: Optional["CampaignPool"],
-                        joint_stop: bool = True,
-                        on_wave: Optional[Callable[[List[CampaignResult]],
-                                                   None]] = None,
-                        ) -> List[CampaignResult]:
-    """Drive one or more same-seed campaigns through adaptive waves.
+def _check_on_wave(options: RunOptions, on_wave) -> None:
+    if on_wave is not None and not options.waved:
+        raise ValueError(
+            "on_wave snapshots require a waved run; set wave_trials "
+            "(or target_half_width) so there are waves to snapshot")
 
-    The sequential-stopping / stratified-allocation engine behind
-    ``run(target_half_width=..., strata=...)`` and the adaptive
-    :func:`compare_protection`.  ``campaigns[0]`` is the *leader*: it
-    samples every plan (and packs every batched chunk) exactly once, and
-    each wave's chunks are dispatched to **every** campaign with the same
-    global ``trial_offset`` — so a paired group replays identical faults
-    with identical per-trial RNG streams.
 
-    With ``joint_stop=True`` (the default) the whole group stops together
-    on the first wave at which *all* campaigns meet the target — the
-    slower-converging arm sets the common stop point, which preserves the
-    paired-difference structure of :func:`compare_protection`.  With
-    ``joint_stop=False`` each campaign stops **independently** as soon as
-    its own criteria fit the target: a cell that converges early stops
-    receiving waves while the others continue on the shared plan list.
-    Either way every campaign's result is exactly a prefix of its own
-    fixed-budget run — stopping policy changes how many waves a campaign
-    receives, never what any trial computes.
+def run_group(campaigns: Sequence[FaultInjectionCampaign],
+              options: RunOptions, *,
+              plans: Optional[List[Tuple[int, InjectionPlan]]] = None,
+              trial_offset: int = 0,
+              pool: Optional["CampaignPool"] = None,
+              on_wave: Optional[Callable[[List[CampaignResult]],
+                                         None]] = None,
+              fixed_waves: int = 1) -> List[CampaignResult]:
+    """Drive one or more same-seed campaigns through waves.
+
+    The one campaign driver: :meth:`FaultInjectionCampaign.run`,
+    :func:`compare_protection` and the campaign service's scheduler all
+    run through it.  ``campaigns[0]`` is the *leader*: it samples every
+    plan (and packs every serial batched chunk) exactly once, and each
+    wave's chunk is dispatched to **every** campaign with the same global
+    trial offset — so a paired group replays identical faults with
+    identical per-trial RNG streams.  ``options.workers > 1`` without a
+    ``pool`` opens one ephemeral pool for the whole call.
+
+    A fixed-budget run (``options.waved`` false) is one wave over the
+    whole plan list, or ``fixed_waves`` equal waves: the service cuts
+    ``batch_trials=1`` jobs into waves to stream and cancel at their
+    boundaries, which leaves the result unchanged because every trial's
+    RNG stream is keyed by its global index (batched runs would repack
+    per wave, so they keep one).  Its results keep ``trials_budget == 0``
+    and ``waves == 0``.  ``plans`` replaces the leader's sampled plans,
+    and ``trial_offset`` (fixed runs only) anchors their RNG streams.
+
+    A waved run executes waves of ``options.wave_trials`` trials (10% of
+    the budget by default) and records ``trials_budget`` / ``waves`` /
+    ``target_half_width`` on its results.  With ``joint_stop`` (the
+    default) the whole group stops together on the first wave at which
+    *all* campaigns meet ``target_half_width`` — the slower-converging
+    arm sets the common stop point, which preserves the paired-difference
+    structure of :func:`compare_protection`.  Without it each campaign
+    stops **independently** as soon as its own criteria fit the target:
+    a cell that converges early stops receiving waves while the others
+    continue on the shared plan list.  Either way every campaign's result
+    is exactly a prefix of its own fixed-budget run — stopping policy
+    changes how many waves a campaign receives, never what any trial
+    computes.
 
     Without ``strata``, plans are pre-sampled for the full budget up
     front and waves are consecutive slices, which is what makes a stopped
@@ -1159,61 +1197,65 @@ def _run_adaptive_group(campaigns: Sequence[FaultInjectionCampaign], *,
     waves Neyman-allocated toward uncertain strata), chunk results are
     tagged with per-stratum counters, and the merged results report
     unbiased Horvitz–Thompson rates.  Stratified groups must stop
-    jointly: a wave's Neyman allocation pools every campaign's stratum
-    statistics, so a campaign that went idle would still shape the plans
-    the others draw and break their fixed-budget prefix property.
+    jointly (see :class:`RunOptions`).
 
     ``on_wave`` (when given) receives the list of merged-so-far results —
-    one per campaign, aligned with ``campaigns`` — after every wave.
+    one per campaign, aligned with ``campaigns`` — after every wave; the
+    returned results are the objects of the last snapshot.
     """
-    leader = campaigns[0]
-    if target_half_width is not None and not 0.0 < target_half_width < 1.0:
-        raise ValueError(
-            f"target_half_width must be in (0, 1), got {target_half_width}")
-    if strata is not None and plans is not None:
+    if options.strata is not None and plans is not None:
         raise ValueError(
             "stratified campaigns sample their own per-stratum plans; "
             "pass trials (the budget) instead of explicit plans")
-    if strata is not None and not joint_stop:
+    if trial_offset and options.waved:
         raise ValueError(
-            "stratified groups stop jointly: the Neyman allocation pools "
-            "every campaign's stratum statistics, so independent stopping "
-            "would let an idle campaign perturb the plans the others draw")
-    budget = len(plans) if plans is not None else trials
-    if budget <= 0:
-        raise ValueError("adaptive campaigns need a positive trial budget")
-    if wave_trials is not None and wave_trials < 1:
-        raise ValueError(f"wave_trials must be positive, got {wave_trials}")
-    wave = (wave_trials if wave_trials is not None
-            else max(1, math.ceil(budget * DEFAULT_WAVE_FRACTION)))
+            "waved campaigns own the whole trial index space; "
+            "trial_offset must be 0")
+    leader = campaigns[0]
+    budget = len(plans) if plans is not None else options.trials
+    if not options.waved:
+        wave = max(1, math.ceil(budget / fixed_waves))
+    elif options.wave_trials is not None:
+        wave = options.wave_trials
+    else:
+        wave = max(1, math.ceil(budget * DEFAULT_WAVE_FRACTION))
+    target = options.target_half_width
 
     partials: List[List[CampaignResult]] = [[] for _ in campaigns]
     merged: List[Optional[CampaignResult]] = [None] * len(campaigns)
 
     def dispatch(index: int, chunk, offset: int, packing) -> CampaignResult:
         partial = campaigns[index]._dispatch(
-            chunk, keep_faults=keep_faults, incremental=incremental,
-            trial_offset=offset, batch_trials=batch_trials, mode=mode,
-            max_ulps=max_ulps, packing=packing, pool=pool)
-        partial.interval_method = interval_method
+            chunk, options, trial_offset=trial_offset + offset,
+            packing=packing, pool=pool)
+        partial.interval_method = options.interval_method
         return partial
 
     def pack(chunk):
-        # Same policy as fixed-budget runs: the leader packs once per
-        # (serial, batched) chunk and every campaign replays the same
-        # groups; pooled shards pack their own chunks.
-        if batch_trials > 1 and pool is None:
-            return leader.pack_batches(chunk, batch_trials)
+        # The leader packs once per serial batched chunk and every
+        # campaign replays the same groups; pooled shards pack their own.
+        if options.batch_trials > 1 and pool is None:
+            return leader.pack_batches(chunk, options.batch_trials)
         return None
 
+    def merge(index: int) -> None:
+        # Waved metadata rides on every snapshot, the final one included.
+        result = CampaignResult.merge(partials[index])
+        waves_by[index] += 1
+        if options.waved:
+            result.trials_budget = budget
+            result.waves = waves_by[index]
+            result.target_half_width = target
+        merged[index] = result
+
     def meets_target(result: Optional[CampaignResult]) -> bool:
-        if target_half_width is None or result is None:
+        if target is None or result is None:
             return False
-        return all(result.half_width(criterion, z=z) <= target_half_width
+        return all(result.half_width(criterion, z=options.z) <= target
                    for criterion in result.criteria)
 
     def target_reached() -> bool:
-        if target_half_width is None:
+        if target is None:
             return False
         return all(meets_target(result) for result in merged)
 
@@ -1221,91 +1263,86 @@ def _run_adaptive_group(campaigns: Sequence[FaultInjectionCampaign], *,
     waves_by = [0] * len(campaigns)
     active = [True] * len(campaigns)
     done = 0
-    if strata is None:
-        if plans is None:
-            plans = leader.generate_plans(budget)
-        while done < budget:
-            if joint_stop:
-                if target_reached():
-                    break
-            else:
-                for index in range(len(campaigns)):
-                    if active[index] and meets_target(merged[index]):
-                        active[index] = False
-                if not any(active):
-                    break
-            chunk = list(plans[done:done + min(wave, budget - done)])
-            packing = pack(chunk)
-            for index in range(len(campaigns)):
-                if not active[index]:
-                    continue
-                partials[index].append(dispatch(index, chunk, done, packing))
-                merged[index] = CampaignResult.merge(partials[index])
-                waves_by[index] += 1
-            done += len(chunk)
-            waves_run += 1
-            if on_wave is not None:
-                on_wave(list(merged))
-    else:
-        space = StratumSpace(leader.injector._site_sizes,
-                             leader.fault_model, strata)
-        wave = max(wave, len(space))
-        streams = {key: stratum_rng(leader.seed, index)
-                   for index, key in enumerate(space.keys)}
-        stratum_trials: Dict[StratumKey, int] = {key: 0 for key in space.keys}
-        stratum_successes = [
-            {criterion.name: {key: 0 for key in space.keys}
-             for criterion in campaign.criteria}
-            for campaign in campaigns]
-        while done < budget and not target_reached():
-            wave_budget = min(wave, budget - done)
-            if waves_run == 0:
-                allocation = uniform_allocation(space, wave_budget)
-            else:
-                stats = {key: [(per_criterion[key], stratum_trials[key])
-                               for successes in stratum_successes
-                               for per_criterion in successes.values()]
-                         for key in space.keys}
-                allocation = neyman_allocation(space, wave_budget, stats)
-            for key in space.keys:
-                count = allocation.get(key, 0)
-                if count == 0:
-                    continue
-                stream = streams[key]
-                input_indices = stream.integers(len(leader.inputs),
-                                                size=count)
-                stratum_plans = space.sample_stratum_plans(
-                    leader.injector, key, count, stream)
-                chunk = [(int(input_index), plan) for input_index, plan
-                         in zip(input_indices, stratum_plans)]
+    with _fan_out(pool, min(options.workers, budget)) as pool:
+        if options.strata is None:
+            if plans is None:
+                plans = leader.generate_plans(budget)
+            while done < budget:
+                if options.joint_stop:
+                    if target_reached():
+                        break
+                else:
+                    for index in range(len(campaigns)):
+                        if active[index] and meets_target(merged[index]):
+                            active[index] = False
+                    if not any(active):
+                        break
+                chunk = list(plans[done:done + min(wave, budget - done)])
                 packing = pack(chunk)
                 for index in range(len(campaigns)):
-                    partial = dispatch(index, chunk, done, packing)
-                    partial.stratum_weights = dict(space.weights)
-                    partial.stratum_trials = {key: partial.trials}
-                    partial.stratum_sdc_counts = {
-                        name: {key: count_} for name, count_
-                        in partial.sdc_counts.items()}
-                    for name, count_ in partial.sdc_counts.items():
-                        stratum_successes[index][name][key] += count_
-                    partials[index].append(partial)
-                stratum_trials[key] += count
-                done += count
-            for index in range(len(campaigns)):
-                merged[index] = CampaignResult.merge(partials[index])
-                waves_by[index] += 1
-            waves_run += 1
-            if on_wave is not None:
-                on_wave(list(merged))
+                    if not active[index]:
+                        continue
+                    partials[index].append(
+                        dispatch(index, chunk, done, packing))
+                    merge(index)
+                done += len(chunk)
+                waves_run += 1
+                if on_wave is not None:
+                    on_wave(list(merged))
+        else:
+            space = StratumSpace(leader.injector._site_sizes,
+                                 leader.fault_model, options.strata)
+            wave = max(wave, len(space))
+            streams = {key: stratum_rng(leader.seed, index)
+                       for index, key in enumerate(space.keys)}
+            stratum_trials: Dict[StratumKey, int] = {
+                key: 0 for key in space.keys}
+            stratum_successes = [
+                {criterion.name: {key: 0 for key in space.keys}
+                 for criterion in campaign.criteria}
+                for campaign in campaigns]
+            while done < budget and not target_reached():
+                wave_budget = min(wave, budget - done)
+                if waves_run == 0:
+                    allocation = uniform_allocation(space, wave_budget)
+                else:
+                    stats = {key: [(per_criterion[key], stratum_trials[key])
+                                   for successes in stratum_successes
+                                   for per_criterion in successes.values()]
+                             for key in space.keys}
+                    allocation = neyman_allocation(space, wave_budget, stats)
+                for key in space.keys:
+                    count = allocation.get(key, 0)
+                    if count == 0:
+                        continue
+                    stream = streams[key]
+                    input_indices = stream.integers(len(leader.inputs),
+                                                    size=count)
+                    stratum_plans = space.sample_stratum_plans(
+                        leader.injector, key, count, stream)
+                    chunk = [(int(input_index), plan) for input_index, plan
+                             in zip(input_indices, stratum_plans)]
+                    packing = pack(chunk)
+                    for index in range(len(campaigns)):
+                        partial = dispatch(index, chunk, done, packing)
+                        partial.stratum_weights = dict(space.weights)
+                        partial.stratum_trials = {key: partial.trials}
+                        partial.stratum_sdc_counts = {
+                            name: {key: count_} for name, count_
+                            in partial.sdc_counts.items()}
+                        for name, count_ in partial.sdc_counts.items():
+                            stratum_successes[index][name][key] += count_
+                        partials[index].append(partial)
+                    stratum_trials[key] += count
+                    done += count
+                for index in range(len(campaigns)):
+                    merge(index)
+                waves_run += 1
+                if on_wave is not None:
+                    on_wave(list(merged))
 
-    results: List[CampaignResult] = []
-    for index, result in enumerate(merged):
-        assert result is not None  # budget > 0 ⇒ at least one wave ran
-        result.trials_budget = budget
-        result.waves = waves_by[index]
-        result.target_half_width = target_half_width
-        results.append(result)
-    return results
+    assert all(result is not None for result in merged)  # budget > 0
+    return list(merged)
 
 
 def compare_protection(unprotected: Model, protected: Model,
@@ -1361,46 +1398,19 @@ def compare_protection(unprotected: Model, protected: Model,
     (model × dtype × protection) cell on its own schedule.
 
     ``on_wave`` receives the ``[unprotected, protected]`` merged-so-far
-    snapshot pair after every adaptive wave (the hook the campaign service
-    streams compare jobs through); like :meth:`FaultInjectionCampaign.run`
+    snapshot pair after every wave; like :meth:`FaultInjectionCampaign.run`
     it requires a waved run.
     """
-    if on_wave is not None and (target_half_width is None and strata is None
-                                and wave_trials is None):
-        raise ValueError(
-            "on_wave snapshots require a waved run; set wave_trials "
-            "(or target_half_width) so there are waves to snapshot")
-    base = FaultInjectionCampaign(unprotected, inputs, fault_model=fault_model,
-                                  criteria=criteria, dtype_policy=dtype_policy,
-                                  seed=seed)
-    guarded = FaultInjectionCampaign(protected, inputs, fault_model=fault_model,
-                                     criteria=criteria,
-                                     dtype_policy=dtype_policy, seed=seed)
-    # One pool over both arms and every wave.
-    with _fan_out(pool, workers) as pool:
-        if (target_half_width is not None or strata is not None
-                or wave_trials is not None):
-            mode = EquivalenceMode.coerce(
-                equivalence, EquivalenceMode.EXACT if batch_trials == 1
-                else EquivalenceMode.ULP_TOLERANT)
-            results = _run_adaptive_group(
-                [base, guarded], trials=trials, plans=None,
-                wave_trials=wave_trials, target_half_width=target_half_width,
-                strata=strata, z=z, interval_method=interval_method,
-                keep_faults=False, incremental=incremental,
-                batch_trials=batch_trials, mode=mode,
-                max_ulps=DEFAULT_MAX_ULPS, pool=pool, joint_stop=joint_stop,
-                on_wave=on_wave)
-            return results[0], results[1]
-        plans = base.generate_plans(trials)
-        packing = None
-        if batch_trials > 1 and pool is None:
-            packing = base.pack_batches(plans, batch_trials)
-        return (base.run(plans=plans, incremental=incremental,
-                         workers=workers, batch_trials=batch_trials,
-                         equivalence=equivalence, packing=packing, pool=pool,
-                         interval_method=interval_method),
-                guarded.run(plans=plans, incremental=incremental,
-                            workers=workers, batch_trials=batch_trials,
-                            equivalence=equivalence, packing=packing,
-                            pool=pool, interval_method=interval_method))
+    options = RunOptions(
+        trials=trials, incremental=incremental, workers=workers,
+        batch_trials=batch_trials, equivalence=equivalence,
+        target_half_width=target_half_width, wave_trials=wave_trials,
+        strata=strata, z=z, interval_method=interval_method,
+        joint_stop=joint_stop)
+    _check_on_wave(options, on_wave)
+    arms = [FaultInjectionCampaign(model, inputs, fault_model=fault_model,
+                                   criteria=criteria,
+                                   dtype_policy=dtype_policy, seed=seed)
+            for model in (unprotected, protected)]
+    base, guarded = run_group(arms, options, pool=pool, on_wave=on_wave)
+    return base, guarded

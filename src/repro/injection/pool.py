@@ -35,7 +35,7 @@ from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..graph.equivalence import DEFAULT_MAX_ULPS, EquivalenceMode
+from ..graph.equivalence import DEFAULT_MAX_ULPS
 from ..parallel.fanout import campaign_executor, openblas_threads
 from .campaign import (CampaignResult, CampaignSpec, FaultInjectionCampaign,
                        shard_plans)
@@ -179,10 +179,8 @@ class CampaignPool:
                     max_ulps: float = DEFAULT_MAX_ULPS) -> List[tuple]:
         """The first-send argument tuples of :func:`_run_pooled_shard`,
         one per shard: ``(fingerprint, None, plans, offset, ...)``."""
-        mode_value = (EquivalenceMode.coerce(
-            equivalence, EquivalenceMode.EXACT if batch_trials == 1
-            else EquivalenceMode.ULP_TOLERANT).value
-            if equivalence is not None else None)
+        # Plain string (or None) on the wire; the worker's run() validates.
+        mode_value = getattr(equivalence, "value", equivalence)
         fingerprint = campaign.spec_fingerprint()
         return [(fingerprint, None,
                  [(index, plan.to_payload()) for index, plan in chunk],

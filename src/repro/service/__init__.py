@@ -14,12 +14,12 @@ Results are bit-identical (counts and fault records) to direct
 ``docs/service.md`` for the design and the determinism argument.
 """
 
+from ..injection.campaign import RunOptions
 from .client import CampaignClient, JobHandle
 from .queue import AdmissionError, JobQueue
 from .scheduler import JobCancelled, JobOutcome, WaveScheduler
-from .serialization import (CampaignRequest, RunOptions, decode_request,
-                            encode_request, request_from_campaign,
-                            result_fingerprint)
+from .serialization import (CampaignRequest, decode_request, encode_request,
+                            request_from_campaign, result_fingerprint)
 from .server import CampaignServer, Job
 from .store import ArtifactStore, content_key
 

@@ -63,7 +63,7 @@ class CampaignClient:
 
         Spec keywords (``fault_model``, ``criteria``, ``dtype_policy``,
         ``seed``, ``protected_model``) and
-        :class:`~repro.service.serialization.RunOptions` fields both pass
+        :class:`~repro.injection.RunOptions` fields both pass
         through ``kwargs``.
         """
         return self.submit(request_from_campaign(model, inputs, **kwargs),

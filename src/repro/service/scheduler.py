@@ -2,45 +2,44 @@
 
 One :class:`WaveScheduler` turns an admitted
 :class:`~repro.service.serialization.CampaignRequest` into its final
-result, reusing the campaign engine's own backend router
-(:meth:`~repro.injection.FaultInjectionCampaign.run` with explicit
-``plans`` / ``trial_offset``) so serial, batched, multiprocess, pooled and
-adaptive jobs all execute exactly as a direct call would.  Along the way it
+result through the campaign engine's one driver,
+:func:`~repro.injection.campaign.run_group`, with the request's own
+:class:`~repro.injection.RunOptions` — so serial, batched, multiprocess,
+pooled, adaptive and paired jobs all execute exactly as a direct call
+would.  Along the way it
 
 * serves repeat submissions straight from the artifact store's result
-  cache (checked *before* the campaign is even built),
-* seeds freshly built campaigns with stored golden activation caches and
-  banks the caches back after the run,
-* cuts bit-exact jobs into waves and streams the merged-so-far
-  :class:`~repro.injection.CampaignResult` to the job's subscribers after
-  each wave (adaptive jobs stream through the engine's own ``on_wave``
-  hook), and
-* polls a cancellation flag between waves, so a cancel lands at the next
-  wave boundary instead of orphaning worker processes mid-shard.
+  cache (checked *before* any campaign is built),
+* seeds a freshly built single campaign with stored golden activation
+  caches and banks the caches back after the run,
+* streams the merged-so-far :class:`~repro.injection.CampaignResult` (a
+  ``(unprotected, protected)`` pair for compare jobs) to the job's
+  subscribers after each wave, through the driver's ``on_wave`` hook, and
+* polls a cancellation flag at every wave boundary, so a cancel lands
+  there instead of orphaning worker processes mid-shard.
 
-Determinism: results depend only on ``(seed, trial index)``, never on how
-trials are sharded, so the scheduler's waves are invisible in the output —
-a spec submitted through the service yields counts and fault records
-bit-identical to a direct ``run()`` on every backend.  Waves are cut only
-on the bit-exact ``batch_trials=1`` path; batched (ULP-tolerant) jobs
-dispatch once so the packer sees the full plan list and stays bit-aligned
-with a direct batched run.
+Adaptive and waved jobs stream the driver's own waves.  Fixed-budget
+single campaigns on the bit-exact ``batch_trials=1`` path are cut into
+:data:`DEFAULT_WAVE_COUNT` waves; results depend only on ``(seed, trial
+index)``, never on how trials are cut, so those waves are invisible in
+the output.  Fixed compare jobs run as one wave (one dispatch round per
+arm, as a direct :func:`~repro.injection.compare_protection` makes), and
+so do batched (ULP-tolerant) fixed jobs, so the packer sees the full plan
+list and stays bit-aligned with a direct batched run.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
-from ..injection.campaign import (CampaignResult, FaultInjectionCampaign,
-                                  compare_protection)
+from ..injection.campaign import FaultInjectionCampaign, run_group
 from ..injection.pool import CampaignPool
 from .serialization import CampaignRequest
 from .store import ArtifactStore
 
-#: Waves a scheduler-chunked fixed-budget job is cut into (streaming
-#: granularity; the count/fault content is wave-invariant).
+#: Waves a fixed-budget ``batch_trials=1`` job is cut into (streaming and
+#: cancellation granularity; the count/fault content is wave-invariant).
 DEFAULT_WAVE_COUNT = 4
 
 
@@ -88,14 +87,12 @@ class WaveScheduler:
 
         ``publish`` receives every merged-so-far snapshot (including the
         final result, so a subscriber that arrives late still sees one
-        terminal snapshot).  ``should_cancel`` is polled between waves;
-        returning True raises :class:`JobCancelled`.
+        terminal snapshot).  ``should_cancel`` is polled before the job
+        starts and after every wave that leaves budget unspent; returning
+        True raises :class:`JobCancelled`.
         """
         publish = publish or (lambda snapshot: None)
         should_cancel = should_cancel or (lambda: False)
-        if request.options.trials <= 0:
-            raise ValueError(
-                f"trials must be positive, got {request.options.trials}")
         # Fingerprint once, at admission state: building and running the
         # campaign touches the spec's objects (lazy model/criteria state
         # rides along in their pickles), so a key computed *after* the run
@@ -111,125 +108,37 @@ class WaveScheduler:
         if should_cancel():
             raise JobCancelled(result_key)
 
-        if request.kind == "compare":
-            outcome = self._run_compare(request, result_key, publish,
-                                        should_cancel)
-        else:
-            outcome = self._run_campaign(request, result_key, spec_key,
-                                         publish, should_cancel)
-
-        if self.store is not None:
-            self.store.put("result", result_key, outcome.result)
-        return outcome
-
-    # -- compare jobs -------------------------------------------------------
-
-    def _run_compare(self, request: CampaignRequest, result_key: str,
-                     publish, should_cancel) -> JobOutcome:
         options = request.options
+        campaigns = [spec.build() for spec in request.arm_specs()]
+        # Golden caches are reused for single campaigns only: a sweep's
+        # compare jobs mostly differ in their protected arm, so banking
+        # every arm would grow the in-memory store by a cache set per cell.
+        single = request.kind == "campaign"
+        golden_seeded = single and self._seed_golden(spec_key, campaigns[0])
         waves = [0]
 
         def on_wave(snapshots):
-            if should_cancel():
-                raise JobCancelled(result_key)
+            # The last snapshot holds the final result objects, so every
+            # subscriber sees the terminal snapshot; a cancel that arrives
+            # during the last wave keeps the finished result.
             waves[0] += 1
-            publish(tuple(snapshots))
+            publish(snapshots[0] if single else tuple(snapshots))
+            spent = max(snapshot.trials for snapshot in snapshots)
+            if spent < options.trials and should_cancel():
+                raise JobCancelled(result_key)
 
-        pair = compare_protection(
-            request.spec.model, request.protected_model, request.spec.inputs,
-            fault_model=request.spec.fault_model,
-            criteria=request.spec.criteria,
-            dtype_policy=request.spec.dtype_policy,
-            trials=options.trials, seed=request.spec.seed,
-            incremental=options.incremental, workers=options.workers,
-            batch_trials=options.batch_trials, equivalence=options.equivalence,
-            pool=self._pool_for(options),
-            target_half_width=options.target_half_width,
-            wave_trials=options.wave_trials, strata=options.strata,
-            z=options.z, interval_method=options.interval_method,
-            joint_stop=options.joint_stop,
-            on_wave=on_wave if self._engine_waved(options) else None)
-        publish(pair)
-        return JobOutcome(result=pair, waves_streamed=waves[0])
-
-    # -- single campaigns ---------------------------------------------------
-
-    def _run_campaign(self, request: CampaignRequest, result_key: str,
-                      spec_key: str, publish, should_cancel) -> JobOutcome:
-        options = request.options
-        campaign = request.build_campaign()
-        golden_seeded = self._seed_golden(spec_key, campaign)
-        waves = [0]
-
-        if self._engine_waved(options):
-            # Adaptive / waved jobs: the engine owns the wave loop; stream
-            # (and poll cancellation) through its on_wave hook.
-            def on_wave(snapshot):
-                if should_cancel():
-                    raise JobCancelled(result_key)
-                waves[0] += 1
-                publish(snapshot)
-
-            result = campaign.run(
-                trials=options.trials, keep_faults=options.keep_faults,
-                incremental=options.incremental, workers=options.workers,
-                batch_trials=options.batch_trials,
-                equivalence=options.equivalence, max_ulps=options.max_ulps,
-                pool=self._pool_for(options),
-                target_half_width=options.target_half_width,
-                wave_trials=options.wave_trials, strata=options.strata,
-                z=options.z, interval_method=options.interval_method,
-                on_wave=on_wave)
-        else:
-            result = self._run_fixed_waved(campaign, options, publish,
-                                           should_cancel, waves)
-
-        publish(result)
-        golden_stored = self._bank_golden(spec_key, campaign)
+        results = run_group(
+            campaigns, options, pool=self._pool_for(options),
+            on_wave=on_wave,
+            fixed_waves=(DEFAULT_WAVE_COUNT
+                         if single and options.batch_trials == 1 else 1))
+        result = results[0] if single else tuple(results)
+        golden_stored = single and self._bank_golden(spec_key, campaigns[0])
+        if self.store is not None:
+            self.store.put("result", result_key, result)
         return JobOutcome(result=result, golden_seeded=golden_seeded,
                           golden_stored=golden_stored,
                           waves_streamed=waves[0])
-
-    def _run_fixed_waved(self, campaign: FaultInjectionCampaign, options,
-                         publish, should_cancel, waves) -> CampaignResult:
-        """Fixed-budget job: pre-sample once, dispatch wave-by-wave.
-
-        Each wave is one ``run(plans=chunk, trial_offset=done)`` call —
-        the same validated dispatch a direct run uses — and the
-        order-insensitive :meth:`CampaignResult.merge` of the partials is
-        bit-identical (counts and fault records) to the single dispatch,
-        because every trial's RNG stream is keyed by its global index.
-        """
-        plans = campaign.generate_plans(options.trials)
-        run_kwargs = dict(keep_faults=options.keep_faults,
-                          incremental=options.incremental,
-                          workers=options.workers,
-                          batch_trials=options.batch_trials,
-                          equivalence=options.equivalence,
-                          max_ulps=options.max_ulps,
-                          pool=self._pool_for(options),
-                          interval_method=options.interval_method)
-        if options.batch_trials > 1:
-            # ULP-tolerant path: one dispatch keeps the packing global and
-            # the result bit-aligned with a direct batched run.
-            waves[0] += 1
-            return campaign.run(plans=plans, **run_kwargs)
-        wave = max(1, math.ceil(len(plans) / DEFAULT_WAVE_COUNT))
-        partials = []
-        done = 0
-        while done < len(plans):
-            if should_cancel():
-                raise JobCancelled("cancelled between waves")
-            chunk = plans[done:done + wave]
-            partials.append(campaign.run(plans=chunk, trial_offset=done,
-                                         **run_kwargs))
-            done += len(chunk)
-            waves[0] += 1
-            merged = CampaignResult.merge(partials)
-            merged.interval_method = options.interval_method
-            if done < len(plans):  # final snapshot published by the caller
-                publish(merged)
-        return merged
 
     # -- golden caches ------------------------------------------------------
 
@@ -270,10 +179,3 @@ class WaveScheduler:
                 "CampaignPool; start the server with workers > 1 or submit "
                 "with use_pool=False")
         return self.pool
-
-    @staticmethod
-    def _engine_waved(options) -> bool:
-        """Whether the campaign engine itself runs this job in waves."""
-        return (options.target_half_width is not None
-                or options.strata is not None
-                or options.wave_trials is not None)

@@ -248,7 +248,7 @@ class CampaignServer:
 
         ``kwargs`` splits between the campaign spec (``fault_model``,
         ``criteria``, ``dtype_policy``, ``seed``, ``protected_model``) and
-        :class:`~repro.service.serialization.RunOptions` fields.
+        :class:`~repro.injection.RunOptions` fields.
         """
         return self.submit(request_from_campaign(model, inputs, **kwargs),
                            priority=priority)

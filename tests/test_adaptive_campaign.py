@@ -13,6 +13,8 @@ The two guarantees under test, per the campaign module's contract:
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,7 @@ from repro.injection import (
 )
 from repro.injection.sampling import stratum_rng
 from repro.quantization import FIXED32, fixed32_policy
+from repro.service import request_from_campaign
 
 BUDGET = 120
 WAVE = 20
@@ -590,7 +593,54 @@ class TestWaveSnapshots:
         assert waves[-1][1].sdc_counts == guarded.sdc_counts
 
 
+#: Invalid inputs, each with the message every entry point must refuse
+#: it with.  The ``on_wave`` case clears the waves the waved-compare column
+#: adds, and skips ``request_from_campaign`` (``on_wave`` is not a
+#: ``RunOptions`` field).
+INVALID_OPTIONS = {
+    "exact-batched": (dict(batch_trials=4, equivalence="exact"),
+                      "batch_trials > 1 cannot satisfy EXACT equivalence"),
+    "zero-batch": (dict(batch_trials=0),
+                   "batch_trials must be positive, got 0"),
+    "zero-workers": (dict(workers=0), "workers must be positive, got 0"),
+    "full-batched": (dict(incremental=False, batch_trials=4),
+                     "batch_trials > 1 requires the incremental engine"),
+    "interval-method": (dict(interval_method="clopper"),
+                        "unknown interval method 'clopper'"),
+    "target": (dict(target_half_width=1.5),
+               "target_half_width must be in (0, 1), got 1.5"),
+    "zero-wave": (dict(wave_trials=0), "wave_trials must be positive, got 0"),
+    "on-wave": (dict(on_wave=lambda snapshot: None, wave_trials=None),
+                "on_wave snapshots require a waved run"),
+}
+ENTRY_POINTS = ("run", "compare", "waved-compare", "request")
+
+
 class TestValidation:
+    @pytest.mark.parametrize("case,entry", [
+        pytest.param(case, entry, id=f"{case}-{entry}")
+        for case in INVALID_OPTIONS for entry in ENTRY_POINTS
+        if not (case == "on-wave" and entry == "request")])
+    def test_entry_points_refuse_alike(self, case, entry, make_campaign,
+                                       lenet_prepared, lenet_protected,
+                                       campaign_inputs):
+        """``run()``, fixed and waved ``compare_protection()`` and
+        ``request_from_campaign()`` share one validation."""
+        kwargs, message = INVALID_OPTIONS[case]
+        protected, _ = lenet_protected
+        with pytest.raises(ValueError, match=re.escape(message)):
+            if entry == "run":
+                make_campaign().run(trials=20, **kwargs)
+            elif entry == "request":
+                request_from_campaign(lenet_prepared.model, campaign_inputs,
+                                      trials=20, **kwargs)
+            else:
+                waved = entry == "waved-compare"
+                compare_protection(lenet_prepared.model, protected,
+                                   campaign_inputs, trials=20,
+                                   **{"wave_trials": 10 if waved else None,
+                                      **kwargs})
+
     def test_bad_target(self, make_campaign):
         with pytest.raises(ValueError, match="target_half_width"):
             make_campaign().run(trials=10, target_half_width=1.5)
@@ -601,13 +651,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="per-stratum plans"):
             campaign.run(plans=plans, strata=Stratification(2, 2))
 
-    def test_adaptive_rejects_trial_offset_and_packing(self, make_campaign):
+    def test_adaptive_rejects_trial_offset(self, make_campaign):
         with pytest.raises(ValueError, match="trial_offset"):
             make_campaign().run(trials=10, target_half_width=0.2,
                                 trial_offset=5)
-        with pytest.raises(ValueError, match="packing"):
-            make_campaign().run(trials=10, target_half_width=0.2,
-                                packing=([], []))
 
     def test_bad_interval_method(self, make_campaign):
         with pytest.raises(ValueError, match="interval method"):

@@ -155,20 +155,6 @@ class TestComposition:
             assert result.sdc_counts == reference.sdc_counts
             assert result.trials == reference.trials
 
-    def test_grouping_preserves_trial_positions(self, lenet_prepared):
-        inputs, _ = lenet_prepared.correctly_predicted_inputs(3, seed=0)
-        campaign = FaultInjectionCampaign(lenet_prepared.model, inputs, seed=0)
-        plans = campaign.generate_plans(30)
-        batches, fallback = campaign.group_batches(plans, batch_trials=4)
-        positions = sorted(position for _, chunk in batches
-                           for position in chunk) + sorted(fallback)
-        assert sorted(positions) == list(range(30))
-        for input_index, chunk in batches:
-            assert len(chunk) <= 4
-            node_sets = {frozenset(plans[p][1].node_names()) for p in chunk}
-            assert len(node_sets) == 1  # one fault-node set per batch
-            assert all(plans[p][0] == input_index for p in chunk)
-
 
 class TestGuarantScaffolding:
     def test_exact_with_batching_is_refused(self, lenet_prepared):

@@ -15,6 +15,7 @@ The acceptance guarantees under test:
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import threading
 import time
@@ -30,8 +31,10 @@ from repro.service import (
     CampaignServer,
     JobQueue,
     RunOptions,
+    WaveScheduler,
     request_from_campaign,
 )
+from repro.service.scheduler import DEFAULT_WAVE_COUNT
 
 TRIALS = 24
 
@@ -181,9 +184,10 @@ class TestRequestFingerprints:
             dtype_policy=fixed32_policy(), seed=0).run(trials=2)
         assert request.result_key() == before
 
-    def test_options_round_trip_adaptive_flag(self):
-        assert not RunOptions().adaptive
-        assert RunOptions(target_half_width=0.1).adaptive
+    def test_options_waved_flag(self):
+        assert not RunOptions().waved
+        assert RunOptions(target_half_width=0.1).waved
+        assert RunOptions(wave_trials=5).waved
 
 
 class TestServiceBitIdentity:
@@ -353,6 +357,119 @@ class TestWaveScheduler:
             WaveScheduler().execute(request, publish=snapshots.append,
                                     should_cancel=lambda: len(snapshots) >= 1)
         assert len(snapshots) == 1
+
+
+class TestOneDriver:
+    """Served jobs run through the campaign engine's one driver."""
+
+    def test_compare_job_keeps_faults_per_arm(self, lenet_prepared,
+                                              lenet_protected,
+                                              service_inputs):
+        protected, _ = lenet_protected
+        request = request_from_campaign(
+            lenet_prepared.model, service_inputs, protected_model=protected,
+            **submit_kwargs())
+        served = WaveScheduler().execute(request).result
+        for arm, result in zip((lenet_prepared.model, protected), served):
+            direct = FaultInjectionCampaign(
+                arm, service_inputs, fault_model=SingleBitFlip(FIXED32),
+                dtype_policy=fixed32_policy(), seed=0).run(
+                    trials=TRIALS, keep_faults=True)
+            assert len(result.faults) == TRIALS
+            assert result.faults == direct.faults
+            assert result.sdc_counts == direct.sdc_counts
+
+    def test_fixed_workers_job_opens_one_executor(self, monkeypatch,
+                                                  lenet_prepared,
+                                                  service_inputs,
+                                                  direct_reference):
+        from repro.injection import pool as pool_module
+        opened = []
+
+        def counting_executor(*args, **kwargs):
+            opened.append(args)
+            return campaign_executor(*args, **kwargs)
+
+        campaign_executor = pool_module.campaign_executor
+        monkeypatch.setattr(pool_module, "campaign_executor",
+                            counting_executor)
+        request = request_from_campaign(lenet_prepared.model, service_inputs,
+                                        **submit_kwargs(workers=2))
+        snapshots = []
+        outcome = WaveScheduler().execute(request, publish=snapshots.append)
+        assert len(opened) == 1
+        assert len(snapshots) == DEFAULT_WAVE_COUNT
+        assert outcome.waves_streamed == DEFAULT_WAVE_COUNT
+        assert outcome.result.faults == direct_reference.faults
+
+    def test_fixed_serial_job_equals_direct_run_field_for_field(
+            self, lenet_prepared, service_inputs, direct_reference):
+        request = request_from_campaign(lenet_prepared.model, service_inputs,
+                                        **submit_kwargs())
+        served = WaveScheduler().execute(request).result
+        assert dataclasses.asdict(served) == \
+            dataclasses.asdict(direct_reference)
+
+    def test_fixed_compare_job_is_one_wave(self, lenet_prepared,
+                                           lenet_protected, service_inputs):
+        protected, _ = lenet_protected
+        request = request_from_campaign(
+            lenet_prepared.model, service_inputs, protected_model=protected,
+            **submit_kwargs())
+        snapshots = []
+        outcome = WaveScheduler().execute(request, publish=snapshots.append)
+        assert outcome.waves_streamed == 1
+        assert snapshots == [outcome.result]
+
+    def test_stale_compare_result_is_not_served(self, lenet_prepared,
+                                                lenet_protected,
+                                                service_inputs):
+        # Under the "v2" key layout compare jobs dropped keep_faults; a
+        # disk store may still hold such a result, and it must miss.
+        import hashlib
+        from repro.injection.pool import spec_fingerprint
+        protected, _ = lenet_protected
+        request = request_from_campaign(
+            lenet_prepared.model, service_inputs, protected_model=protected,
+            **submit_kwargs())
+        canonical = request.options.canonical()
+        assert canonical[0] == "v3"
+        old = hashlib.sha1()
+        for spec in request.arm_specs():
+            old.update(spec_fingerprint(spec).encode("ascii"))
+        old.update(repr(("v2",) + canonical[1:]).encode("utf-8"))
+        fresh = WaveScheduler().execute(request).result
+        stale = tuple(dataclasses.replace(arm, faults=[]) for arm in fresh)
+        store = ArtifactStore()
+        store.put("result", old.hexdigest(), stale)
+        outcome = WaveScheduler(store=store).execute(request)
+        assert outcome.from_cache is False
+        assert [arm.faults for arm in outcome.result] == \
+            [arm.faults for arm in fresh]
+        assert all(len(arm.faults) == TRIALS for arm in outcome.result)
+
+    def test_final_snapshot_carries_wave_metadata(self, lenet_prepared,
+                                                  service_inputs):
+        request = request_from_campaign(lenet_prepared.model, service_inputs,
+                                        **submit_kwargs(wave_trials=6))
+        snapshots = []
+        outcome = WaveScheduler().execute(request, publish=snapshots.append)
+        assert snapshots[-1] is outcome.result
+        assert [snapshot.waves for snapshot in snapshots] == [1, 2, 3, 4]
+        assert all(snapshot.trials_budget == TRIALS
+                   for snapshot in snapshots)
+
+    def test_cancel_during_last_wave_keeps_result(self, lenet_prepared,
+                                                  service_inputs,
+                                                  direct_reference):
+        request = request_from_campaign(lenet_prepared.model, service_inputs,
+                                        **submit_kwargs())
+        snapshots = []
+        outcome = WaveScheduler().execute(
+            request, publish=snapshots.append,
+            should_cancel=lambda: len(snapshots) >= DEFAULT_WAVE_COUNT)
+        assert len(snapshots) == DEFAULT_WAVE_COUNT
+        assert outcome.result.faults == direct_reference.faults
 
 
 class TestServerLifecycle:
