@@ -1,21 +1,24 @@
 """Execution-equivalence modes and ULP-distance helpers.
 
-The incremental replay engine (``Executor.run_from``) is **bit-exact**: a
-partially re-executed trial produces the same output bits as a full faulty
-run.  The batched replay engine (``Executor.run_from_batched``) cannot make
-that promise — BLAS kernels pick different blocking for different batch
-shapes, so the same row computed at batch size ``B`` can differ from its
-batch-1 result in the last few ULPs.  Batched results therefore carry an
-explicit :class:`EquivalenceMode` describing the guarantee they satisfy:
+There is one replay core, ``Executor.run_from_batched``; ``run_from`` is
+its one-row call under ``EXACT``.  The core carries an explicit
+:class:`EquivalenceMode` that decides when a replayed row counts as clean
+(equal to its golden value, so it stops propagating):
 
 ``EXACT``
-    Bit-for-bit identical to a batch-1 full re-execution.  The default
-    incremental campaign path and every ``batch_trials=1`` run satisfy this.
+    A row is clean only when it is bit-identical to the golden value, on
+    every row.  A one-row replay is then bit-for-bit identical to a
+    batch-1 full re-execution: the default incremental campaign path and
+    every ``batch_trials=1`` run satisfy this.  With more than one row
+    the replay is still deterministic relative to the cache, but BLAS
+    kernels pick different blocking for different batch shapes, so a row
+    computed at batch size ``B`` can differ from its batch-1 result in
+    the last few ULPs; campaigns therefore refuse ``EXACT`` batches.
 
 ``ULP_TOLERANT``
-    Each output row is the correctly-rounded-modulo-reassociation result of
-    the same computation: it may differ from the batch-1 bits by at most a
-    few ULPs of float64.  SDC verdicts (argmax / threshold comparisons) are
+    A row is clean within ``max_ulps`` of its golden value.  Each output
+    row is the correctly-rounded-modulo-reassociation result of the same
+    computation.  SDC verdicts (argmax / threshold comparisons) are
     unaffected in practice — the equivalence suite asserts verdict-set
     agreement rather than bit identity — and tolerant results report the
     maximum deviation actually observed so the claim is auditable.

@@ -36,26 +36,15 @@ OutputHook = Callable[[Node, Array], Array]
 #: after all output hooks.
 Observer = Callable[[Node, Array], None]
 
-#: Smallest per-row element count for which batched replay runs the full
-#: three-tier row-divergence screen.  Masked faults die at the big early
-#: activations, where the tiered screen earns its dispatch cost; below the
-#: floor a single exact-equality comparison terminates masked rows instead
-#: (a conservative subset: a row within ULP tolerance but not bit-equal
-#: just stays dirty, carrying its exact value).  Correctness is unaffected
-#: either way — snapping a row back to golden only ever replaces a value
-#: proved (bit- or ULP-) equal to golden.
+#: Smallest per-row element count for which ULP_TOLERANT replay runs the
+#: full three-tier row-divergence screen.  Masked faults die at the big
+#: early activations, where the tiered screen earns its dispatch cost; below
+#: the floor a single exact-equality comparison terminates masked rows
+#: instead (a conservative subset: a row within ULP tolerance but not
+#: bit-equal just stays dirty, carrying its exact value).  Correctness is
+#: unaffected either way — snapping a row back to golden only ever replaces
+#: a value proved (bit- or ULP-) equal to golden.
 DIVERGENCE_CHECK_MIN_ELEMENTS = 8192
-
-#: Adaptive back-off for the full divergence screen: once this many
-#: consecutive checked nodes mask nothing (the steady state of
-#: skip-connection graphs, whose residual adds keep every surviving row
-#: alive to the output), the screen runs only every
-#: ``DIVERGENCE_BACKOFF_STRIDE``-th big node until a mask is seen again.
-#: A late-masking row then terminates within a stride's worth of extra
-#: node evaluations — and on mask-heavy configurations the counter keeps
-#: resetting, so the screen effectively never backs off.
-DIVERGENCE_BACKOFF_NODES = 3
-DIVERGENCE_BACKOFF_STRIDE = 6
 
 
 class DTypePolicy:
@@ -80,30 +69,71 @@ class DTypePolicy:
         return value
 
 
+#: Unsigned-integer dtype of each itemsize, for bit-identity views.
+_UINT_OF_SIZE = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+#: Largest array (bytes) :func:`bit_identical` compares as two ``tobytes``
+#: copies; past it, comparing unsigned-integer views is faster (measured
+#: crossover about 128 KiB of float64).
+_MEMCMP_MAX_BYTES = 1 << 17
+
+
 def bit_identical(a: Array, b: Array) -> bool:
     """True when two arrays hold exactly the same bits.
 
-    Raw-byte comparison, deliberately stricter than ``==``: NaNs with equal
-    payloads compare equal (deterministic operators on identical bits give
+    Compares raw bytes (small arrays) or unsigned-integer views (large
+    ones), deliberately stricter than ``==``: NaNs with equal payloads
+    compare equal (deterministic operators on identical bits give
     identical bits downstream), while ``-0.0`` and ``0.0`` compare unequal
-    (they are different bit patterns).  Both directions are safe for change
-    propagation, and a single memcmp is cheaper than an elementwise pass.
+    (they are different bit patterns).  Both directions are safe for
+    change propagation.
     """
     if a is b:
         return True
     a = np.asarray(a)
     b = np.asarray(b)
-    return (a.shape == b.shape and a.dtype == b.dtype
-            and a.tobytes() == b.tobytes())
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    if a.nbytes <= _MEMCMP_MAX_BYTES:
+        return a.tobytes() == b.tobytes()
+    bits = _UINT_OF_SIZE[a.dtype.itemsize]
+    return bool((a.view(bits) == b.view(bits)).all())
+
+
+def _bits_of(mask: np.ndarray) -> int:
+    """A boolean row mask as a bitset: bit ``i`` is row ``i``."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(),
+                          "little")
+
+
+def _mask_of(bits: int, count: int) -> np.ndarray:
+    """The boolean ``(count,)`` row mask of a bitset."""
+    raw = np.frombuffer(bits.to_bytes((count + 7) // 8, "little"),
+                        dtype=np.uint8)
+    return np.unpackbits(raw, count=count, bitorder="little").view(bool)
+
+
+def _pick(rows: int, picked: int, batch: int) -> int:
+    """The rows of the bitset ``rows`` whose rank among its set bits is
+    set in ``picked`` (``picked`` indexes a packed array of those rows)."""
+    if picked == (1 << rows.bit_count()) - 1:
+        return rows
+    if not picked:
+        return 0
+    mask = np.zeros(batch, dtype=bool)
+    ranks = _mask_of(picked, rows.bit_count())
+    mask[np.flatnonzero(_mask_of(rows, batch))[ranks]] = True
+    return _bits_of(mask)
 
 
 @dataclass
 class ExecutionResult:
     """Outputs of one forward pass plus the cached per-node values.
 
-    ``recomputed`` is populated by partial re-execution
-    (:meth:`Executor.run_from`) with the names of the nodes that were
-    actually re-evaluated; everything else came from the supplied cache.
+    A partial re-execution (:meth:`Executor.run_from`) returns only the
+    requested outputs in ``values`` and fills ``recomputed`` with the names
+    of the nodes that were actually re-evaluated; everything else came
+    from the supplied cache.
     """
 
     outputs: Dict[str, Array]
@@ -256,161 +286,48 @@ class Executor:
                  feed: Optional[Mapping[str, Array]] = None,
                  dirty_values: Optional[Mapping[str, Array]] = None,
                  ) -> ExecutionResult:
-        """Partial re-execution from a per-node activation cache.
+        """Bit-exact partial re-execution of one trial from a golden cache.
 
-        Resumes a forward pass from ``cached_values`` (the ``values`` of a
-        previous :meth:`run` over the same graph), re-evaluating only the
-        downstream cone of the dirty set that the requested outputs depend
-        on.  Everything upstream keeps its cached value bit-for-bit, which
-        is what makes fault-injection campaigns cheap: a fault at node *k*
-        can only perturb descendants of *k*.
-
-        The dirty set is seeded two ways:
-
-        * ``dirty`` — node names whose operators must be *re-evaluated*
-          (e.g. a variable whose weights changed);
-        * ``dirty_values`` — node name → replacement output.  The value is
-          installed as-is, **without** re-running the operator or applying
-          the dtype policy / hooks (it is taken to be a final, already
-          policy-processed value).  This is how the fault injector swaps a
-          corrupted copy of a cached activation in for free instead of
-          paying for the fault node's forward pass again.
-
-        Re-execution propagates *change* rather than mere reachability: a
+        The one-row ``EXACT`` call of :meth:`run_from_batched`.  It resumes
+        a forward pass from ``cached_values`` (the ``values`` of a prior
+        batch-1 :meth:`run` over the same graph) and re-evaluates only the
+        seeds' downstream cone that the requested outputs depend on: a
+        fault at node *k* can only perturb descendants of *k*.  A
         re-evaluated node whose output is bit-identical to its cached value
-        (a fault squashed by a ReLU, a max-pool, or a Ranger clip) stops
-        dirtying its consumers, and the pass terminates early once no dirty
-        value remains — so the result is bit-identical to a full run while
-        often touching only a handful of nodes.
+        (a fault squashed by a ReLU, a max-pool or a Ranger clip) dirties
+        nothing downstream, so the result is bit-identical to a full run
+        while often touching only a handful of nodes.
 
-        The dtype policy, output hooks and observers are applied to every
-        re-evaluated node exactly as in :meth:`run`; cached nodes already
-        carry their policy-processed values and are not revisited.  Note
-        that non-deterministic operators (e.g. the ``"random"``
-        out-of-bound policy) draw fresh randomness when re-evaluated, just
-        as they would in any fresh full run.
+        Seeds come two ways: ``dirty`` names nodes whose operators are
+        re-evaluated (``feed`` supplies a dirty placeholder's value), and
+        ``dirty_values`` maps nodes to replacement outputs that are
+        installed as-is, without the operator, the dtype policy or the
+        hooks — this is how the fault injector swaps in a corrupted copy of
+        a cached activation.  A replacement bit-identical to its cached
+        value changes nothing.  Batch-invariant nodes (variables,
+        constants) cannot be seeds.
 
-        Parameters
-        ----------
-        cached_values:
-            Node-name → activation mapping from a prior fault-free run.
-        dirty:
-            Node name(s) whose operators must be re-evaluated.
-        outputs:
-            Node names to report; defaults to the graph's marked outputs.
-        feed:
-            Only needed when a placeholder itself is marked dirty.
-        dirty_values:
-            Node name → replacement output installed without re-evaluation.
+        Returns an :class:`ExecutionResult` whose ``outputs`` (and
+        ``values``) hold the requested outputs and whose ``recomputed``
+        names the re-evaluated nodes.
         """
-        feed = dict(feed or {})
-        requested = list(outputs) if outputs is not None else list(self.graph.outputs)
-        if not requested:
-            raise GraphError("graph has no outputs and none were requested")
-        overrides = dict(dirty_values or {})
-        reeval_seeds = ({dirty} if isinstance(dirty, str) else set(dirty))
-        reeval_seeds -= set(overrides)
-        seeds = reeval_seeds | set(overrides)
-        for name in seeds:
-            if name not in self.graph:
-                raise GraphError(f"unknown dirty node '{name}'")
+        result = self.run_from_batched(
+            cached_values, dirty=dirty, stacked_dirty_values=dirty_values,
+            outputs=outputs, feed=feed, equivalence=EquivalenceMode.EXACT)
+        return ExecutionResult(outputs=result.outputs, values=result.outputs,
+                               recomputed=result.recomputed)
 
-        values: Dict[str, Array] = dict(cached_values)
-        recomputed: Set[str] = set()
-        live_dirty: Set[str] = set()
-
-        dirty_overrides: List[str] = []
-        for name, value in overrides.items():
-            values[name] = value
-            cached = cached_values.get(name)
-            if cached is None or not bit_identical(value, cached):
-                live_dirty.add(name)
-                dirty_overrides.append(name)
-
-        if not seeds or (not live_dirty and not reeval_seeds):
-            # Nothing can change: every requested output is cached.
-            missing = [name for name in requested if name not in values]
-            if missing:
-                raise GraphError(
-                    f"run_from(): requested outputs not in the cache: "
-                    f"{missing}")
-            return ExecutionResult(
-                outputs={name: values[name] for name in requested},
-                values=values, recomputed=recomputed)
-
-        cone = self.graph.downstream(seeds)
-        needed = self.graph.ancestors(requested)
-        recompute = (cone & needed) - set(overrides)
-        pending_seeds = len(reeval_seeds & recompute)
-        topo = self.graph.topo_index()
-
-        # A dirty value stops mattering once its last consumer inside the
-        # recompute set has been visited; tracking that horizon lets the
-        # loop break as soon as no remaining node can see a dirty input
-        # (e.g. a fault masked by the first ReLU after the fault site).
-        def influence_horizon(name: str) -> int:
-            return max((topo[c] for c in self.graph.successors(name)
-                        if c in recompute), default=-1)
-
-        last_dirty_use = max((influence_horizon(name)
-                              for name in dirty_overrides), default=-1)
-
-        for name in sorted(recompute, key=topo.__getitem__):
-            position = topo[name]
-            if not pending_seeds and position > last_dirty_use:
-                break  # no remaining node can have a dirty input
-            node = self.graph.node(name)
-            is_seed = name in reeval_seeds
-            if not is_seed and not any(i in live_dirty for i in node.inputs):
-                continue  # every input is clean: the cached value stands
-            if isinstance(node.op, Placeholder):
-                if name not in feed:
-                    raise GraphError(
-                        f"placeholder '{name}' is dirty but no value was fed")
-                out = np.asarray(feed[name], dtype=np.float64)
-            else:
-                try:
-                    args = [values[i] for i in node.inputs]
-                except KeyError as exc:
-                    raise GraphError(
-                        f"run_from(): no cached value for input {exc} of "
-                        f"node '{name}'") from None
-                out = node.op.forward(*args)
-            out = self._evaluate(node, out)
-            values[name] = out
-            recomputed.add(name)
-            if is_seed:
-                pending_seeds -= 1
-            cached = cached_values.get(name)
-            if cached is not None and bit_identical(out, cached):
-                live_dirty.discard(name)  # the change was masked
-            else:
-                live_dirty.add(name)
-                last_dirty_use = max(last_dirty_use, influence_horizon(name))
-
-        missing = [name for name in requested if name not in values]
-        if missing:
-            raise GraphError(
-                f"run_from(): requested outputs missing from both the cache "
-                f"and the recomputed cone: {missing}")
-        return ExecutionResult(
-            outputs={name: values[name] for name in requested},
-            values=values,
-            recomputed=recomputed,
-        )
-
-    # -- batched partial re-execution ------------------------------------------
+    # -- the replay core -------------------------------------------------------
 
     @staticmethod
-    def _row_divergence(rows: Array, cached: Optional[Array],
+    def _row_divergence(rows: Array, cached: Array,
                         threshold: float) -> Tuple[np.ndarray, float]:
-        """Classify stacked rows against a batch-1 cached value.
+        """Classify stacked float64 rows against a batch-1 cached value.
 
         Returns ``(dirty, max_clean_deviation)``: a boolean mask of the rows
-        whose maximum ULP distance from the cached row exceeds ``threshold``
-        (all rows when no cached value exists or shapes/dtypes are not
-        comparable), and the largest distance among the rows declared clean
-        (the tolerance actually consumed).
+        whose maximum ULP distance from the cached row exceeds ``threshold``,
+        and the largest distance among the rows declared clean (the
+        tolerance actually consumed).
 
         Hot path, three tiers: a strided subsample convicts the typical
         *dirty* row (a surviving fault's deviation provably exceeds any
@@ -421,11 +338,7 @@ class Executor:
         max screen, with exact ULP arithmetic for the rare rows the screen
         cannot decide.
         """
-        rows = np.asarray(rows)
         count = rows.shape[0]
-        if (cached is None or np.asarray(cached).dtype != rows.dtype
-                or np.asarray(cached).shape[1:] != rows.shape[1:]):
-            return np.ones(count, dtype=bool), 0.0
         if rows.dtype != np.float64:  # pragma: no cover - defensive
             dirty = np.array([not np.array_equal(rows[i], cached[0])
                               for i in range(count)], dtype=bool)
@@ -433,11 +346,11 @@ class Executor:
         max_cached = float(np.abs(cached).max()) if cached.size else 0.0
         eps = np.finfo(np.float64).eps
         flat = rows.reshape(count, -1)
-        flat_cached = np.asarray(cached).reshape(-1)
+        flat_cached = cached.reshape(-1)
         elements = flat.shape[1]
         dirty = np.ones(count, dtype=bool)
         undecided = np.arange(count)
-        if count > 1 and elements >= DIVERGENCE_CHECK_MIN_ELEMENTS:
+        if count > 1:
             # Sampled pre-screen: a surviving fault perturbs a visible
             # fraction of a conv/norm output, so a strided subsample almost
             # always proves a dirty row dirty without reading the other
@@ -489,22 +402,48 @@ class Executor:
                 deviation = max(deviation, dist)
         return dirty, deviation
 
-    def _broadcast_cached(self, cached_values: Mapping[str, Array],
-                          name: str, count: int) -> Array:
-        """A cached input as the batched evaluation of ``name`` sees it.
+    @staticmethod
+    def _dirty_rows(out: Array, cached: Optional[Array], exact: bool,
+                    threshold: float) -> Tuple[int, float]:
+        """Which of the evaluated rows ``out`` still differ from the cache.
+
+        Returns ``(dirty, deviation)``: a bitset over the rows of ``out``
+        (bit ``j`` set when row ``j`` is dirty) and the tolerance the clean
+        rows consumed.  Under ``EXACT`` a row is clean only when
+        bit-identical to the cache (``-0.0`` is not ``0.0``; NaNs with
+        equal payloads match).  Under ``ULP_TOLERANT`` a row is clean
+        within ``threshold`` ULPs; below
+        :data:`DIVERGENCE_CHECK_MIN_ELEMENTS` elements per row plain
+        equality decides (a row within tolerance but not equal stays
+        dirty, carrying its exact value).  Without a comparable cached
+        value every row is dirty.
+        """
+        count = out.shape[0]
+        if exact and count == 1:
+            return int(cached is None or not bit_identical(out, cached)), 0.0
+        if (cached is None or cached.dtype != out.dtype
+                or cached.shape[1:] != out.shape[1:]):
+            return (1 << count) - 1, 0.0
+        if exact:
+            bits = _UINT_OF_SIZE[out.dtype.itemsize]
+            same = out.view(bits) == cached.view(bits)
+            return _bits_of(~same.reshape(count, -1).all(axis=1)), 0.0
+        if out.size < DIVERGENCE_CHECK_MIN_ELEMENTS * count:
+            same = (out == cached).reshape(count, -1).all(axis=1)
+            return _bits_of(~same), 0.0
+        dirty, deviation = Executor._row_divergence(out, cached, threshold)
+        return _bits_of(dirty), deviation
+
+    def _broadcast_cached(self, value: Array, name: str, count: int) -> Array:
+        """A cached value as the ``count`` rows of a replay see it.
 
         Batch-invariant nodes (variables, constants — ``batch_axis is
         None``) are shared by every row and passed through untouched;
         batch-carrying cached values (shape ``(1, ...)``) are broadcast to
-        ``count`` rows as a zero-copy view.
+        ``count`` rows as a zero-copy view; one row is the cached value
+        itself.
         """
-        try:
-            value = cached_values[name]
-        except KeyError:
-            raise GraphError(
-                f"run_from_batched(): no cached value for node "
-                f"'{name}'") from None
-        if self.graph.node(name).op.batch_axis is None:
+        if count == 1 or self.graph.node(name).op.batch_axis is None:
             return value
         value = np.asarray(value)
         return np.broadcast_to(value, (count,) + value.shape[1:])
@@ -518,20 +457,23 @@ class Executor:
                          max_ulps: float = DEFAULT_MAX_ULPS,
                          dirty_row_masks: Optional[Mapping[str, np.ndarray]] = None,
                          ) -> BatchedExecutionResult:
-        """Replay B independent trials in one batched partial re-execution.
+        """Replay B independent trials in one partial re-execution.
 
-        The batched sibling of :meth:`run_from`: resumes from a **batch-1**
-        golden activation cache, but carries a ``(B, ...)``-stacked dirty
-        frontier through the fault cone so B trials that share an input pay
-        for one executor pass (and one BLAS call per re-evaluated node)
-        instead of B.  Cached upstream values are broadcast against the
-        stacked frontier (batch-invariant weights pass through untouched —
-        see :attr:`~repro.ops.base.Operator.batch_axis`), and every operator
-        in the cone is audited against the batch-transparency contract
-        (:attr:`~repro.ops.base.Operator.batch_transparent`); a
+        The replay core; :meth:`run_from` is its one-row ``EXACT`` call.
+        It resumes from a **batch-1** golden activation cache and carries
+        a ``(B, ...)``-stacked dirty frontier through the fault cone, so B
+        trials that share an input pay for one pass (and one BLAS call per
+        re-evaluated node) instead of B.  Cached upstream values are
+        broadcast against the stacked frontier (batch-invariant weights
+        pass through untouched — see
+        :attr:`~repro.ops.base.Operator.batch_axis`).  For B > 1 every
+        operator in the cone is audited against the batch-transparency
+        contract (:attr:`~repro.ops.base.Operator.batch_transparent`): a
         batch-coupled operator (training-mode BatchNorm or Dropout, an
         axis-0 concat) raises :class:`GraphError` instead of silently
-        entangling trials.
+        entangling trials.  The structure of the walk — cone, order, last
+        readers, horizons — comes from :meth:`Graph.cone_schedule`,
+        memoized per seed set.
 
         **Cross-site batches.**  Rows need not share a fault site: with
         ``dirty_row_masks``, each stacked dirty value carries a boolean
@@ -541,28 +483,26 @@ class Executor:
         site's cone (a row is only ever evaluated at nodes its own dirt
         reached; rows outside a node's cone are implicitly golden there).
         Entry nodes may lie inside each other's cones (nested cones): rows
-        entering at a node take their injected value as-is — the
-        stacked-dirty-value contract, unchanged — while rows that another
-        entry dirtied upstream are re-evaluated *through* the node exactly
-        like any other cone member.
+        entering at a node take their injected value as-is, while rows
+        that another entry dirtied upstream are re-evaluated *through* the
+        node like any other cone member.
 
-        Change propagation is tracked **per row**: a re-evaluated node keeps
-        a boolean mask of the rows that still differ from the golden cache,
-        rows whose fault was masked are snapped back to their golden values
-        and drop out of downstream evaluations (a node re-evaluates only the
-        rows whose mask is set), and the pass terminates early once no dirty
-        row remains — so a batch whose faults all get squashed costs little
-        more than a single masked batch-1 replay.
+        Change propagation is tracked **per row** (as Python-int
+        bitsets): a re-evaluated node keeps the rows that still differ
+        from the golden cache, clean rows snap back to golden and drop out
+        of downstream evaluations, and the pass terminates early once no
+        dirty row remains.
 
-        Equivalence guarantee: BLAS kernels are not bit-stable across batch
-        shapes, so batched rows may differ from their batch-1 replays in the
-        last few ULPs.  Under the default ``ULP_TOLERANT`` mode a row counts
-        as clean when it is within ``max_ulps`` of the cache, and the result
-        reports the maximum deviation consumed by such rows
-        (``max_ulp_deviation``).  ``EXACT`` mode uses bit-identity for the
-        row masks (threshold 0); it makes the replay itself deterministic
-        relative to the cache but cannot turn batched BLAS calls bit-stable,
-        which is why campaigns refuse ``EXACT`` for ``batch_trials > 1``.
+        Equivalence: under ``EXACT`` a row is clean only when
+        bit-identical to the cache, and an entry row bit-identical to its
+        cached value is installed but dirties nothing; a one-row replay is
+        then bit-identical to a full run.  BLAS kernels are not bit-stable
+        across batch shapes, though, so B > 1 rows may differ from their
+        batch-1 replays in the last few ULPs, which is why campaigns
+        refuse ``EXACT`` for ``batch_trials > 1``.  Under the default
+        ``ULP_TOLERANT`` a row counts as clean within ``max_ulps`` of the
+        cache, and the result reports the largest deviation consumed
+        (``max_ulp_deviation``).
 
         **Windowed conv.**  Under ``ULP_TOLERANT`` (and with no output
         hooks registered), a re-evaluated ``Conv2D`` whose golden input and
@@ -602,16 +542,18 @@ class Executor:
             absent from the mapping keep the homogeneous all-rows contract.
         """
         mode = EquivalenceMode.coerce(equivalence, EquivalenceMode.ULP_TOLERANT)
-        threshold = 0.0 if mode is EquivalenceMode.EXACT else float(max_ulps)
+        exact = mode is EquivalenceMode.EXACT
+        threshold = 0.0 if exact else float(max_ulps)
         # Output hooks would see (and re-apply themselves to) the spliced
         # golden positions, so a hooked replay keeps the full conv.
-        windowed = (mode is EquivalenceMode.ULP_TOLERANT
-                    and not self._output_hooks)
-        feed = dict(feed or {})
-        requested = list(outputs) if outputs is not None else list(self.graph.outputs)
+        windowed = not exact and not self._output_hooks
+        graph = self.graph
+        feed = feed or {}
+        requested = (tuple(outputs) if outputs is not None
+                     else tuple(graph.outputs))
         if not requested:
             raise GraphError("graph has no outputs and none were requested")
-        missing = [name for name in requested if name not in self.graph]
+        missing = [name for name in requested if name not in graph]
         if missing:
             raise GraphError(f"requested outputs not in graph: {missing}")
         overrides = {name: np.asarray(value)
@@ -628,11 +570,11 @@ class Executor:
                     f"row mask for '{name}' must be one-dimensional, got "
                     f"shape {mask.shape}")
             row_masks[name] = mask
-        reeval_seeds = ({dirty} if isinstance(dirty, str) else set(dirty))
-        reeval_seeds -= set(overrides)
-        seeds = reeval_seeds | set(overrides)
+        reeval_seeds = {dirty} if isinstance(dirty, str) else set(dirty)
+        reeval_seeds -= overrides.keys()
+        seeds = frozenset(reeval_seeds.union(overrides))
         for name in seeds:
-            if name not in self.graph:
+            if name not in graph:
                 raise GraphError(f"unknown dirty node '{name}'")
         batch_sizes = {value.shape[0] for name, value in overrides.items()
                        if name not in row_masks}
@@ -642,104 +584,80 @@ class Executor:
                 f"stacked dirty values disagree on the batch size: "
                 f"{sorted(batch_sizes)}")
         batch = batch_sizes.pop() if batch_sizes else 1
-        # Normalized entry frontier: per node, the (B,) membership mask of
-        # the rows entering the replay there plus their packed values (one
-        # row per set bit, ascending row order).  Homogeneous overrides get
-        # an all-rows mask, so the single-site fast path is the masked path
-        # with a full mask.
-        entry_masks: Dict[str, np.ndarray] = {}
-        entry_rows: Dict[str, Array] = {}
-        for name, rows in overrides.items():
-            mask = row_masks.get(name)
-            if mask is None:
-                mask = np.ones(batch, dtype=bool)
-            elif rows.shape[0] != int(np.count_nonzero(mask)):
-                raise GraphError(
-                    f"stacked value for '{name}' has {rows.shape[0]} rows "
-                    f"but its row mask selects "
-                    f"{int(np.count_nonzero(mask))}")
-            if not mask.any():
-                continue  # no row enters here; nothing to install
-            if self.graph.node(name).op.batch_axis is None:
-                # Batch-invariant nodes (variables, constants) are shared
-                # by every row — assemble_input serves them from the cache,
-                # so a stacked override here would be silently ignored.
-                # Refuse, matching the re-evaluation path's error.
-                raise GraphError(
-                    f"run_from_batched(): cannot install stacked dirty "
-                    f"values at batch-invariant node '{name}' "
-                    f"({type(self.graph.node(name).op).__name__}); use "
-                    f"run_from() for weight/constant updates")
-            entry_masks[name] = mask
-            entry_rows[name] = rows
-
-        cone = self.graph.downstream_union(seeds) if seeds else frozenset()
-        needed = self.graph.ancestors(requested)
-        recompute = cone & frozenset(needed)
+        every = (1 << batch) - 1
+        schedule = graph.cone_schedule(seeds, requested)
         if batch > 1:
-            coupled = [name for name in (set(recompute) | set(overrides))
-                       if not self.graph.node(name).op.batch_transparent]
+            coupled = sorted(name for name in schedule.members.union(overrides)
+                             if not graph.node(name).op.batch_transparent)
             if coupled:
-                ops = {name: type(self.graph.node(name).op).__name__
-                       for name in sorted(coupled)}
+                ops = {name: type(graph.node(name).op).__name__
+                       for name in coupled}
                 raise GraphError(
                     f"run_from_batched(): batch-coupled operators in the "
                     f"replay cone cannot stack independent trials: {ops} "
                     f"(training-mode BatchNorm/Dropout and axis-0 concats "
                     f"violate the batch-transparency contract)")
 
-        # Packed dirty-row representation: per node, a boolean row mask and
-        # the packed values of *only* the dirty rows (in row order).  Rows
-        # absent from the mask are implicitly golden — masked faults cost
-        # nothing downstream, nothing is ever filled with B-row copies of
-        # cached activations, and a consumer whose needed rows coincide
-        # with an input's dirty rows reuses the packed array with zero
-        # copies (the common case inside a batch that shares a fault site).
-        dirty_masks: Dict[str, np.ndarray] = {}
-        dirty_rows_of: Dict[str, Array] = {}
+        # Entry frontier: per node, the rows entering the replay there
+        # (installed, never re-evaluated) and the dirty part of them with
+        # its packed values (one row per set bit, ascending row order).
+        # Homogeneous overrides enter on every row.
+        entries: Dict[str, Tuple[int, int, Array]] = {}
+        for name, rows in overrides.items():
+            mask = row_masks.get(name)
+            bits = every if mask is None else _bits_of(mask)
+            if mask is not None and rows.shape[0] != bits.bit_count():
+                raise GraphError(
+                    f"stacked value for '{name}' has {rows.shape[0]} rows "
+                    f"but its row mask selects {bits.bit_count()}")
+            if not bits:
+                continue  # no row enters here; nothing to install
+            if graph.node(name).op.batch_axis is None:
+                # Batch-invariant nodes (variables, constants) are shared
+                # by every row and always served from the cache.
+                raise GraphError(
+                    f"run_from_batched(): cannot install stacked dirty "
+                    f"values at batch-invariant node '{name}' "
+                    f"({type(graph.node(name).op).__name__})")
+            cached = cached_values.get(name)
+            if cached is not None:
+                cached = np.asarray(cached)
+                if cached.shape[1:] != rows.shape[1:]:
+                    raise GraphError(
+                        f"run_from_batched(): stacked value for '{name}' "
+                        f"has row shape {rows.shape[1:]}, cache has "
+                        f"{cached.shape[1:]}")
+            live = bits
+            if exact:
+                changed, _ = self._dirty_rows(rows, cached, True, 0.0)
+                live = _pick(bits, changed, batch)
+                if live and live != bits:
+                    rows = rows[_mask_of(changed, rows.shape[0])]
+            entries[name] = (bits, live, rows)
+        # Entries are installed when the walk reaches them (another entry's
+        # dirt may flow *through* them first), so the walk must not end
+        # while dirty entries are pending.  Entries outside the requested
+        # outputs' ancestors cannot influence any output.
+        pending_entries = sum(1 for name, (_, live, _) in entries.items()
+                              if live and name in schedule.members)
+        pending_seeds = len(reeval_seeds & schedule.members)
+
+        # Packed dirty rows: per node, the bitset of rows that differ from
+        # golden and their values alone, in row order.  Rows absent from
+        # the bitset are implicitly golden, so masked faults cost nothing
+        # downstream.  A store is dropped once its last reader in the cone
+        # has run (requested outputs excepted): holding every store to the
+        # end grows the heap by the whole cone's activations per call.
+        dirty_bits: Dict[str, int] = {}
+        packed_of: Dict[str, Array] = {}
         recomputed: Set[str] = set()
         rows_evaluated = 0
         conv_evaluated = conv_total = 0
         max_deviation = 0.0
-        nodes_since_mask = 0
-        big_checks_skipped = 0
-
-        topo = self.graph.topo_index()
-        # Last reader of every node inside the cone: a dirty node can
-        # influence nothing past it, and its packed store is dropped once
-        # that reader has been evaluated (requested outputs excepted).
-        # Holding every store until the pass ends grows the heap by the
-        # whole cone's activations per batch, which the allocator hands
-        # back to the OS at the end and page-faults in again on the next.
-        order = sorted(recompute, key=topo.__getitem__)
-        last_reader: Dict[str, str] = {}
-        for name in order:
-            for inp in self.graph.node(name).inputs:
-                last_reader[inp] = name
-        kept = set(requested)
-
-        def influence_horizon(name: str) -> int:
-            reader = last_reader.get(name)
-            return -1 if reader is None else topo[reader]
-
+        horizon = schedule.horizon
         last_dirty_use = -1
-        for name, rows in overrides.items():
-            cached = cached_values.get(name)
-            if cached is not None and np.asarray(cached).shape[1:] != rows.shape[1:]:
-                raise GraphError(
-                    f"run_from_batched(): stacked value for '{name}' has row "
-                    f"shape {rows.shape[1:]}, cache has "
-                    f"{np.asarray(cached).shape[1:]}")
-        # Entry nodes are installed when the topological walk reaches them
-        # (another entry's dirt may flow *through* them first), so the walk
-        # must not terminate while entries are still pending.  Entries
-        # outside the requested outputs' ancestor set cannot influence any
-        # output and are dropped with their rows.
-        pending_entries = sum(1 for name in entry_masks if name in recompute)
-        pending_seeds = len(reeval_seeds & recompute)
 
-        def assemble_input(name: str, need: np.ndarray,
-                           count: int) -> Array:
+        def assemble_input(name: str, need: int, count: int) -> Array:
             """An input's rows for the ``count`` rows a consumer evaluates.
 
             Clean rows come from the (broadcast) golden cache; dirty rows
@@ -747,101 +665,86 @@ class Executor:
             input's dirty rows — the common case — the packed array is
             returned as-is, copy-free.
             """
-            mask = dirty_masks.get(name)
-            if (mask is None
-                    or self.graph.node(name).op.batch_axis is None):
-                return self._broadcast_cached(cached_values, name, count)
-            packed = dirty_rows_of[name]
-            if mask is need or np.array_equal(mask, need):
+            bits = dirty_bits.get(name)
+            if bits is None:
+                return self._broadcast_cached(cached_values[name], name,
+                                              count)
+            packed = packed_of[name]
+            if bits == need:
                 return packed
-            try:
-                cached = cached_values[name]
-            except KeyError:
-                raise GraphError(
-                    f"run_from_batched(): no cached value for partially "
-                    f"dirty input '{name}'") from None
-            cached = np.asarray(cached)
-            packed = np.asarray(packed)
-            # Fill an empty buffer row-class by row-class instead of
-            # materializing a full golden broadcast first and overwriting
-            # the dirty rows — every row is written exactly once.  ``need``
-            # may exclude rows the input is dirty for (an entry node's own
-            # rows are installed, not evaluated), so the dirty scatter
-            # takes the mask ∩ need subset of the packed store.
+            cached = np.asarray(cached_values[name])
+            # Fill an empty buffer row class by row class: every row is
+            # written exactly once.  ``need`` may exclude rows the input is
+            # dirty for (an entry node's own rows are installed, not
+            # evaluated), so the dirty scatter takes the bits ∩ need
+            # subset of the packed store.
+            need_mask = _mask_of(need, batch)
+            mask = _mask_of(bits, batch)
             assembled = np.empty((count,) + cached.shape[1:],
                                  dtype=np.result_type(cached, packed))
-            position_of = np.cumsum(need) - 1
-            take = mask & need
-            assembled[position_of[need & ~mask]] = cached
-            if take.any():
-                rows = (packed if np.array_equal(take, mask)
-                        else packed[take[mask]])
-                assembled[position_of[take]] = rows
+            position_of = np.cumsum(need_mask) - 1
+            take = mask & need_mask
+            assembled[position_of[need_mask & ~mask]] = cached
+            if bits & need:
+                assembled[position_of[take]] = (
+                    packed if bits & need == bits else packed[take[mask]])
             return assembled
 
-        for name in order:
+        for node, position, releases in schedule.steps:
             if (not pending_seeds and not pending_entries
-                    and topo[name] > last_dirty_use):
+                    and position > last_dirty_use):
                 break  # no remaining node can see a dirty row
-            node = self.graph.node(name)
+            name = node.name
             is_seed = name in reeval_seeds
-            entry = entry_masks.get(name)
             if is_seed:
-                need = np.ones(batch, dtype=bool)
+                need = every
             else:
-                input_masks = [dirty_masks[inp] for inp in node.inputs
-                               if inp in dirty_masks]
-                if len(input_masks) == 1:
-                    # Borrowed, treated read-only (the single-input chain is
-                    # the hot case; assemble_input's identity fast path
-                    # makes it copy-free end to end).
-                    need = input_masks[0]
-                elif input_masks:
-                    need = np.logical_or.reduce(input_masks)
-                else:
-                    need = None
+                need = 0
+                for inp in node.inputs:
+                    need |= dirty_bits.get(inp, 0)
+            entry = entries.get(name)
+            live = 0
             if entry is not None:
-                pending_entries -= 1
-                # Rows entering here take their injected value as-is (the
-                # stacked-dirty-value contract: it is a final, already
-                # policy-processed activation); only rows that *another*
-                # entry dirtied upstream re-evaluate through this node.
-                need = None if need is None else need & ~entry
-            if need is None or not need.any():
-                if entry is None:
-                    continue  # every input row is clean: the cache stands
-                dirty_masks[name] = entry
-                dirty_rows_of[name] = entry_rows[name]
-                last_dirty_use = max(last_dirty_use, influence_horizon(name))
-                continue
+                entering, live, live_rows = entry
+                if live:
+                    pending_entries -= 1
+                # Rows entering here take their injected value as-is; only
+                # rows that *another* entry dirtied upstream re-evaluate.
+                need &= ~entering
+            if not need:
+                if live:
+                    dirty_bits[name] = live
+                    packed_of[name] = live_rows
+                    last_dirty_use = max(last_dirty_use,
+                                         horizon.get(name, -1))
+                continue  # otherwise every input row is clean
             if node.op.batch_axis is None:
                 raise GraphError(
-                    f"run_from_batched(): cannot re-evaluate batch-invariant "
-                    f"node '{name}' ({type(node.op).__name__}) in a batched "
-                    f"replay; use run_from() for weight/constant updates")
+                    f"cannot re-evaluate batch-invariant node '{name}' "
+                    f"({type(node.op).__name__}) in a replay: every row "
+                    f"shares its cached value")
+            count = need.bit_count()
             cached = cached_values.get(name)
-            need_idx = np.flatnonzero(need)
-            count = len(need_idx)
             if isinstance(node.op, Placeholder):
                 if name not in feed:
                     raise GraphError(
                         f"placeholder '{name}' is dirty but no value was fed")
                 fed = np.asarray(feed[name], dtype=np.float64)
-                if fed.shape[0] == 1:
-                    fed = np.broadcast_to(fed, (batch,) + fed.shape[1:])
-                elif fed.shape[0] != batch:
+                if fed.shape[0] not in (1, batch):
                     raise GraphError(
                         f"fed value for dirty placeholder '{name}' has "
                         f"{fed.shape[0]} rows; expected 1 or {batch}")
-                out = np.array(fed[need_idx], dtype=np.float64)
+                fed = np.broadcast_to(fed, (batch,) + fed.shape[1:])
+                out = np.array(fed if need == every
+                               else fed[_mask_of(need, batch)])
             else:
                 try:
                     args = [assemble_input(inp, need, count)
                             for inp in node.inputs]
-                except KeyError as exc:  # pragma: no cover - defensive
+                except KeyError as exc:
                     raise GraphError(
-                        f"run_from_batched(): no cached value for input "
-                        f"{exc} of node '{name}'") from None
+                        f"no cached value for input {exc} of node "
+                        f"'{name}'") from None
                 if isinstance(node.op, Conv2D):
                     golden_x = cached_values.get(node.inputs[0])
                     golden = (ConvGolden(golden_x, cached)
@@ -856,104 +759,58 @@ class Executor:
                 else:
                     out = node.op.forward(*args)
                 del args
-                for inp in node.inputs:
-                    if last_reader.get(inp) == name and inp not in kept:
-                        dirty_masks.pop(inp, None)
-                        dirty_rows_of.pop(inp, None)
-            out = self._evaluate(node, out)
+                for inp in releases:
+                    dirty_bits.pop(inp, None)
+                    packed_of.pop(inp, None)
+            out = np.asarray(self._evaluate(node, out))
             rows_evaluated += count
             recomputed.add(name)
             if is_seed:
                 pending_seeds -= 1
-            out_arr = np.asarray(out)
-            out_elements = out_arr.size // count if count else 0
-            checked_big = False
-            if cached is None:
-                # Without a golden value there is nothing to snap clean
-                # rows back to: keep every evaluated row dirty.
-                dirty = np.ones(count, dtype=bool)
-            elif out_elements < DIVERGENCE_CHECK_MIN_ELEMENTS:
-                # Small outputs: one exact-equality comparison still
-                # terminates masked rows but skips the screening machinery
-                # — a conservative subset of _row_divergence (a row within
-                # ULP tolerance but not bit-equal simply stays dirty,
-                # carrying its exact value; under fixed-point policies
-                # masked rows are bit-equal anyway).
-                cached_arr = np.asarray(cached)
-                if (cached_arr.dtype == out_arr.dtype
-                        and cached_arr.shape[1:] == out_arr.shape[1:]):
-                    dirty = ~(out_arr == cached_arr).reshape(
-                        count, -1).all(axis=1)
-                else:
-                    dirty = np.ones(count, dtype=bool)
-            elif (nodes_since_mask > DIVERGENCE_BACKOFF_NODES
-                    and big_checks_skipped + 1 < DIVERGENCE_BACKOFF_STRIDE):
-                # Backed off (see DIVERGENCE_BACKOFF_NODES): nothing has
-                # masked in a while, so skip the bandwidth-bound screen and
-                # keep the rows dirty with their exact values.
-                big_checks_skipped += 1
-                dirty = np.ones(count, dtype=bool)
-            else:
-                checked_big = True
-                big_checks_skipped = 0
-                dirty, deviation = self._row_divergence(out, cached,
-                                                        threshold)
-                max_deviation = max(max_deviation, deviation)
-            if cached is not None and (checked_big
-                                       or out_elements
-                                       < DIVERGENCE_CHECK_MIN_ELEMENTS):
-                nodes_since_mask = 0 if dirty.shape[0] > int(dirty.sum()) \
-                    else nodes_since_mask + 1
-            if entry is not None:
+            changed, deviation = self._dirty_rows(
+                out, None if cached is None else np.asarray(cached), exact,
+                threshold)
+            max_deviation = max(max_deviation, deviation)
+            fresh = _pick(need, changed, batch)
+            if fresh != need and fresh:
+                out = out[_mask_of(changed, count)]
+            if live:
                 # Merge the injected entry rows with the re-evaluated ones
                 # (ascending row order, like every packed store).
-                packed_entry = np.asarray(entry_rows[name])
-                final_mask = entry.copy()
-                final_mask[need_idx[dirty]] = True
-                out = np.asarray(out)
-                combined = np.empty(
-                    (int(np.count_nonzero(final_mask)),) + out.shape[1:],
-                    dtype=np.result_type(packed_entry, out))
+                final = live | fresh
+                final_mask = _mask_of(final, batch)
                 position_of = np.cumsum(final_mask) - 1
-                combined[position_of[entry]] = packed_entry
-                combined[position_of[need_idx[dirty]]] = out[dirty]
-                dirty_masks[name] = final_mask
-                dirty_rows_of[name] = combined
-                last_dirty_use = max(last_dirty_use, influence_horizon(name))
-            elif dirty.any():
-                mask = np.zeros(batch, dtype=bool)
-                mask[need_idx[dirty]] = True
-                dirty_masks[name] = mask
+                combined = np.empty((final.bit_count(),) + out.shape[1:],
+                                    dtype=np.result_type(live_rows, out))
+                combined[position_of[_mask_of(live, batch)]] = live_rows
+                if fresh:
+                    combined[position_of[_mask_of(fresh, batch)]] = out
+                dirty_bits[name] = final
+                packed_of[name] = combined
+            elif fresh:
                 # Evaluated arrays are never written after this point, so
                 # when every row survives the output is stored uncopied.
-                out = np.asarray(out)
-                dirty_rows_of[name] = out if dirty.all() else out[dirty]
-                last_dirty_use = max(last_dirty_use, influence_horizon(name))
+                dirty_bits[name] = fresh
+                packed_of[name] = out
             else:
-                dirty_masks.pop(name, None)
-                dirty_rows_of.pop(name, None)
+                continue
+            last_dirty_use = max(last_dirty_use, horizon.get(name, -1))
 
         results: Dict[str, Array] = {}
         for name in requested:
-            mask = dirty_masks.get(name)
-            if mask is None:
-                results[name] = np.array(self._broadcast_cached(
-                    cached_values, name, batch))
-                continue
-            packed = dirty_rows_of[name]
-            if mask.all():
-                results[name] = np.ascontiguousarray(packed)
+            bits = dirty_bits.get(name, 0)
+            if bits == every:
+                results[name] = np.ascontiguousarray(packed_of[name])
                 continue
             try:
-                cached = np.asarray(cached_values[name])
+                cached = cached_values[name]
             except KeyError:
                 raise GraphError(
-                    f"run_from_batched(): requested output '{name}' has "
-                    f"clean rows but no cached value to serve them "
-                    f"from") from None
-            full = np.array(np.broadcast_to(cached,
-                                            (batch,) + cached.shape[1:]))
-            full[mask] = packed
+                    f"requested output '{name}' has clean rows but no "
+                    f"cached value to serve them from") from None
+            full = np.array(self._broadcast_cached(cached, name, batch))
+            if bits:
+                full[_mask_of(bits, batch)] = packed_of[name]
             results[name] = full
         return BatchedExecutionResult(outputs=results, recomputed=recomputed,
                                       rows_evaluated=rows_evaluated,

@@ -55,6 +55,31 @@ class Node:
         return self.op.injectable
 
 
+@dataclass(frozen=True)
+class ConeSchedule:
+    """The structure of one replay, independent of the values replayed.
+
+    Attributes
+    ----------
+    steps:
+        ``(node, topological position, released inputs)`` for every node
+        of the seeds' downstream cone that the requested outputs depend
+        on, in topological order.  The released inputs are those whose
+        last reader inside the cone is this node (requested outputs
+        excepted): their dirty rows are dead once it has been evaluated.
+    members:
+        The names of the scheduled nodes.
+    horizon:
+        Scheduled node name → topological position of its last reader
+        inside the cone.  A dirty value can influence nothing past its
+        horizon; nodes read by no scheduled node are absent.
+    """
+
+    steps: Tuple[Tuple[Node, int, Tuple[str, ...]], ...]
+    members: frozenset
+    horizon: Mapping[str, int]
+
+
 class Graph:
     """An append-only dataflow graph of named operator nodes."""
 
@@ -77,6 +102,10 @@ class Graph:
         #: campaign packer asks for the same unions once per (fault-node
         #: set, batch) combination, so these are hit constantly at scale.
         self._union_memo: Dict[frozenset, frozenset] = {}
+        #: Replay schedules keyed by (seed set, requested outputs); see
+        #: :meth:`cone_schedule`.
+        self._schedule_memo: Dict[Tuple[frozenset, Tuple[str, ...]],
+                                  ConeSchedule] = {}
         self._topo_index: Optional[Dict[str, int]] = None
 
     # -- pickling ----------------------------------------------------------
@@ -96,6 +125,7 @@ class Graph:
         state["_downstream_memo"] = {}
         state["_ancestors_memo"] = {}
         state["_union_memo"] = {}
+        state["_schedule_memo"] = {}
         state["_topo_index"] = None
         return state
 
@@ -127,6 +157,8 @@ class Graph:
             self._ancestors_memo.clear()
         if self._union_memo:
             self._union_memo.clear()
+        if self._schedule_memo:
+            self._schedule_memo.clear()
         self._topo_index = None
         return name
 
@@ -252,6 +284,43 @@ class Graph:
             memo = frozenset(self.downstream(key))
             self._union_memo[key] = memo
         return memo
+
+    def cone_schedule(self, seeds: frozenset,
+                      requested: Tuple[str, ...]) -> ConeSchedule:
+        """The structural part of a replay from ``seeds`` to ``requested``.
+
+        Memoized per (seed set, requested outputs): a campaign replays the
+        same fault-node sets over and over, so the topological walk, last
+        readers and horizons are built once per set, not once per trial.
+        """
+        key = (seeds, requested)
+        schedule = self._schedule_memo.get(key)
+        if schedule is None:
+            needed = self.ancestors(requested)
+            members = frozenset(name for name in self.downstream(seeds)
+                                if name in needed)
+            topo = self.topo_index()
+            order = sorted(members, key=topo.__getitem__)
+            # Only scheduled nodes ever hold dirty rows, so last readers
+            # are tracked for them alone.
+            last_reader: Dict[str, str] = {}
+            for name in order:
+                for inp in self._nodes[name].inputs:
+                    if inp in members:
+                        last_reader[inp] = name
+            horizon: Dict[str, int] = {}
+            releases: Dict[str, List[str]] = {}
+            for inp, reader in last_reader.items():
+                horizon[inp] = topo[reader]
+                if inp not in requested:
+                    releases.setdefault(reader, []).append(inp)
+            schedule = ConeSchedule(
+                steps=tuple((self._nodes[name], topo[name],
+                             tuple(releases.get(name, ())))
+                            for name in order),
+                members=members, horizon=horizon)
+            self._schedule_memo[key] = schedule
+        return schedule
 
     def ancestors(self, targets: Union[str, Iterable[str]]) -> Set[str]:
         """All nodes that ``targets`` depend on (including the targets).

@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import pickle
 import threading
-from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Optional
 
@@ -68,23 +67,12 @@ class ArtifactStore:
 
     def __init__(self, root: Optional[Path] = None,
                  golden_budget_bytes: int = DEFAULT_GOLDEN_BUDGET_BYTES,
-                 entry_budgets: Optional[Dict[str, int]] = None,
-                 byte_budgets: Optional[Dict[str, int]] = None,
                  ) -> None:
         self.root = Path(root) if root is not None else None
         self.golden_budget_bytes = golden_budget_bytes
-        #: Per-kind LRU budgets: max in-memory entries / bytes per kind
-        #: (unlisted kinds are unbounded, the historical behaviour).
-        #: Eviction drops the *memory tier* only — a disk-rooted store
-        #: keeps its write-through copy, so an evicted artifact costs a
-        #: disk reload, never a recompute.
-        self.entry_budgets = dict(entry_budgets or {})
-        self.byte_budgets = dict(byte_budgets or {})
-        self._memory: Dict[str, "OrderedDict[str, Any]"] = {}
-        self._nbytes: Dict[str, Dict[str, int]] = {}
+        self._memory: Dict[str, Dict[str, Any]] = {}
         self._hits: Dict[str, int] = {}
         self._misses: Dict[str, int] = {}
-        self._evictions: Dict[str, int] = {}
         self._lock = threading.Lock()
 
     # -- core ---------------------------------------------------------------
@@ -100,14 +88,13 @@ class ArtifactStore:
             entries = self._memory.get(kind)
             value = entries.get(key) if entries is not None else None
             if value is not None:
-                entries.move_to_end(key)
                 self._hits[kind] = self._hits.get(kind, 0) + 1
                 return value
             path = self._path(kind, key)
             if path is not None and path.exists():
                 with path.open("rb") as handle:
                     value = pickle.load(handle)
-                self._insert(kind, key, value)
+                self._memory.setdefault(kind, {})[key] = value
                 self._hits[kind] = self._hits.get(kind, 0) + 1
                 return value
             self._misses[kind] = self._misses.get(kind, 0) + 1
@@ -116,7 +103,7 @@ class ArtifactStore:
     def put(self, kind: str, key: str, value: Any) -> None:
         """Store an artifact (write-through to disk when rooted)."""
         with self._lock:
-            self._insert(kind, key, value)
+            self._memory.setdefault(kind, {})[key] = value
             path = self._path(kind, key)
             if path is not None:
                 path.parent.mkdir(parents=True, exist_ok=True)
@@ -125,34 +112,6 @@ class ArtifactStore:
                     pickle.dump(value, handle,
                                 protocol=pickle.HIGHEST_PROTOCOL)
                 tmp.replace(path)  # atomic: readers never see partial pickles
-
-    def _insert(self, kind: str, key: str, value: Any) -> None:
-        """Memory-tier insert + LRU eviction sweep (caller holds the lock)."""
-        entries = self._memory.setdefault(kind, OrderedDict())
-        entries.pop(key, None)
-        entries[key] = value
-        if kind in self.byte_budgets:
-            self._nbytes.setdefault(kind, {})[key] = \
-                self._value_nbytes(value)
-        entry_budget = self.entry_budgets.get(kind)
-        byte_budget = self.byte_budgets.get(kind)
-        while entries and (
-                (entry_budget is not None and len(entries) > entry_budget)
-                or (byte_budget is not None
-                    and sum(self._nbytes.get(kind, {}).values())
-                    > byte_budget)):
-            if len(entries) == 1:
-                break  # never evict the entry just inserted
-            stale_key, _ = entries.popitem(last=False)
-            self._nbytes.get(kind, {}).pop(stale_key, None)
-            self._evictions[kind] = self._evictions.get(kind, 0) + 1
-
-    @staticmethod
-    def _value_nbytes(value: Any) -> int:
-        if (isinstance(value, dict)
-                and all(isinstance(entry, dict) for entry in value.values())):
-            return golden_caches_nbytes(value)
-        return len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
 
     def contains(self, kind: str, key: str) -> bool:
         """Presence probe that does *not* perturb the hit/miss counters."""
@@ -163,28 +122,18 @@ class ArtifactStore:
             return path is not None and path.exists()
 
     def stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-kind ``{"hits", "misses", "entries"}`` counters, plus an
-        ``"evictions"`` count for kinds the LRU budgets have actually
-        evicted from (omitted while zero, so unbudgeted deployments see
-        the historical shape)."""
+        """Per-kind ``{"hits", "misses", "entries"}`` counters."""
         with self._lock:
-            kinds = (set(self._memory) | set(self._hits) | set(self._misses)
-                     | set(self._evictions))
-            out: Dict[str, Dict[str, int]] = {}
-            for kind in sorted(kinds):
-                counters = {"hits": self._hits.get(kind, 0),
-                            "misses": self._misses.get(kind, 0),
-                            "entries": len(self._memory.get(kind, {}))}
-                if self._evictions.get(kind):
-                    counters["evictions"] = self._evictions[kind]
-                out[kind] = counters
-            return out
+            kinds = set(self._memory) | set(self._hits) | set(self._misses)
+            return {kind: {"hits": self._hits.get(kind, 0),
+                           "misses": self._misses.get(kind, 0),
+                           "entries": len(self._memory.get(kind, {}))}
+                    for kind in sorted(kinds)}
 
     def close(self) -> None:
         """Drop the memory tier (idempotent; the disk tier is untouched)."""
         with self._lock:
             self._memory.clear()
-            self._nbytes.clear()
 
     # -- golden caches ------------------------------------------------------
 

@@ -133,3 +133,36 @@ class TestDegradedCaches:
                 pass  # acceptable: descriptive failure
             except KeyError as exc:  # pragma: no cover - the regression
                 pytest.fail(f"raw KeyError leaked for missing '{name}': {exc}")
+
+
+class TestExactBitIdentity:
+    def test_negative_zero_is_not_snapped_to_golden(self):
+        """EXACT rows are clean only when bit-identical: -0.0 replayed
+        against a golden +0.0 must keep its sign bit, as a full run does."""
+        g = Graph("signed_zero")
+        g.add("x", ops.Placeholder(name="x"))
+        g.add("out", ops.Scale(1.0), inputs=["x"])
+        g.mark_output("out")
+        executor = Executor(g)
+        cache = executor.run({"x": np.zeros((1, 1))}).values
+        dirty = np.array([[-0.0]])
+        expected = executor.run({"x": dirty}).output().tobytes()
+        assert expected == bytes.fromhex("0000000000000080")
+        one_row = executor.run_from(cache, dirty_values={"x": dirty})
+        batched = executor.run_from_batched(
+            cache, stacked_dirty_values={"x": dirty}, equivalence="exact")
+        assert one_row.output().tobytes() == expected
+        assert batched.output().tobytes() == expected
+
+    def test_batch_invariant_seed_is_refused(self):
+        """Weights and constants are shared by every row of the replay core,
+        so re-evaluating one as a seed is refused with a GraphError."""
+        g = Graph("weights")
+        g.add("x", ops.Placeholder(name="x"))
+        g.add("w", ops.Variable(np.ones((2, 2))))
+        g.add("out", ops.MatMul(), inputs=["x", "w"])
+        g.mark_output("out")
+        executor = Executor(g)
+        cache = executor.run({"x": np.ones((1, 2))}).values
+        with pytest.raises(GraphError, match="batch-invariant"):
+            executor.run_from(cache, dirty="w")

@@ -221,10 +221,11 @@ class TestAdversarialCones:
             outputs=["a", "b", "out"], equivalence=EquivalenceMode.EXACT)
         for row in range(len(stacked)):
             ref = executor.run_from(
-                cache, dirty_values={"x": stacked[row:row + 1]})
+                cache, dirty_values={"x": stacked[row:row + 1]},
+                outputs=["a", "b", "out"])
             for name in ("a", "b", "out"):
                 assert (result.outputs[name][row].tobytes()
-                        == ref.values[name][0].tobytes()), (row, name)
+                        == ref.outputs[name][0].tobytes()), (row, name)
 
     def test_batch_coupled_op_in_union_is_refused(self):
         g = Graph("coupled")
