@@ -88,10 +88,21 @@ def guard_maximum(result, label, value, maximum):
         f"{maximum} (see {path})")
 
 
-def _record_guard(result, line):
-    """Append one guard line to the experiment's results file."""
+def record_trend(result, label, value):
+    """Record a wall-clock quantity without gating on it.
+
+    For timing ratios too noisy to gate on this host class: the value is
+    written to the results file like a guard's, so its trend stays in the
+    record, and a deterministic work guard catches the regressions it used
+    to catch.
+    """
+    _record_guard(result, f"{label} = {value:.2f}", kind="trend")
+
+
+def _record_guard(result, line, kind="guard"):
+    """Append one guard (or trend) line to the experiment's results file."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, f"{result.name}.txt")
     with open(path, "a") as handle:
-        handle.write(f"guard: {line}\n")
+        handle.write(f"{kind}: {line}\n")
     return path

@@ -51,8 +51,8 @@ from repro.injection import CampaignPool, FaultInjectionCampaign, SingleBitFlip
 from repro.injection.pool import _run_pooled_shard
 from repro.quantization import FIXED32, fixed32_policy
 
-from bench_utils import (guard_maximum, guard_minimum, run_and_report,
-                         worker_peak_rss_bytes)
+from bench_utils import (guard_maximum, guard_minimum, record_trend,
+                         run_and_report, worker_peak_rss_bytes)
 
 #: Dedicated scale: enough trials for stable timing ratios; models are
 #: trained with the same configuration (and in-process cache) as the other
@@ -69,6 +69,16 @@ THROUGHPUT_SCALE = ExperimentScale(
     profile_samples=80,
     seed=0,
 )
+
+
+#: Ceilings of the batched section's work per trial, (node-row
+#: evaluations, conv output positions computed), per (model, datatype).
+BATCHED_WORK_CEILINGS = {
+    ("squeezenet", "fixed32"): (25.6, 422.0),
+    ("squeezenet", "fixed16"): (24.7, 455.0),
+    ("resnet18", "fixed32"): (35.8, 387.0),
+    ("resnet18", "fixed16"): (37.0, 399.0),
+}
 
 
 def test_campaign_throughput(benchmark):
@@ -120,16 +130,35 @@ def test_campaign_throughput(benchmark):
                   max(stats["speedup"]
                       for (model, _), stats in batched.items()
                       if model == "vgg11"), 2.2)
-    guard_minimum(result,
-                  "squeezenet batched-vs-incremental speedup (best dtype)",
-                  max(stats["speedup"]
-                      for (model, _), stats in batched.items()
-                      if model == "squeezenet"), 1.9)
-    guard_minimum(result,
-                  "resnet18 batched-vs-incremental speedup (best dtype)",
-                  max(stats["speedup"]
-                      for (model, _), stats in batched.items()
-                      if model == "resnet18"), 1.6)
+    # Squeezenet's and resnet18's best-dtype ratios are recorded, not
+    # gated: they sat inside run-to-run noise (squeezenet >= 1.9 read
+    # 1.99-2.48), and a faster bit-exact B=1 divisor lowers them while the
+    # batched path stands still.  The work guards below catch the batched
+    # regressions they were meant to catch.
+    for model_name in ("squeezenet", "resnet18"):
+        record_trend(result,
+                     f"{model_name} batched-vs-incremental speedup "
+                     f"(best dtype)",
+                     max(stats["speedup"]
+                         for (model, _), stats in batched.items()
+                         if model == model_name))
+    # Batched work per trial: node-row evaluations and conv output
+    # positions computed.  Both are fixed by the plans and the replay's
+    # masking decisions, not by the clock; ceilings sit 2% above the
+    # values measured before the B=1 per-call work (squeezenet 25.07 /
+    # 24.22 rows, 414 / 446 positions; resnet18 35.07 / 36.29 rows, 379 /
+    # 391 positions, fixed32 / fixed16).  Turning conv windowing off, or
+    # keeping rows dirty once they match golden, trips them.
+    for (model_name, dtype_name), (rows, positions) in (
+            BATCHED_WORK_CEILINGS.items()):
+        stats = batched[(model_name, dtype_name)]
+        guard_maximum(result,
+                      f"{model_name}/{dtype_name} batched rows evaluated "
+                      f"per trial", stats["rows_per_trial"], rows)
+        guard_maximum(result,
+                      f"{model_name}/{dtype_name} batched conv positions "
+                      f"per trial", stats["conv_positions_per_trial"],
+                      positions)
     # Occupancy: the union-cone packer must fill batches well past the
     # identical-site ceiling (~10 rows at this trial count).  Packing is
     # deterministic, so these guards carry no timing noise.

@@ -233,6 +233,9 @@ def _measure_batched(model, inputs: np.ndarray, fmt, policy, trials: int,
         "batched_fraction": batched_result.batched_fraction,
         "union_overhead_nodes": batched_result.union_overhead_nodes,
         "conv_window_fraction": batched_result.conv_window_fraction or 0.0,
+        "rows_per_trial": batched_result.nodes_recomputed / trials,
+        "conv_positions_per_trial":
+            batched_result.conv_positions_evaluated / trials,
         "pack_seconds": pack_seconds,
         "pack_fraction": pack_seconds / (batched_seconds + pack_seconds),
     }
@@ -371,13 +374,16 @@ def run_campaign_throughput(scale: Optional[ExperimentScale] = None,
                                  stats["batched_fraction"],
                                  stats["union_overhead_nodes"],
                                  100.0 * stats["conv_window_fraction"],
+                                 stats["rows_per_trial"],
+                                 stats["conv_positions_per_trial"],
                                  100.0 * stats["pack_fraction"],
                                  stats["max_ulp_deviation"]])
     rendered += "\n\n" + render_table(
         ["model", "datatype", "incr trials/s",
          f"batched[B={BATCH_WIDTH}] trials/s", "speedup",
          "occupancy rows/batch", "batched frac", "union overhead",
-         "conv window %", "pack %", "max ulp dev"],
+         "conv window %", "rows/trial", "conv pos/trial", "pack %",
+         "max ulp dev"],
         batched_rows,
         title=(f"Campaign throughput — union-cone batched (ULP_TOLERANT) "
                f"vs. incremental replay ({batched_trials} trials, "
