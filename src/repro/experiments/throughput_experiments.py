@@ -475,6 +475,7 @@ def run_parallel_scaling(scale: Optional[ExperimentScale] = None,
             entry[workers] = {
                 "seconds": seconds,
                 "trials_per_sec": trials / seconds,
+                "nodes_recomputed": result.nodes_recomputed,
             }
         base_tps = entry[worker_counts[0]]["trials_per_sec"]
         for workers in worker_counts:
