@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
-                    Optional, Sequence, Set, Tuple, Union)
+                    NamedTuple, Optional, Sequence, Set, Tuple, Union)
 
 import numpy as np
 
 from ..ops.base import Array, Operator, Placeholder, Variable
+from ..ops.conv import Conv2D
 
 
 class GraphError(RuntimeError):
@@ -55,6 +56,28 @@ class Node:
         return self.op.injectable
 
 
+class ConeStep(NamedTuple):
+    """One node of a :class:`ConeSchedule`, with everything the replay
+    loop would otherwise look up on the node per call."""
+
+    node: Node
+    #: The node's topological position.
+    position: int
+    #: Inputs whose last reader inside the cone is this node (requested
+    #: outputs excepted): their dirty rows are dead once it has run.
+    releases: Tuple[str, ...]
+    #: Topological position of this node's last reader inside the cone;
+    #: a dirty value here can influence nothing past it (-1: no reader).
+    horizon: int
+    inputs: Tuple[str, ...]
+    category: str
+    is_conv: bool
+    is_placeholder: bool
+    #: Variables and constants (``batch_axis is None``): every row shares
+    #: their cached value, so a replay never re-evaluates them.
+    batch_invariant: bool
+
+
 @dataclass(frozen=True)
 class ConeSchedule:
     """The structure of one replay, independent of the values replayed.
@@ -62,22 +85,14 @@ class ConeSchedule:
     Attributes
     ----------
     steps:
-        ``(node, topological position, released inputs)`` for every node
-        of the seeds' downstream cone that the requested outputs depend
-        on, in topological order.  The released inputs are those whose
-        last reader inside the cone is this node (requested outputs
-        excepted): their dirty rows are dead once it has been evaluated.
+        One :class:`ConeStep` for every node of the seeds' downstream
+        cone that the requested outputs depend on, in topological order.
     members:
         The names of the scheduled nodes.
-    horizon:
-        Scheduled node name → topological position of its last reader
-        inside the cone.  A dirty value can influence nothing past its
-        horizon; nodes read by no scheduled node are absent.
     """
 
-    steps: Tuple[Tuple[Node, int, Tuple[str, ...]], ...]
+    steps: Tuple[ConeStep, ...]
     members: frozenset
-    horizon: Mapping[str, int]
 
 
 class Graph:
@@ -314,11 +329,18 @@ class Graph:
                 horizon[inp] = topo[reader]
                 if inp not in requested:
                     releases.setdefault(reader, []).append(inp)
-            schedule = ConeSchedule(
-                steps=tuple((self._nodes[name], topo[name],
-                             tuple(releases.get(name, ())))
-                            for name in order),
-                members=members, horizon=horizon)
+            steps = []
+            for name in order:
+                node = self._nodes[name]
+                steps.append(ConeStep(
+                    node=node, position=topo[name],
+                    releases=tuple(releases.get(name, ())),
+                    horizon=horizon.get(name, -1), inputs=node.inputs,
+                    category=node.category,
+                    is_conv=isinstance(node.op, Conv2D),
+                    is_placeholder=isinstance(node.op, Placeholder),
+                    batch_invariant=node.op.batch_axis is None))
+            schedule = ConeSchedule(steps=tuple(steps), members=members)
             self._schedule_memo[key] = schedule
         return schedule
 

@@ -321,8 +321,10 @@ class CampaignResult:
     #: replay (BLAS kernels are not bit-stable across batch shapes).
     equivalence: str = EquivalenceMode.EXACT.value
     #: Largest ULP distance between a row that batched change propagation
-    #: declared clean and its batch-1 golden value — the tolerance the run
-    #: actually consumed.  Always 0.0 for exact runs.
+    #: declared clean and its batch-1 golden value — the tolerance the
+    #: snapped-back rows consumed; rows that stay dirty are not measured
+    #: (see :class:`~repro.graph.executor.BatchedExecutionResult`).  Always
+    #: 0.0 for exact runs.
     max_ulp_deviation: float = 0.0
     #: Batch-occupancy statistics (all 0 outside the batched path):
     #: ``batch_count`` batched executor calls replayed ``batched_trials``

@@ -62,25 +62,35 @@ def im2col(x: Array, kh: int, kw: int, stride: int,
     """Extract sliding patches from an NHWC tensor.
 
     Returns a matrix of shape ``(batch * out_h * out_w, kh * kw * channels)``
-    together with the output spatial size.
+    together with the output spatial size.  Callers must not write to it:
+    for a 1x1 stride-1 kernel it is a view of ``x``.
     """
     batch, h, w, c = x.shape
     pt, pb = compute_padding(h, kh, stride, padding)
     pl, pr = compute_padding(w, kw, stride, padding)
     if pt or pb or pl or pr:
-        x = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)), mode="constant")
+        # A zeroed buffer and one slice copy: the same bytes as
+        # ``np.pad(mode="constant")`` without its per-call set-up, which
+        # costs more than the copy on small activations.
+        padded = np.zeros((batch, h + pt + pb, w + pl + pr, c), dtype=x.dtype)
+        padded[:, pt:pt + h, pl:pl + w] = x
+        x = padded
+    else:
+        x = np.ascontiguousarray(x)
+        if kh == kw == stride == 1:
+            # Every patch is one input position: the rows of ``x`` itself.
+            return x.reshape(batch * h * w, c), (h, w)
     ph, pw = x.shape[1], x.shape[2]
     out_h = (ph - kh) // stride + 1
     out_w = (pw - kw) // stride + 1
 
+    # The patch view, built straight on the (C-contiguous) buffer:
+    # ``as_strided``'s wrapper costs more than the view itself.
     strides = x.strides
-    window = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(batch, out_h, out_w, kh, kw, c),
+    window = np.ndarray(
+        (batch, out_h, out_w, kh, kw, c), dtype=x.dtype, buffer=x,
         strides=(strides[0], strides[1] * stride, strides[2] * stride,
-                 strides[1], strides[2], strides[3]),
-        writeable=False,
-    )
+                 strides[1], strides[2], strides[3]))
     cols = window.reshape(batch * out_h * out_w, kh * kw * c)
     return np.ascontiguousarray(cols), (out_h, out_w)
 

@@ -27,8 +27,11 @@ def _pool_windows(x: Array, pool: int, stride: int,
     pt, pb = compute_padding(h, pool, stride, padding)
     pl, pr = compute_padding(w, pool, stride, padding)
     if pt or pb or pl or pr:
-        x = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)),
-                   mode="constant", constant_values=pad_value)
+        # ``np.pad(mode="constant")``'s bytes without its per-call set-up.
+        padded = np.full((batch, h + pt + pb, w + pl + pr, c), pad_value,
+                         dtype=x.dtype)
+        padded[:, pt:pt + h, pl:pl + w] = x
+        x = padded
     ph, pw = x.shape[1], x.shape[2]
     out_h = (ph - pool) // stride + 1
     out_w = (pw - pool) // stride + 1

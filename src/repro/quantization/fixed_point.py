@@ -45,6 +45,29 @@ class FixedPointFormat:
             raise ValueError("fraction_bits must be non-negative")
         if self.total_bits > 64:
             raise ValueError("formats wider than 64 bits are not supported")
+        # The grid constants of :meth:`quantize` (saturation bounds and
+        # rounding shift), fixed per format; ``None`` for formats too wide
+        # for the float-only path.  Read-only 0-d float64 arrays: a ufunc
+        # takes them without converting a Python float on every call.
+        grid = None
+        if self.total_bits <= 52:
+            grid = tuple(np.array(constant) for constant in (
+                self.min_value, self.max_value,
+                1.5 * 2.0 ** (52 - self.fraction_bits)))
+            for constant in grid:
+                constant.flags.writeable = False
+        object.__setattr__(self, "_grid", grid)
+
+    def __getstate__(self):
+        """Pickle the fields alone: the grid constants are derived, and a
+        format's bytes feed content fingerprints (campaign specs)."""
+        return {"integer_bits": self.integer_bits,
+                "fraction_bits": self.fraction_bits}
+
+    def __setstate__(self, state) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        self.__post_init__()
 
     # -- format properties ----------------------------------------------------
 
@@ -91,8 +114,9 @@ class FixedPointFormat:
 
         Fused float-only fast path for the executor's per-output policy
         application (the hottest loop of every fixed-point campaign), in
-        three passes: saturate, then round by adding and subtracting
-        ``1.5 * 2**(52 - fraction_bits)``.  After saturation every sum
+        four passes: saturate from below and above, then round by adding
+        and subtracting ``1.5 * 2**(52 - fraction_bits)`` (bounds and
+        shift are fixed per format at construction).  After saturation every sum
         lies in one binade whose ULP is exactly the grid step, so the add
         rounds to the grid (half to even, like :meth:`encode`) and the
         subtract is exact.  That needs ``|value| <= 2**(51 - fraction_bits)``,
@@ -103,12 +127,17 @@ class FixedPointFormat:
         (a zero comes out as ``+0.0``), except that NaN stays NaN instead
         of decaying to whatever ``astype(int64)`` turns it into.
         """
-        if self.total_bits > 52:  # sums would leave the grid-step binade
+        grid = self._grid
+        if grid is None:  # sums would leave the grid-step binade
             return self.decode(self.encode(values))
+        low, high, shift = grid
         values = np.asarray(values, dtype=np.float64)
+        # Saturate with the bare ufuncs into one buffer (``np.clip``'s
+        # wrapper costs more than the arithmetic on small activations);
+        # ``out=`` keeps a 0-d input an array.
         out = np.empty_like(values)
-        np.clip(values, self.min_value, self.max_value, out=out)
-        shift = 1.5 * 2.0 ** (52 - self.fraction_bits)
+        np.maximum(values, low, out=out)
+        np.minimum(out, high, out=out)
         out += shift
         out -= shift
         return out

@@ -309,3 +309,41 @@ class TestSpecRebuild:
         assert campaign._golden_caches
         after = pickle.dumps(campaign.spec(), protocol=pickle.HIGHEST_PROTOCOL)
         assert after == before
+
+    def test_fingerprints_do_not_depend_on_a_run(self, lenet_prepared):
+        """A fixed16 B=1 run quantizes through the policy's format; what
+        the format keeps for that stays out of its pickle, so the spec
+        fingerprint and a request's ``spec_key`` (worker-cache and store
+        keys) are the same before and after, and equal those of formats
+        that never quantized anything."""
+        from dataclasses import replace
+
+        from repro.injection.pool import spec_fingerprint
+        from repro.quantization import FixedPointFormat, FixedPointPolicy
+        from repro.service import request_from_campaign
+
+        def fresh_fixed16():
+            # Equal to FIXED16, but untouched by any earlier quantize.
+            fmt = FixedPointFormat(FIXED16.integer_bits,
+                                   FIXED16.fraction_bits)
+            return dict(fault_model=SingleBitFlip(fmt),
+                        dtype_policy=FixedPointPolicy(fmt))
+
+        inputs, _ = lenet_prepared.correctly_predicted_inputs(2, seed=0)
+        ingredients = fresh_fixed16()
+        campaign = FaultInjectionCampaign(lenet_prepared.model, inputs,
+                                          seed=0, **ingredients)
+        # Built before anything quantized with its formats.
+        expected = spec_fingerprint(replace(campaign.spec(),
+                                            **fresh_fixed16()))
+
+        def keys():
+            request = request_from_campaign(lenet_prepared.model, inputs,
+                                            seed=0, **ingredients)
+            return spec_fingerprint(campaign.spec()), request.spec_key()
+
+        before = keys()
+        result = campaign.run(plans=campaign.generate_plans(6),
+                              batch_trials=1)
+        assert result.nodes_recomputed > 0  # the replay quantized
+        assert keys() == before == (expected, expected)

@@ -56,6 +56,50 @@ class TestIm2Col:
         cols, _ = im2col(x, 1, 1, 1, "valid")
         np.testing.assert_allclose(cols.reshape(x.shape), x)
 
+    @staticmethod
+    def _padded_reference(x, kh, kw, stride, padding):
+        """The patch matrix built on ``np.pad``, as im2col once did."""
+        batch, h, w, c = x.shape
+        pt, pb = compute_padding(h, kh, stride, padding)
+        pl, pr = compute_padding(w, kw, stride, padding)
+        x = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)), mode="constant")
+        out_h = (x.shape[1] - kh) // stride + 1
+        out_w = (x.shape[2] - kw) // stride + 1
+        s = x.strides
+        window = np.lib.stride_tricks.as_strided(
+            x, shape=(batch, out_h, out_w, kh, kw, c),
+            strides=(s[0], s[1] * stride, s[2] * stride, s[1], s[2], s[3]))
+        return (np.ascontiguousarray(window.reshape(-1, kh * kw * c)),
+                (out_h, out_w))
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("size", [(7, 7), (8, 8), (6, 9)])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (2, 3)])
+    def test_matches_np_pad_bytes(self, rng, padding, stride, size, batch,
+                                  kernel):
+        """Byte-identical to the ``np.pad`` construction, signed zeros and
+        NaNs included, for contiguous and strided inputs."""
+        x = rng.normal(size=(batch,) + size + (4,))
+        x[0, 0, 0, 0] = -0.0
+        x[-1, -1, -1, -1] = np.nan
+        kh, kw = kernel
+        for view in (x, x[:, ::-1, :, ::2]):
+            cols, out_size = im2col(view, kh, kw, stride, padding)
+            want, want_size = self._padded_reference(view, kh, kw, stride,
+                                                     padding)
+            assert out_size == want_size
+            assert cols.shape == want.shape
+            assert cols.tobytes() == want.tobytes()
+
+    def test_does_not_alias_a_padded_input(self, rng):
+        x = rng.normal(size=(1, 5, 5, 2))
+        before = x.copy()
+        cols, _ = im2col(x, 3, 3, 1, "same")
+        cols[...] = 0.0
+        assert x.tobytes() == before.tobytes()
+
 
 class TestConv2D:
     def test_output_shape_same_padding(self, rng):
@@ -115,6 +159,27 @@ class TestConv2D:
         op = ops.Conv2D()
         flops = op.flops([(1, 8, 8, 3), (3, 3, 3, 16)], (1, 8, 8, 16))
         assert flops == 2 * 3 * 3 * 3 * 8 * 8 * 16
+
+
+@pytest.mark.parametrize("pad_value", [-np.inf, 0.0])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("size", [(5, 5), (6, 7)])
+def test_pool_windows_match_np_pad_bytes(rng, pad_value, stride, size):
+    """Pooling windows hold the bytes of an ``np.pad``-padded input."""
+    from repro.ops.pooling import _pool_windows
+    x = rng.normal(size=(2,) + size + (3,))
+    x[0, 0, 0, 0] = -0.0
+    windows, out_size = _pool_windows(x, 3, stride, "same", pad_value)
+    pt, pb = compute_padding(size[0], 3, stride, "same")
+    pl, pr = compute_padding(size[1], 3, stride, "same")
+    padded = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)),
+                    mode="constant", constant_values=pad_value)
+    for i in range(out_size[0]):
+        for j in range(out_size[1]):
+            want = padded[:, i * stride:i * stride + 3,
+                          j * stride:j * stride + 3, :]
+            assert (np.ascontiguousarray(windows[:, i, j]).tobytes()
+                    == np.ascontiguousarray(want).tobytes())
 
 
 class TestMaxPool:

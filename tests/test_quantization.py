@@ -133,20 +133,52 @@ def test_quantize_idempotent(fmt, value):
     np.testing.assert_allclose(once, twice)
 
 
-@given(st.builds(FixedPointFormat,
-                 integer_bits=st.integers(min_value=1, max_value=32),
-                 fraction_bits=st.integers(min_value=0, max_value=20)),
+@given(st.one_of(
+           st.sampled_from([FIXED32, FIXED16]),
+           st.builds(FixedPointFormat,
+                     integer_bits=st.integers(min_value=1, max_value=32),
+                     fraction_bits=st.integers(min_value=0, max_value=20))),
        st.lists(st.floats(min_value=-1e12, max_value=1e12, allow_nan=False),
                 min_size=1, max_size=8))
-@settings(max_examples=200, deadline=None)
+# 200 examples at the default ``ci`` profile, 10x that at ``thorough``.
+@settings(max_examples=8 * settings.default.max_examples, deadline=None)
 def test_quantize_matches_integer_round_trip(fmt, values):
     """The float fast path equals ``decode(encode(x))`` bit for bit:
-    half-to-even ties, saturation, and zeros coming out as +0.0."""
+    half-to-even ties, saturation (infinities included), and zeros coming
+    out as +0.0 — for whole arrays, 0-d arrays and non-contiguous views."""
     values = np.array(values)
     ties = (np.floor(values / fmt.scale) + 0.5) * fmt.scale
-    sample = np.concatenate([values, ties, [0.0, -0.0, -0.1 * fmt.scale]])
-    assert (fmt.quantize(sample).tobytes()
-            == fmt.decode(fmt.encode(sample)).tobytes())
+    sample = np.concatenate([values, ties, [0.0, -0.0, -0.1 * fmt.scale,
+                                            np.inf, -np.inf]])
+
+    def round_trip(x):
+        return fmt.decode(fmt.encode(x))
+
+    assert fmt.quantize(sample).tobytes() == round_trip(sample).tobytes()
+    for value in sample:
+        scalar = np.array(value)
+        quantized = fmt.quantize(scalar)
+        assert isinstance(quantized, np.ndarray) and quantized.shape == ()
+        assert quantized.tobytes() == round_trip(scalar).tobytes()
+    grid = np.tile(sample, (3, 2))
+    for view in (sample[::2], sample[::-1], grid.T, grid[1:, ::3]):
+        assert not view.flags.c_contiguous
+        quantized = fmt.quantize(view)
+        assert quantized.shape == view.shape
+        assert quantized.tobytes() == round_trip(view).tobytes()
+
+
+@pytest.mark.parametrize("fmt", [FIXED32, FIXED16], ids=["fixed32", "fixed16"])
+def test_quantize_saturates_infinities_and_keeps_nan(fmt):
+    """``+-inf`` saturate to the range ends and NaN stays the same NaN,
+    byte for byte, alone (0-d) and among finite values."""
+    values = np.array([np.inf, -np.inf, np.nan, 1.3, -0.0])
+    expected = np.array([fmt.max_value, fmt.min_value, np.nan,
+                         float(fmt.quantize(np.array(1.3))), 0.0])
+    assert fmt.quantize(values).tobytes() == expected.tobytes()
+    assert fmt.quantize(values[::2]).tobytes() == expected[::2].tobytes()
+    for value, want in zip(values, expected):
+        assert fmt.quantize(np.array(value)).tobytes() == want.tobytes()
 
 
 @given(formats, st.floats(min_value=-1000, max_value=1000, allow_nan=False))
