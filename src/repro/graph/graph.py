@@ -332,14 +332,12 @@ class Graph:
             steps = []
             for name in order:
                 node = self._nodes[name]
+                op = node.op
                 steps.append(ConeStep(
-                    node=node, position=topo[name],
-                    releases=tuple(releases.get(name, ())),
-                    horizon=horizon.get(name, -1), inputs=node.inputs,
-                    category=node.category,
-                    is_conv=isinstance(node.op, Conv2D),
-                    is_placeholder=isinstance(node.op, Placeholder),
-                    batch_invariant=node.op.batch_axis is None))
+                    node, topo[name], tuple(releases.get(name, ())),
+                    horizon.get(name, -1), node.inputs, op.category,
+                    isinstance(op, Conv2D), isinstance(op, Placeholder),
+                    op.batch_axis is None))
             schedule = ConeSchedule(steps=tuple(steps), members=members)
             self._schedule_memo[key] = schedule
         return schedule

@@ -123,9 +123,9 @@ class FixedPointFormat:
         Fused float-only fast path for the executor's per-output policy
         application (the hottest loop of every fixed-point campaign), in
         three or four passes: saturate, then round by adding and
-        subtracting ``1.5 * 2**(52 - fraction_bits)`` (bounds and
-        shift are fixed per format at construction).  After saturation every sum
-        lies in one binade whose ULP is exactly the grid step, so the add
+        subtracting ``1.5 * 2**(52 - fraction_bits)`` (bounds and shift
+        are fixed per format at construction).  After saturation every
+        sum lies in one binade whose ULP is exactly the grid step, so the add
         rounds to the grid (half to even, like :meth:`encode`) and the
         subtract is exact.  That needs ``|value| <= 2**(51 - fraction_bits)``,
         i.e. formats up to 52 total bits; wider ones keep the exact int64
