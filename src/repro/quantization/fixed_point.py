@@ -20,14 +20,6 @@ from typing import Iterable, Tuple
 import numpy as np
 
 
-#: Smallest array :meth:`FixedPointFormat.quantize` saturates with one
-#: ``np.clip`` pass instead of ``np.maximum`` then ``np.minimum``.  Timed
-#: on a 2-CPU host, the two break even near 4096 float64 elements: below,
-#: the ufuncs are up to 2 µs faster per call (the replay of one trial);
-#: above, clip is 20-30% faster (stacked batched rows).
-CLIP_MIN_ELEMENTS = 4096
-
-
 @dataclass(frozen=True)
 class FixedPointFormat:
     """Signed two's-complement fixed-point format with ``integer_bits``
@@ -122,7 +114,7 @@ class FixedPointFormat:
 
         Fused float-only fast path for the executor's per-output policy
         application (the hottest loop of every fixed-point campaign), in
-        three or four passes: saturate, then round by adding and
+        four passes: saturate from below and above, then round by adding and
         subtracting ``1.5 * 2**(52 - fraction_bits)`` (bounds and shift
         are fixed per format at construction).  After saturation every
         sum lies in one binade whose ULP is exactly the grid step, so the add
@@ -140,16 +132,11 @@ class FixedPointFormat:
             return self.decode(self.encode(values))
         low, high, shift = grid
         values = np.asarray(values, dtype=np.float64)
-        # Saturate into one buffer (``out=`` keeps a 0-d input an array):
-        # with the bare ufuncs on small activations, where ``np.clip``'s
-        # wrapper costs more than the arithmetic, and in ``np.clip``'s one
-        # pass on large ones, where the second pass costs more.
+        # Saturate into one buffer with the bare ufuncs, which skip
+        # ``np.clip``'s wrapper (``out=`` keeps a 0-d input an array).
         out = np.empty_like(values)
-        if out.size >= CLIP_MIN_ELEMENTS:
-            np.clip(values, low, high, out=out)
-        else:
-            np.maximum(values, low, out=out)
-            np.minimum(out, high, out=out)
+        np.maximum(values, low, out=out)
+        np.minimum(out, high, out=out)
         out += shift
         out -= shift
         return out

@@ -14,7 +14,6 @@ from repro.quantization import (
     fixed32_policy,
     flip_float32_bit,
 )
-from repro.quantization.fixed_point import CLIP_MIN_ELEMENTS
 
 
 class TestFixedPointFormat:
@@ -161,11 +160,8 @@ def test_quantize_matches_integer_round_trip(fmt, values):
         quantized = fmt.quantize(scalar)
         assert isinstance(quantized, np.ndarray) and quantized.shape == ()
         assert quantized.tobytes() == round_trip(scalar).tobytes()
-    large = np.resize(sample, CLIP_MIN_ELEMENTS + 3)  # the np.clip pass
-    assert fmt.quantize(large).tobytes() == round_trip(large).tobytes()
     grid = np.tile(sample, (3, 2))
-    for view in (sample[::2], sample[::-1], grid.T, grid[1:, ::3],
-                 large[::-1]):
+    for view in (sample[::2], sample[::-1], grid.T, grid[1:, ::3]):
         assert not view.flags.c_contiguous
         quantized = fmt.quantize(view)
         assert quantized.shape == view.shape
@@ -183,9 +179,6 @@ def test_quantize_saturates_infinities_and_keeps_nan(fmt):
     assert fmt.quantize(values[::2]).tobytes() == expected[::2].tobytes()
     for value, want in zip(values, expected):
         assert fmt.quantize(np.array(value)).tobytes() == want.tobytes()
-    large = np.resize(values, CLIP_MIN_ELEMENTS + 5)  # the np.clip pass
-    assert (fmt.quantize(large).tobytes()
-            == np.resize(expected, large.size).tobytes())
 
 
 @given(formats, st.floats(min_value=-1000, max_value=1000, allow_nan=False))
