@@ -68,13 +68,6 @@ class DTypePolicy:
     def apply(self, node: Node, value: Array) -> Array:
         return value
 
-    def skips(self, category: str) -> bool:
-        """Whether :meth:`apply` returns every output of a node of
-        ``category`` untouched; the replay core then does not call it.
-        True for every category unless a subclass overrides :meth:`apply`.
-        """
-        return type(self).apply is DTypePolicy.apply
-
 
 #: Unsigned-integer dtype of each itemsize, for bit-identity views.
 _UINT_OF_SIZE = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
@@ -704,8 +697,7 @@ class Executor:
 
         policy = self.dtype_policy
         hooked = bool(self._output_hooks or self._observers)
-        policy_skips: Dict[str, bool] = {}
-        for (node, position, releases, last_read, inputs, category, is_conv,
+        for (node, position, releases, last_read, inputs, is_conv,
              is_placeholder, batch_invariant) in schedule.steps:
             if (not pending_seeds and not pending_entries
                     and position > last_dirty_use):
@@ -780,11 +772,7 @@ class Executor:
             if hooked:
                 out = np.asarray(self._evaluate(node, out))
             else:
-                skip = policy_skips.get(category)
-                if skip is None:
-                    skip = policy_skips[category] = policy.skips(category)
-                if not skip:
-                    out = policy.apply(node, out)
+                out = policy.apply(node, out)
             rows_evaluated += count
             recomputed.add(name)
             if is_seed:

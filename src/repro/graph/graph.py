@@ -70,7 +70,6 @@ class ConeStep(NamedTuple):
     #: a dirty value here can influence nothing past it (-1: no reader).
     horizon: int
     inputs: Tuple[str, ...]
-    category: str
     is_conv: bool
     is_placeholder: bool
     #: Variables and constants (``batch_axis is None``): every row shares
@@ -335,7 +334,7 @@ class Graph:
                 op = node.op
                 steps.append(ConeStep(
                     node, topo[name], tuple(releases.get(name, ())),
-                    horizon.get(name, -1), node.inputs, op.category,
+                    horizon.get(name, -1), node.inputs,
                     isinstance(op, Conv2D), isinstance(op, Placeholder),
                     op.batch_axis is None))
             schedule = ConeSchedule(steps=tuple(steps), members=members)

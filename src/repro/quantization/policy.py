@@ -41,9 +41,6 @@ class FixedPointPolicy(DTypePolicy):
             return value
         return self.fmt.quantize(value)
 
-    def skips(self, category: str) -> bool:
-        return category in self.skip_categories
-
 
 def fixed32_policy() -> FixedPointPolicy:
     """The paper's default 32-bit fixed-point evaluation policy."""
