@@ -7,6 +7,7 @@ from .fanout import (
     campaign_mp_context,
     log_fallback_once,
     openblas_threads,
+    stop_blas_threads,
     usable_cpus,
 )
 
@@ -32,5 +33,6 @@ __all__ = [
     "campaign_mp_context",
     "log_fallback_once",
     "openblas_threads",
+    "stop_blas_threads",
     "usable_cpus",
 ]

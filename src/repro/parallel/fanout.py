@@ -13,8 +13,14 @@ its OpenBLAS at ``max(1, C // N)`` threads (never more than the parent
 runs).  The initializer calls the library's own setter through
 :mod:`ctypes` after importing numpy, which maps OpenBLAS into a spawn
 worker that has not loaded it yet, so the one mechanism covers fork and
-spawn workers alike.  The parent's thread
-count is never touched, so serial campaigns keep every BLAS thread.
+spawn workers alike, and then stops the thread server the setter
+restarts, whose idle threads would otherwise busy-wait.  The parent's
+thread count is never touched, so serial campaigns keep every BLAS
+thread; a pool stops the parent's idle server threads
+(:func:`stop_blas_threads`) when it hands work to its workers.  The
+initializer also freezes the objects a worker starts with
+(:func:`gc.freeze`), so a fork child's collections leave the pages it
+shares with its parent alone.
 
 **Fallback log.**  Fast paths that fall back to a slower one (no
 OpenBLAS setter for the cap, overlapping fault sites replayed per trial)
@@ -25,6 +31,7 @@ log once per cause to the ``repro.parallel`` logger via
 from __future__ import annotations
 
 import ctypes
+import gc
 import logging
 import multiprocessing
 import os
@@ -46,6 +53,8 @@ _SETTERS = ("scipy_openblas_set_num_threads64_",
             "openblas_set_num_threads64_", "openblas_set_num_threads")
 _GETTERS = ("scipy_openblas_get_num_threads64_",
             "openblas_get_num_threads64_", "openblas_get_num_threads")
+#: Stops OpenBLAS's thread server (the library's own fork handler).
+_SHUTDOWN = ("blas_thread_shutdown_",)
 
 _LOGGED_CAUSES: set = set()
 _LOG_LOCK = threading.Lock()
@@ -131,15 +140,54 @@ def openblas_threads() -> Optional[int]:
     return int(getter())
 
 
-def _cap_worker_blas(threads: int) -> None:
-    """Worker initializer: set this process's OpenBLAS to ``threads``."""
+def _init_worker(threads: Optional[int]) -> None:
+    """Worker initializer: freeze the inherited heap, then set this
+    process's OpenBLAS to ``threads`` (``None``: keep the inherited count).
+
+    A fork worker inherits every object of its parent.  Left in the
+    collector's generations, they are traversed by the worker's first
+    full collection, which writes each one's header and so copies every
+    page of the parent's heap into the worker; frozen, they never are.
+    """
+    gc.freeze()
+    if threads is None:
+        return
     import numpy  # noqa: F401  (maps OpenBLAS into a fresh spawn worker)
 
     setter, _ = _openblas_function(_SETTERS)
-    if setter is not None:
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = None
-        setter(threads)
+    if setter is None:
+        return
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = None
+    setter(threads)
+    # Setting the count (re)starts the thread server at the count the
+    # library was loaded with (a fork child inherits it), even when the
+    # cap leaves those threads idle.
+    stop_blas_threads()
+
+
+_stop_server = None
+
+
+def stop_blas_threads() -> None:
+    """Stop this process's OpenBLAS thread server until its next threaded
+    call (a no-op without OpenBLAS).
+
+    Server threads busy-wait for work before they sleep, about 0.1 s of a
+    CPU each after every threaded call, so a process that has just handed
+    its work to pool workers would take CPU from them.  The library's own
+    fork handler makes the same stop before every fork; the thread count
+    is kept, and the next threaded call restarts the server.
+    """
+    global _stop_server
+    if _stop_server is None:
+        function, _ = _openblas_function(_SHUTDOWN)
+        if function is None:
+            return
+        function.argtypes = []
+        function.restype = ctypes.c_int
+        _stop_server = function
+    _stop_server()
 
 
 def campaign_executor(workers: int,
@@ -157,13 +205,12 @@ def campaign_executor(workers: int,
         log_fallback_once(f"blas-cap: {cause}",
                           "campaign workers keep their inherited BLAS "
                           "thread count: %s", cause)
-        initializer, initargs = None, ()
+        threads = None
     else:
         threads = blas_threads_per_worker(workers)
         parent = openblas_threads()
         if parent is not None:
             threads = min(threads, parent)
-        initializer, initargs = _cap_worker_blas, (threads,)
     return ProcessPoolExecutor(
         max_workers=workers, mp_context=context or campaign_mp_context(),
-        initializer=initializer, initargs=initargs)
+        initializer=_init_worker, initargs=(threads,))
