@@ -1128,16 +1128,19 @@ class CampaignSpec:
 
 
 @contextlib.contextmanager
-def _fan_out(pool: Optional["CampaignPool"], workers: int):
+def _fan_out(pool: Optional["CampaignPool"], workers: int,
+             campaigns: Sequence["FaultInjectionCampaign"]):
     """The pool a call fans out over: the caller's ``pool``, else one
-    ephemeral ``workers``-process pool for the whole call, else ``None``
-    (``workers == 1``: the call runs in-process)."""
+    ephemeral ``workers``-process pool for the whole call, whose workers
+    start with ``campaigns`` cached where they can inherit them, else
+    ``None`` (``workers == 1``: the call runs in-process)."""
     if pool is not None or workers <= 1:
         yield pool
         return
     from .pool import CampaignPool
 
     with CampaignPool(workers) as ephemeral:
+        ephemeral.start_with(campaigns)
         yield ephemeral
 
 
@@ -1265,7 +1268,7 @@ def run_group(campaigns: Sequence[FaultInjectionCampaign],
     waves_by = [0] * len(campaigns)
     active = [True] * len(campaigns)
     done = 0
-    with _fan_out(pool, min(options.workers, budget)) as pool:
+    with _fan_out(pool, min(options.workers, budget), campaigns) as pool:
         if options.strata is None:
             if plans is None:
                 plans = leader.generate_plans(budget)

@@ -15,7 +15,14 @@ and the campaign service keep one pool across many campaigns.
 worker whose cache lacks the fingerprint returns a miss marker, and the
 parent resends that one shard with the pickled spec.  The parent pickles
 each spec once and holds the bytes per fingerprint, so a warm pool ships
-a few KiB of plans per task, and a miss costs one extra round trip.
+a few KiB of plans per task, and a miss costs one extra round trip.  The
+first dispatch of a fingerprint the pool has never sent would bounce on
+every worker, so its shards carry the spec from the start: the same
+payload, without the round trip.  A fork pool goes further: it starts
+its workers with the first campaign it dispatches already cached (an
+ephemeral pool with every campaign of the call; see
+:meth:`CampaignPool.start_with`), so they inherit it and neither receive
+nor rebuild it.
 
 **Determinism.**  A pooled shard runs the same pre-sampled plans with the
 same global trial offsets as the serial path, and the worker-side campaign
@@ -36,7 +43,8 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..graph.equivalence import DEFAULT_MAX_ULPS
-from ..parallel.fanout import campaign_executor, openblas_threads
+from ..parallel.fanout import (campaign_executor, campaign_mp_context,
+                               openblas_threads, stop_blas_threads)
 from .campaign import (CampaignResult, CampaignSpec, FaultInjectionCampaign,
                        shard_plans)
 from .injector import InjectionPlan
@@ -81,9 +89,10 @@ def _run_pooled_shard(fingerprint: str, spec: Optional[bytes],
     """Worker entry point: run one shard of trials on the cached campaign.
 
     ``spec`` is the pickled :class:`CampaignSpec`, or ``None`` on a first
-    send.  A worker that has ``fingerprint`` cached runs the shard on it;
-    one that does not rebuilds (and caches) the campaign from ``spec``, or
-    returns ``None`` — the miss marker — when no spec came along.
+    send of a fingerprint the pool has dispatched before.  A worker that
+    has ``fingerprint`` cached runs the shard on it; one that does not
+    rebuilds (and caches) the campaign from ``spec``, or returns ``None``
+    — the miss marker — when no spec came along.
 
     Module-level (not a closure) so it pickles under every multiprocessing
     start method.  ``trial_offset`` anchors the shard's per-trial RNG
@@ -137,10 +146,18 @@ class CampaignPool:
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
         self.workers = workers
+        self._context = context or campaign_mp_context()
         self._executor: Optional[ProcessPoolExecutor] = campaign_executor(
-            workers, context)
+            workers, self._context)
         #: Pickled specs by fingerprint, most recently used last.
         self._specs: "OrderedDict[str, bytes]" = OrderedDict()
+        #: Every fingerprint this pool has dispatched (or started its
+        #: workers with): no worker can hold any other.  A few dozen bytes
+        #: per distinct campaign, kept for the pool's lifetime.
+        self._dispatched: set = set()
+        #: Whether a task has gone to the executor, which starts the
+        #: workers.
+        self._started = False
         self._stats = {"tasks": 0, "misses": 0, "payload_bytes": 0}
 
     # -- lifecycle ---------------------------------------------------------
@@ -155,6 +172,7 @@ class CampaignPool:
             self._executor.shutdown()
             self._executor = None
         self._specs.clear()
+        self._dispatched.clear()
 
     def __enter__(self) -> "CampaignPool":
         return self
@@ -163,6 +181,36 @@ class CampaignPool:
         self.close()
 
     # -- execution ---------------------------------------------------------
+
+    def _submit(self, fn, *args):
+        self._started = True
+        return self._executor.submit(fn, *args)
+
+    def start_with(self, campaigns: Sequence[FaultInjectionCampaign]) -> None:
+        """Start the workers with ``campaigns`` in their caches.
+
+        Only a fork pool whose workers have not started can do this: its
+        executor forks every worker on the first submit, and a fork child
+        inherits the parent's memory, ``campaigns`` included, without
+        pickling them.  A worker that misses them anyway bounces its task
+        and gets the spec, so this only saves work.  Otherwise (spawn, or
+        workers already running) it does nothing.  :meth:`run_plans`
+        calls it with the campaign it dispatches.
+        """
+        if (self._executor is None or self._started
+                or self._context.get_start_method() != "fork"):
+            return
+        inherited = {campaign.spec_fingerprint(): campaign
+                     for campaign in campaigns}
+        added = [fingerprint for fingerprint in inherited
+                 if fingerprint not in _WORKER_CAMPAIGNS]
+        _WORKER_CAMPAIGNS.update(inherited)
+        try:
+            self._submit(int)  # forks every worker now
+        finally:
+            for fingerprint in added:
+                del _WORKER_CAMPAIGNS[fingerprint]
+        self._dispatched.update(inherited)
 
     #: Workers key their campaign cache on :func:`spec_fingerprint`, so two
     #: campaign *objects* built from the same configuration share one
@@ -198,14 +246,26 @@ class CampaignPool:
         :meth:`_shard_tasks`.  Plans are cut into contiguous shards
         (:func:`~repro.injection.campaign.shard_plans`) anchored at their
         global trial offsets, and the shard results merge with the
-        order-insensitive :meth:`CampaignResult.merge`.  A bounced shard
-        is resent with the spec as soon as its miss marker arrives, so the
-        other shards keep running meanwhile.
+        order-insensitive :meth:`CampaignResult.merge`.  The first
+        dispatch of a fork pool starts the workers with ``campaign``
+        (:meth:`start_with`).  Otherwise the shards of a fingerprint the
+        pool has never dispatched carry the spec; later ones do not, and a
+        bounced shard is resent with the spec as soon as its miss marker
+        arrives, so the other shards keep running meanwhile.
         """
         if self._executor is None:
             raise RuntimeError("CampaignPool is closed")
+        self.start_with([campaign])
         tasks = self._shard_tasks(campaign, plans, **options)
-        pending = {self._executor.submit(_run_pooled_shard, *task): index
+        fingerprint = campaign.spec_fingerprint()
+        if fingerprint not in self._dispatched:
+            self._dispatched.add(fingerprint)
+            spec = self._pickled_spec(campaign)
+            tasks = [(fingerprint, spec, *rest) for _, _, *rest in tasks]
+            self._stats["misses"] += len(tasks)
+            self._stats["payload_bytes"] += len(tasks) * len(spec)
+        stop_blas_threads()  # this process only waits from here on
+        pending = {self._submit(_run_pooled_shard, *task): index
                    for index, task in enumerate(tasks)}
         self._stats["tasks"] += len(tasks)
         results: List[Optional[CampaignResult]] = [None] * len(tasks)
@@ -218,9 +278,9 @@ class CampaignPool:
                     results[index] = result
                     continue
                 spec = self._pickled_spec(campaign)
-                fingerprint, _, *rest = tasks[index]
-                pending[self._executor.submit(
-                    _run_pooled_shard, fingerprint, spec, *rest)] = index
+                _, _, *rest = tasks[index]
+                pending[self._submit(_run_pooled_shard, fingerprint, spec,
+                                     *rest)] = index
                 self._stats["misses"] += 1
                 self._stats["payload_bytes"] += len(spec)
         return CampaignResult.merge(results)
@@ -243,9 +303,10 @@ class CampaignPool:
         """Aggregated dispatch counters.
 
         ``tasks`` counts first sends (one per shard), ``misses`` the
-        tasks a worker bounced for want of the campaign (each resent once
-        with the spec), ``hits`` the rest, and ``payload_bytes`` the total
-        pickled-spec bytes the resends carried.
+        tasks that needed the spec (the first dispatch of a fingerprint,
+        sent with it, and tasks a worker bounced for want of the campaign,
+        each resent once with it), ``hits`` the rest, and
+        ``payload_bytes`` the total pickled-spec bytes those sends carried.
         """
         return dict(self._stats,
                     hits=self._stats["tasks"] - self._stats["misses"])
@@ -255,7 +316,7 @@ class CampaignPool:
         without OpenBLAS)."""
         if self._executor is None:
             raise RuntimeError("CampaignPool is closed")
-        return self._executor.submit(openblas_threads).result()
+        return self._submit(openblas_threads).result()
 
     def run(self, campaign: FaultInjectionCampaign, trials: int = 100,
             plans: Optional[List[Tuple[int, InjectionPlan]]] = None,

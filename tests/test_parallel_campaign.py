@@ -24,6 +24,7 @@ so the CI fork/spawn matrix, which runs this file, covers both start
 methods.
 """
 
+import gc
 import itertools
 import multiprocessing
 import os
@@ -340,12 +341,20 @@ def _worker_report(_):
     return os.getpid(), openblas_threads()
 
 
-def _reports_from_every_worker(executor, workers, timeout=60.0):
-    """Map each of ``executor``'s ``workers`` processes to its BLAS count."""
+def _worker_threads(_):
+    """(pid, OS threads) of the worker running this task."""
+    time.sleep(0.05)
+    return os.getpid(), len(os.listdir("/proc/self/task"))
+
+
+def _reports_from_every_worker(executor, workers, timeout=60.0,
+                               probe=_worker_report):
+    """Map each of ``executor``'s ``workers`` processes to its ``probe``
+    report (by default its BLAS count)."""
     reports = {}
     deadline = time.monotonic() + timeout
     while len(reports) < workers and time.monotonic() < deadline:
-        reports.update(executor.map(_worker_report, range(2 * workers)))
+        reports.update(executor.map(probe, range(2 * workers)))
     assert len(reports) == workers, reports
     return reports
 
@@ -400,6 +409,31 @@ class TestWorkerBlasThreads:
             min(blas_threads_per_worker(2), parent)}
         assert openblas_threads() == parent
 
+    @requires_openblas
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task")
+        or "fork" not in multiprocessing.get_all_start_methods(),
+        reason="counts a fork worker's threads in /proc")
+    def test_workers_stop_the_blas_threads_the_cap_starts(self):
+        """Setting the count restarts the thread server OpenBLAS shut down
+        for the fork, and its threads busy-wait before they sleep; a
+        worker stops them, so it runs on its main thread alone until a
+        threaded BLAS call.  (A spawn worker would count the threads of
+        libraries its tasks import after the cap, such as scipy's
+        OpenBLAS.)"""
+        with CampaignPool(workers=2,
+                          context=multiprocessing.get_context("fork")) as pool:
+            reports = _reports_from_every_worker(pool._executor, 2,
+                                                 probe=_worker_threads)
+        assert set(reports.values()) == {1}
+
+    def test_workers_freeze_the_inherited_heap(self):
+        """A worker moves what it starts with out of the collector's
+        generations, so its collections never traverse (and copy) the
+        pages a fork child shares with its parent."""
+        with CampaignPool(workers=1) as pool:
+            assert pool._executor.submit(gc.get_freeze_count).result() > 0
+
     @pytest.mark.parametrize("cause, patch", [
         ("no OpenBLAS library is mapped",
          lambda mp: mp.setattr(fanout, "_mapped_openblas", lambda: [])),
@@ -430,6 +464,29 @@ def _spec_bytes(campaign):
     return len(pickle.dumps(campaign.spec(), protocol=pickle.HIGHEST_PROTOCOL))
 
 
+def _running_pool(workers):
+    """A pool whose workers run already, so that its first dispatch
+    cannot start them with the campaign and sends the spec instead."""
+    pool = CampaignPool(workers=workers)
+    pool.worker_blas_threads()
+    return pool
+
+
+def _count_submits(pool):
+    """Record, for every shard ``pool`` submits from now on, whether it
+    carries the spec."""
+    submitted = []
+    real_submit = pool._executor.submit
+
+    def counted(fn, *args):
+        if fn is pool_module._run_pooled_shard:
+            submitted.append(args[1] is not None)
+        return real_submit(fn, *args)
+
+    pool._executor.submit = counted
+    return submitted
+
+
 @pytest.mark.usefixtures("start_method")
 class TestSpecOnMiss:
     """Tasks carry ``(fingerprint, plans)``; a worker without the campaign
@@ -446,20 +503,94 @@ class TestSpecOnMiss:
         serial = self._campaign(untrained_lenet)
         plans = serial.generate_plans(TRIALS)
         reference = serial.run(plans=plans, keep_faults=True)
-        with CampaignPool(workers=2) as pool:
-            result = self._campaign(untrained_lenet).run(
-                plans=plans, keep_faults=True, pool=pool)
+        campaign = self._campaign(untrained_lenet)
+        with _running_pool(2) as pool:
+            # As if the pool had sent the campaign before: its first sends
+            # go without the spec, and the workers bounce them all.
+            pool._dispatched.add(campaign.spec_fingerprint())
+            submitted = _count_submits(pool)
+            result = campaign.run(plans=plans, keep_faults=True, pool=pool)
             stats = pool.stats()
-        # A fresh pool's workers hold no campaign: every first send bounces.
+        assert submitted == [False, False, True, True]
         assert stats["misses"] == stats["tasks"] == 2
         assert result.sdc_counts == reference.sdc_counts
         assert result.faults == reference.faults
         assert result.nodes_recomputed == reference.nodes_recomputed
 
+    def test_first_dispatch_carries_the_spec(self, untrained_lenet):
+        """A fingerprint the pool never sent would bounce on every worker,
+        so its shards go out with the spec and none is resent."""
+        serial = self._campaign(untrained_lenet)
+        plans = serial.generate_plans(TRIALS)
+        reference = serial.run(plans=plans, keep_faults=True)
+        campaign = self._campaign(untrained_lenet)
+        with _running_pool(2) as pool:
+            submitted = _count_submits(pool)
+            result = campaign.run(plans=plans, keep_faults=True, pool=pool)
+            stats = pool.stats()
+        assert submitted == [True, True]
+        assert stats["misses"] == stats["tasks"] == 2
+        assert stats["payload_bytes"] == 2 * _spec_bytes(campaign)
+        assert result.sdc_counts == reference.sdc_counts
+        assert result.faults == reference.faults
+
+    def test_fork_pool_starts_its_workers_with_the_first_campaign(
+            self, untrained_lenet):
+        """A fork pool's first dispatch forks the workers with the campaign
+        cached, so no task carries the spec; a spawn pool's carries it."""
+        serial = self._campaign(untrained_lenet)
+        plans = serial.generate_plans(TRIALS)
+        reference = serial.run(plans=plans, keep_faults=True)
+        campaign = self._campaign(untrained_lenet)
+        fork = os.environ[START_METHOD_ENV] == "fork"
+        with CampaignPool(workers=2) as pool:
+            submitted = _count_submits(pool)
+            result = campaign.run(plans=plans, keep_faults=True, pool=pool)
+            stats = pool.stats()
+        # Under fork the first submit only forks the workers.
+        assert submitted == ([False, False] if fork else [True, True])
+        assert stats["misses"] == (0 if fork else 2)
+        assert result.sdc_counts == reference.sdc_counts
+        assert result.faults == reference.faults
+
+    def test_ephemeral_fork_workers_inherit_the_campaigns(
+            self, untrained_lenet, lenet_prepared, lenet_protected,
+            monkeypatch):
+        """``run(workers=N)`` and ``compare_protection(workers=N)`` start
+        fork workers with their campaigns cached, so no spec is pickled;
+        spawn workers get it with the first dispatch, once per campaign."""
+        pickled = []
+        real_pickled_spec = CampaignPool._pickled_spec
+
+        def counted(pool, campaign):
+            pickled.append(campaign.spec_fingerprint())
+            return real_pickled_spec(pool, campaign)
+
+        monkeypatch.setattr(CampaignPool, "_pickled_spec", counted)
+        fork = os.environ[START_METHOD_ENV] == "fork"
+        campaign = self._campaign(untrained_lenet)
+        plans = campaign.generate_plans(TRIALS)
+        reference = campaign.run(plans=plans, keep_faults=True)
+        result = self._campaign(untrained_lenet).run(
+            plans=plans, keep_faults=True, workers=2)
+        assert result.sdc_counts == reference.sdc_counts
+        assert result.faults == reference.faults
+        assert pickled == ([] if fork else [campaign.spec_fingerprint()])
+        del pickled[:]
+        protected, _ = lenet_protected
+        inputs, _ = lenet_prepared.correctly_predicted_inputs(2, seed=0)
+        serial = compare_protection(lenet_prepared.model, protected, inputs,
+                                    trials=TRIALS, seed=3)
+        fanned = compare_protection(lenet_prepared.model, protected, inputs,
+                                    trials=TRIALS, seed=3, workers=2)
+        for expected, got in zip(serial, fanned):
+            assert got.sdc_counts == expected.sdc_counts
+        assert len(pickled) == (0 if fork else 2)
+
     def test_evicted_campaign_is_resent(self, untrained_lenet):
         campaigns = [self._campaign(untrained_lenet, seed=seed)
                      for seed in range(WORKER_CAMPAIGN_CACHE_LIMIT + 1)]
-        with CampaignPool(workers=1) as pool:
+        with _running_pool(1) as pool:
             for campaign in campaigns:
                 campaign.run(trials=2, pool=pool)
             assert pool.stats()["misses"] == len(campaigns)
@@ -476,7 +607,7 @@ class TestSpecOnMiss:
 
     def test_payload_counts_only_resent_specs(self, untrained_lenet):
         campaign = self._campaign(untrained_lenet)
-        with CampaignPool(workers=2) as pool:
+        with _running_pool(2) as pool:
             for _ in range(3):
                 campaign.run(trials=TRIALS, pool=pool)
             stats = pool.stats()
@@ -559,7 +690,7 @@ class TestPoolLifecycle:
 
     def test_close_stops_workers_and_drops_specs(self, untrained_lenet):
         campaign = self._campaign(untrained_lenet)
-        pool = CampaignPool(workers=2)
+        pool = _running_pool(2)
         try:
             campaign.run(trials=TRIALS, pool=pool)
             workers = set(pool._executor._processes)
@@ -645,7 +776,7 @@ class TestPoolLifecycle:
         plans = first.generate_plans(TRIALS)
         reference = self._campaign(untrained_lenet).run(plans=plans,
                                                         keep_faults=True)
-        with CampaignPool(workers=1) as pool:
+        with _running_pool(1) as pool:
             first.run(plans=plans, pool=pool)
             assert pool.stats()["misses"] == 1
             result = second.run(plans=plans, keep_faults=True, pool=pool)
