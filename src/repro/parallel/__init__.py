@@ -7,7 +7,6 @@ from .fanout import (
     campaign_mp_context,
     log_fallback_once,
     openblas_threads,
-    stop_blas_threads,
     usable_cpus,
 )
 
@@ -33,6 +32,5 @@ __all__ = [
     "campaign_mp_context",
     "log_fallback_once",
     "openblas_threads",
-    "stop_blas_threads",
     "usable_cpus",
 ]
