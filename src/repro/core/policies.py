@@ -45,6 +45,8 @@ class RangeRestrictionOp(Operator):
 class ClipToBound(RangeRestrictionOp):
     """Ranger's default policy: truncate out-of-range values to the bound."""
 
+    pointwise = True
+
     def forward(self, x: Array) -> Array:
         return np.clip(x, self.low, self.high)
 
@@ -62,6 +64,8 @@ class ResetToZero(RangeRestrictionOp):
     and zeros propagate multiplicatively through later layers.
     """
 
+    pointwise = True
+
     def forward(self, x: Array) -> Array:
         return np.where(self.out_of_range(x), 0.0, x)
 
@@ -75,6 +79,8 @@ class ReplaceWithRandom(RangeRestrictionOp):
 
     The paper finds this maintains accuracy but is non-deterministic, which
     is why clipping remains the recommended policy for safety-critical use.
+    Not pointwise: the draw is made for the whole input's shape, so a
+    subset of positions would receive other random values.
     """
 
     def __init__(self, low: float, high: float, seed: int = 0) -> None:

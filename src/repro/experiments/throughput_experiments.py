@@ -236,6 +236,8 @@ def _measure_batched(model, inputs: np.ndarray, fmt, policy, trials: int,
         "rows_per_trial": batched_result.nodes_recomputed / trials,
         "conv_positions_per_trial":
             batched_result.conv_positions_evaluated / trials,
+        "pointwise_box_fraction":
+            batched_result.pointwise_box_fraction or 0.0,
         "pack_seconds": pack_seconds,
         "pack_fraction": pack_seconds / (batched_seconds + pack_seconds),
     }
@@ -374,6 +376,7 @@ def run_campaign_throughput(scale: Optional[ExperimentScale] = None,
                                  stats["batched_fraction"],
                                  stats["union_overhead_nodes"],
                                  100.0 * stats["conv_window_fraction"],
+                                 100.0 * stats["pointwise_box_fraction"],
                                  stats["rows_per_trial"],
                                  stats["conv_positions_per_trial"],
                                  100.0 * stats["pack_fraction"],
@@ -382,7 +385,7 @@ def run_campaign_throughput(scale: Optional[ExperimentScale] = None,
         ["model", "datatype", "incr trials/s",
          f"batched[B={BATCH_WIDTH}] trials/s", "speedup",
          "occupancy rows/batch", "batched frac", "union overhead",
-         "conv window %", "rows/trial", "conv pos/trial", "pack %",
+         "conv window %", "pointwise box %", "rows/trial", "conv pos/trial", "pack %",
          "max ulp dev"],
         batched_rows,
         title=(f"Campaign throughput — union-cone batched (ULP_TOLERANT) "

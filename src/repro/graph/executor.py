@@ -23,7 +23,8 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
 import numpy as np
 
 from ..ops.base import Array, Operator, Placeholder, Variable
-from ..ops.conv import ConvGolden
+from ..ops.boxes import RowBoxes, diff_boxes, gather, splice, tighten, union
+from ..ops.conv import ConvGolden, reachable_boxes
 from .equivalence import (DEFAULT_MAX_ULPS, EquivalenceMode,
                           max_row_ulp_distance)
 from .graph import Graph, GraphError, Node
@@ -35,6 +36,13 @@ OutputHook = Callable[[Node, Array], Array]
 #: An observer receives (node, output) and returns nothing.  Observers run
 #: after all output hooks.
 Observer = Callable[[Node, Array], None]
+
+#: Smallest per-row element count of an NHWC value for which windowed
+#: batched replay carries boxes (see :mod:`repro.ops.boxes`).  Below it a
+#: whole-row numpy call costs less than the box bookkeeping (index
+#: arrays, gathers, per-row reductions); those values are evaluated and
+#: checked whole, as without boxes.
+BOX_MIN_ELEMENTS = 2048
 
 #: Smallest per-row element count for which ULP_TOLERANT replay runs the
 #: full three-tier row-divergence screen.  Masked faults die at the big
@@ -55,12 +63,20 @@ class DTypePolicy:
     to a Qm.n grid with saturation, which is how the paper's "32-bit
     fixed-point datatype" configuration is modelled.
 
-    Contract: ``apply`` must be idempotent bit for bit —
-    ``apply(node, apply(node, v))`` has the same bytes as
-    ``apply(node, v)``, NaNs, signed zeros and saturated values included.
-    Batched replay relies on it: a windowed conv splices the cached
-    (already policy-processed) golden output into its result and the
-    policy then runs over the whole spliced array.
+    Contract, which batched replay relies on:
+
+    * ``apply`` must be **idempotent** bit for bit —
+      ``apply(node, apply(node, v))`` has the same bytes as
+      ``apply(node, v)``, NaNs, signed zeros and saturated values
+      included.  Positions served from the cached (already
+      policy-processed) golden value come out unchanged.
+    * ``apply`` must be **elementwise**: each output element depends on
+      the input element at the same index alone, and not on the array's
+      shape, so applying it to any subset of the elements — flattened to
+      ``(positions, channels)`` — gives the same bits as applying it to
+      the whole array and taking the subset.  Windowed replay applies the
+      policy to the box-packed values of the positions a fault reached
+      (see :mod:`repro.ops.boxes`), never to the golden rest.
     """
 
     name = "float64"
@@ -169,6 +185,10 @@ class BatchedExecutionResult:
     output positions (summed over rows) of every re-evaluated ``Conv2D``
     that were computed, and that a full conv would have computed; they
     differ only where windowed conv replay served positions from golden.
+    ``pointwise_positions_evaluated`` / ``pointwise_positions_total`` do
+    the same for every re-evaluated pointwise operator with an NHWC
+    output: the spatial positions inside the rows' boxes, and all of
+    them.
     """
 
     outputs: Dict[str, Array]
@@ -177,6 +197,8 @@ class BatchedExecutionResult:
     max_ulp_deviation: float = 0.0
     conv_positions_evaluated: int = 0
     conv_positions_total: int = 0
+    pointwise_positions_evaluated: int = 0
+    pointwise_positions_total: int = 0
 
     def output(self, name: Optional[str] = None) -> Array:
         if name is not None:
@@ -406,6 +428,67 @@ class Executor:
         return dirty, deviation
 
     @staticmethod
+    def _region_rows(values: Array, golden_values: Array, region: RowBoxes,
+                     cached: Array, threshold: float
+                     ) -> Optional[Tuple[np.ndarray, float]]:
+        """The ``ULP_TOLERANT`` row check of :meth:`_dirty_rows`, read
+        off the region alone.
+
+        ``values`` and ``golden_values`` are box-packed over ``region``
+        (one box per evaluated row); outside its box each row is
+        bit-identical to ``cached``.  Returns ``(dirty, deviation)`` with
+        a boolean dirty mask over the rows — the verdict
+        :meth:`_dirty_rows` gives the whole rows: below
+        :data:`DIVERGENCE_CHECK_MIN_ELEMENTS` elements per row, plain
+        equality; above it, :meth:`_row_divergence`'s exact tiers (a row
+        is clean when every element equals golden, surely dirty when its
+        peak deviation clears the screen against the whole golden row's
+        largest magnitude, and otherwise settled by its ULP distance).
+        Bits outside the box equal golden, so they add no inequality, no
+        deviation and no ULP distance.  That fails for a golden NaN
+        (unequal to itself under ``==``, and a NaN peak under the
+        screen) and an infinity (``inf - inf``), so a golden value holding
+        either returns ``None`` for the caller to check whole rows.
+        """
+        count = len(region)
+        if values.dtype != cached.dtype:
+            return None
+        nonempty = np.flatnonzero(region.sizes)
+        # Per-row reductions over the flat box-packed elements: one
+        # segment per non-empty row (reducing the short channel axis
+        # first costs several times more).
+        starts = region.starts[nonempty] * values.shape[1]
+        if cached.size < DIVERGENCE_CHECK_MIN_ELEMENTS:
+            if np.isnan(cached).any():
+                return None
+            clean = np.ones(count, dtype=bool)
+            if len(nonempty):
+                clean[nonempty] = np.logical_and.reduceat(
+                    (values == golden_values).ravel(), starts)
+            return ~clean, 0.0
+        max_cached = float(np.abs(cached).max())
+        if not np.isfinite(max_cached):
+            return None
+        peak = np.zeros(count)
+        if len(nonempty):
+            peak[nonempty] = np.maximum.reduceat(
+                np.abs(values - golden_values).ravel(), starts)
+        eps = np.finfo(np.float64).eps
+        # NaN peaks compare False here and fall through to ULP distances.
+        dirty = peak > threshold * eps * (max_cached + peak)
+        deviation = 0.0
+        for k in np.flatnonzero(~dirty & (peak != 0)):
+            start = region.starts[k]
+            end = start + region.sizes[k]
+            dist = float(max_row_ulp_distance(values[None, start:end],
+                                              golden_values[None, start:end])[0])
+            if dist <= threshold:
+                deviation = max(deviation, dist)
+            else:
+                dirty[k] = True
+        return dirty, deviation
+
+    @staticmethod
     def _dirty_rows(out: Array, cached: Optional[Array], exact: bool,
                     threshold: float) -> Tuple[int, float]:
         """Which of the evaluated rows ``out`` still differ from the cache.
@@ -518,6 +601,23 @@ class Executor:
         the full conv: a row-subset GEMM is not bit-identical to the full
         one on every BLAS.
 
+        **Carried boxes.**  Windowed replay with no hooks or observers
+        also keeps, next to each packed dirty NHWC value of at least
+        :data:`BOX_MIN_ELEMENTS` elements per row, one box per row
+        outside which the row is bit-identical to golden
+        (:mod:`repro.ops.boxes`).  Boxes come from a bit comparison of
+        entry rows and of outputs evaluated whole, and from conv windows;
+        pooling maps them through its window.  A pointwise operator
+        (:attr:`~repro.ops.base.Operator.pointwise`) evaluates only the
+        union of its inputs' boxes, box-packed, and so does the dtype
+        policy; the row check reads only the box and gives the verdict the
+        whole-row check would.  A conv reads its windows off its input's
+        boxes, tightened to the changed bits first, instead of comparing
+        the input against golden.  Dense rows are spliced from the
+        box-packed ones only for consumers that need them.  The outputs,
+        ``rows_evaluated`` and conv positions are those of whole-row
+        evaluation, byte for byte.
+
         Parameters
         ----------
         cached_values:
@@ -608,6 +708,13 @@ class Executor:
         # its packed values (one row per set bit, ascending row order).
         # Homogeneous overrides enter on every row.
         entries: Dict[str, Tuple[int, int, Array]] = {}
+        # Windowed replay carries a box per dirty row of every NHWC store
+        # (see repro.ops.boxes): outside it the row is bit-identical to
+        # golden, so pointwise steps, quantization and the row checks
+        # touch only the box.  Hooks and observers see whole arrays and
+        # keep whole-row evaluation.
+        boxing = windowed and not self._observers
+        entry_boxes: Dict[str, RowBoxes] = {}
         for name, rows in overrides.items():
             mask = row_masks.get(name)
             bits = every if mask is None else _bits_of(mask)
@@ -638,6 +745,10 @@ class Executor:
                 live = _pick(bits, changed, batch)
                 if live and live != bits:
                     rows = rows[_mask_of(changed, rows.shape[0])]
+            elif (boxing and cached is not None and rows.ndim == 4
+                  and rows.dtype == cached.dtype
+                  and cached.size >= BOX_MIN_ELEMENTS):
+                entry_boxes[name] = diff_boxes(rows, cached)
             entries[name] = (bits, live, rows)
         # Entries are installed when the walk reaches them (another entry's
         # dirt may flow *through* them first), so the walk must not end
@@ -653,13 +764,34 @@ class Executor:
         # downstream.  A store is dropped once its last reader in the cone
         # has run (requested outputs excepted): holding every store to the
         # end grows the heap by the whole cone's activations per call.
+        # With boxes, a store holds its rows dense (``packed_of``),
+        # box-packed (``boxed_of``) or both; dense rows are spliced from
+        # the box-packed ones when a consumer needs them.
         dirty_bits: Dict[str, int] = {}
         packed_of: Dict[str, Array] = {}
+        boxes_of: Dict[str, RowBoxes] = {}
+        boxed_of: Dict[str, Array] = {}
+        #: Stores whose boxes are tight: each is the bounding box of the
+        #: positions where its row's bits differ from golden.  Boxes from
+        #: a bit comparison are; region boxes (pointwise steps, conv
+        #: windows, pooling) may be wider, and are tightened where a conv
+        #: needs them tight.
+        tight: Set[str] = set()
         recomputed: Set[str] = set()
         rows_evaluated = 0
         conv_evaluated = conv_total = 0
+        pointwise_evaluated = pointwise_total = 0
         max_deviation = 0.0
         last_dirty_use = -1
+
+        def dense_of(name: str) -> Array:
+            """A dirty store's packed rows, dense."""
+            packed = packed_of.get(name)
+            if packed is None:
+                packed = splice(np.asarray(cached_values[name]),
+                                boxes_of[name], boxed_of[name])
+                packed_of[name] = packed
+            return packed
 
         def assemble_input(name: str, need: int, count: int) -> Array:
             """An input's rows for the ``count`` rows a consumer evaluates.
@@ -674,7 +806,7 @@ class Executor:
                 value = cached_values[name]
                 return (value if count == 1
                         else self._broadcast_cached(value, name, count))
-            packed = packed_of[name]
+            packed = dense_of(name)
             if bits == need:
                 return packed
             cached = np.asarray(cached_values[name])
@@ -695,10 +827,125 @@ class Executor:
                     packed if bits & need == bits else packed[take[mask]])
             return assembled
 
+        def slots_in(name: str, need: int) -> Tuple[Array, Array]:
+            """For the ``need`` rows (ranked) that ``name`` holds dirty:
+            their ranks among ``need`` and their indices in its store."""
+            need_rows = np.flatnonzero(_mask_of(need, batch))
+            mask = _mask_of(dirty_bits[name], batch)
+            held = mask[need_rows]
+            return (np.flatnonzero(held),
+                    (np.cumsum(mask) - 1)[need_rows[held]])
+
+        def boxes_for(name: str, need: int) -> Optional[RowBoxes]:
+            """The boxes of ``name``'s rows for a consumer evaluating
+            exactly its dirty rows among ``need`` (``None``: no box)."""
+            boxes = boxes_of.get(name)
+            if boxes is None or dirty_bits[name] == need:
+                return boxes
+            return boxes.take(slots_in(name, need)[1])
+
+        def tight_for(name: str, need: int) -> Optional[RowBoxes]:
+            """Tight boxes of ``name``'s rows among ``need`` (``None``: no
+            box), for a conv that reads its windows off them: they must be
+            the boxes its own input comparison would find."""
+            boxes = boxes_of.get(name)
+            if boxes is None:
+                return None
+            if name not in tight:
+                values = boxed_of.get(name)
+                if values is None:
+                    values = gather(packed_of[name], boxes)
+                cached = np.asarray(cached_values[name])
+                golden_values = cached.reshape(-1, cached.shape[-1])[
+                    boxes.golden_index(cached.shape[2])]
+                # The conv reads the rows dense: splice them before the
+                # box-packed layout is dropped.
+                dense_of(name)
+                boxed_of.pop(name, None)
+                boxes_of[name] = tighten(values, golden_values, boxes)
+                tight.add(name)
+            return boxes_for(name, need)
+
+        def pointwise_inputs(inputs: Tuple[str, ...], need: int, count: int,
+                             h: int, w: int):
+            """``(region, args)`` of a pointwise step over boxes, or
+            ``None`` when an input does not fit the box layout."""
+            carried: List[Tuple[str, int]] = []
+            for inp in inputs:
+                value = cached_values.get(inp)
+                if value is None:
+                    return None
+                if graph.node(inp).op.batch_axis is None:
+                    if np.ndim(value) > 1:
+                        return None  # must broadcast over channels alone
+                    continue
+                if np.ndim(value) != 4 or np.shape(value)[1:3] != (h, w):
+                    return None
+                carried.append((inp, dirty_bits.get(inp, 0) & need))
+            dirty = [(inp, bits) for inp, bits in carried if bits]
+            if (len(dirty) == 1 and dirty_bits[dirty[0][0]] == need
+                    and dirty[0][0] in boxes_of):
+                region = boxes_of[dirty[0][0]]
+            else:
+                parts = []
+                for inp, bits in dirty:
+                    boxes = boxes_of.get(inp)
+                    if dirty_bits[inp] == need:
+                        parts.append((np.arange(count), boxes))
+                    else:
+                        slots, held = slots_in(inp, need)
+                        parts.append((slots, None if boxes is None
+                                      else boxes.take(held)))
+                region = union(parts, count, h, w)
+            args = []
+            for inp in inputs:
+                if graph.node(inp).op.batch_axis is None:
+                    args.append(cached_values[inp])
+                else:
+                    args.append(region_values(inp, need, region, w))
+            return region, args
+
+        def region_values(name: str, need: int, region: RowBoxes,
+                          w: int) -> Array:
+            """Input ``name`` at the region's positions, box-packed."""
+            bits = dirty_bits.get(name, 0)
+            if bits == need:
+                boxed = boxed_of.get(name)
+                if boxed is not None and boxes_of[name].same_as(region):
+                    return boxed
+                if name in packed_of:
+                    return gather(packed_of[name], region)
+            cached = np.asarray(cached_values[name])
+            values = cached.reshape(-1, cached.shape[-1])[
+                region.golden_index(w)]
+            if not bits & need:
+                return values
+            slots, held = slots_in(name, need)
+            slot_of = np.full(len(region), -1)
+            slot_of[slots] = held
+            row, i, j = region.positions()
+            at = np.flatnonzero(slot_of[row] >= 0)
+            slot, i, j = slot_of[row[at]], i[at], j[at]
+            packed = packed_of.get(name)
+            if packed is not None:
+                h = cached.shape[1]
+                values[at] = packed.reshape(-1, cached.shape[-1])[
+                    (slot * h + i) * w + j]
+                return values
+            boxes = boxes_of[name]
+            top, left = boxes.top[slot], boxes.left[slot]
+            inside = ((i >= top) & (i <= boxes.bottom[slot])
+                      & (j >= left) & (j <= boxes.right[slot]))
+            values[at[inside]] = boxed_of[name][
+                (boxes.starts[slot] + (i - top) * boxes.widths[slot]
+                 + (j - left))[inside]]
+            return values
+
         policy = self.dtype_policy
         hooked = bool(self._output_hooks or self._observers)
         for (node, position, releases, last_read, inputs, is_conv,
-             is_placeholder, batch_invariant) in schedule.steps:
+             is_placeholder, batch_invariant, pointwise,
+             is_pool) in schedule.steps:
             if (not pending_seeds and not pending_entries
                     and position > last_dirty_use):
                 break  # no remaining node can see a dirty row
@@ -723,6 +970,9 @@ class Executor:
                 if live:
                     dirty_bits[name] = live
                     packed_of[name] = live_rows
+                    if name in entry_boxes:
+                        boxes_of[name] = entry_boxes[name]
+                        tight.add(name)
                     last_dirty_use = max(last_dirty_use, last_read)
                 continue  # otherwise every input row is clean
             if batch_invariant:
@@ -732,6 +982,14 @@ class Executor:
                     f"shares its cached value")
             count = need.bit_count()
             cached = cached_values.get(name)
+            # Whether this output carries boxes, and its region: when set,
+            # the output is box-packed over it (or, for pooling, dense but
+            # golden outside it).
+            boxable = (boxing and not is_seed and cached is not None
+                       and np.ndim(cached) == 4
+                       and np.size(cached) >= BOX_MIN_ELEMENTS)
+            region: Optional[RowBoxes] = None
+            boxed_out = False
             if is_placeholder:
                 if name not in feed:
                     raise GraphError(
@@ -745,9 +1003,17 @@ class Executor:
                 out = np.array(fed if need == every
                                else fed[_mask_of(need, batch)])
             else:
+                boxed_step = None
+                if boxable and pointwise:
+                    boxed_step = pointwise_inputs(
+                        inputs, need, count, *np.shape(cached)[1:3])
                 try:
-                    args = [assemble_input(inp, need, count)
-                            for inp in inputs]
+                    if boxed_step is not None:
+                        region, args = boxed_step
+                        boxed_out = True
+                    else:
+                        args = [assemble_input(inp, need, count)
+                                for inp in inputs]
                 except KeyError as exc:
                     raise GraphError(
                         f"no cached value for input {exc} of node "
@@ -758,49 +1024,130 @@ class Executor:
                               if windowed and not is_seed
                               and golden_x is not None and cached is not None
                               else None)
+                    if golden is not None and boxing:
+                        golden.boxes = tight_for(inputs[0], need)
+                        golden.carry = boxable
                     out = node.op.forward(*args, golden=golden)
-                    positions = out.shape[0] * out.shape[1] * out.shape[2]
+                    if golden is not None and golden.out_boxes is not None:
+                        region = golden.out_boxes
+                        boxed_out = True
+                        positions = count * cached.shape[1] * cached.shape[2]
+                    else:
+                        positions = out.shape[0] * out.shape[1] * out.shape[2]
                     conv_total += positions
                     conv_evaluated += (positions if golden is None
                                        else golden.positions_evaluated)
                 else:
                     out = node.op.forward(*args)
+                    if boxable and is_pool:
+                        in_boxes = boxes_for(inputs[0], need)
+                        if in_boxes is not None:
+                            op = node.op
+                            region = reachable_boxes(
+                                in_boxes, *args[0].shape[1:3],
+                                (op.pool, op.pool), op.stride, op.padding,
+                                *out.shape[1:3])
                 del args
                 for inp in releases:
                     dirty_bits.pop(inp, None)
                     packed_of.pop(inp, None)
+                    boxes_of.pop(inp, None)
+                    boxed_of.pop(inp, None)
+                    tight.discard(inp)
             if hooked:
                 out = np.asarray(self._evaluate(node, out))
             else:
                 out = policy.apply(node, out)
+            if pointwise and np.ndim(cached) == 4:
+                positions = count * cached.shape[1] * cached.shape[2]
+                pointwise_total += positions
+                pointwise_evaluated += (region.total if boxed_out
+                                        else positions)
             rows_evaluated += count
             recomputed.add(name)
             if is_seed:
                 pending_seeds -= 1
-            changed, deviation = self._dirty_rows(out, cached, exact,
-                                                  threshold)
+            # The row check.  A boxable output is checked over its region:
+            # the box-packed result, a pool's reachable window, or — for an
+            # output evaluated whole — the tight box of its changed bits.
+            # Anything else is checked whole.
+            is_tight = False
+            if boxable and region is None:
+                cached = np.asarray(cached)
+                region = diff_boxes(out, cached)
+                is_tight = True
+            verdict = None
+            if region is not None:
+                cached = np.asarray(cached)
+                values = out if boxed_out else gather(out, region)
+                golden_values = cached.reshape(-1, cached.shape[-1])[
+                    region.golden_index(cached.shape[2])]
+                verdict = self._region_rows(values, golden_values, region,
+                                            cached, threshold)
+                if verdict is None and boxed_out:
+                    # A NaN or an infinity in golden: the region check
+                    # cannot mirror the whole-row one, so check the rows.
+                    out = splice(cached, region, values)
+                    boxed_out = False
+            if verdict is not None:
+                dirty_mask, deviation = verdict
+                changed = _bits_of(dirty_mask)
+            else:
+                changed, deviation = self._dirty_rows(out, cached, exact,
+                                                      threshold)
             max_deviation = max(max_deviation, deviation)
             fresh = _pick(need, changed, batch)
+            # Clean rows drop out; the survivors keep their region rows as
+            # their boxes.
+            boxes = region
             if fresh != need and fresh:
-                out = out[_mask_of(changed, count)]
+                if region is not None:
+                    if verdict is None:
+                        dirty_mask = _mask_of(changed, count)
+                    boxes = region.take(np.flatnonzero(dirty_mask))
+                out = (values[dirty_mask[region.positions()[0]]]
+                       if boxed_out else out[_mask_of(changed, count)])
             if live:
                 # Merge the injected entry rows with the re-evaluated ones
                 # (ascending row order, like every packed store).
+                if boxed_out and fresh:
+                    out = splice(np.asarray(cached), boxes, out)
                 final = live | fresh
                 final_mask = _mask_of(final, batch)
                 position_of = np.cumsum(final_mask) - 1
-                combined = np.empty((final.bit_count(),) + out.shape[1:],
+                combined = np.empty((final.bit_count(),) + live_rows.shape[1:],
                                     dtype=np.result_type(live_rows, out))
-                combined[position_of[_mask_of(live, batch)]] = live_rows
+                live_at = position_of[_mask_of(live, batch)]
+                combined[live_at] = live_rows
+                fresh_at = position_of[_mask_of(fresh, batch)]
                 if fresh:
-                    combined[position_of[_mask_of(fresh, batch)]] = out
+                    combined[fresh_at] = out
                 dirty_bits[name] = final
                 packed_of[name] = combined
+                entry_box = entry_boxes.get(name)
+                if entry_box is not None and (boxes is not None
+                                              or not fresh):
+                    # The two row sets are disjoint: their union places
+                    # each box at its row.
+                    parts = [(live_at, entry_box)]
+                    if fresh:
+                        parts.append((fresh_at, boxes))
+                    boxes_of[name] = union(parts, final.bit_count(),
+                                           *live_rows.shape[1:3])
+                    if is_tight or not fresh:
+                        tight.add(name)
             elif fresh:
                 # Evaluated arrays are never written after this point, so
                 # when every row survives the output is stored uncopied.
                 dirty_bits[name] = fresh
-                packed_of[name] = out
+                if boxed_out:
+                    boxed_of[name] = out
+                else:
+                    packed_of[name] = out
+                if boxes is not None:
+                    boxes_of[name] = boxes
+                    if is_tight:
+                        tight.add(name)
             else:
                 continue
             last_dirty_use = max(last_dirty_use, last_read)
@@ -809,7 +1156,7 @@ class Executor:
         for name in requested:
             bits = dirty_bits.get(name, 0)
             if bits == every:
-                results[name] = np.ascontiguousarray(packed_of[name])
+                results[name] = np.ascontiguousarray(dense_of(name))
                 continue
             try:
                 cached = cached_values[name]
@@ -819,13 +1166,15 @@ class Executor:
                     f"cached value to serve them from") from None
             full = np.array(self._broadcast_cached(cached, name, batch))
             if bits:
-                full[_mask_of(bits, batch)] = packed_of[name]
+                full[_mask_of(bits, batch)] = dense_of(name)
             results[name] = full
-        return BatchedExecutionResult(outputs=results, recomputed=recomputed,
-                                      rows_evaluated=rows_evaluated,
-                                      max_ulp_deviation=max_deviation,
-                                      conv_positions_evaluated=conv_evaluated,
-                                      conv_positions_total=conv_total)
+        return BatchedExecutionResult(
+            outputs=results, recomputed=recomputed,
+            rows_evaluated=rows_evaluated, max_ulp_deviation=max_deviation,
+            conv_positions_evaluated=conv_evaluated,
+            conv_positions_total=conv_total,
+            pointwise_positions_evaluated=pointwise_evaluated,
+            pointwise_positions_total=pointwise_total)
 
     # -- training ---------------------------------------------------------------
 
@@ -877,7 +1226,9 @@ class Executor:
 
 
 def set_training_mode(graph: Graph, training: bool) -> None:
-    """Flip the ``training`` flag on every operator that has one."""
+    """Flip the ``training`` flag on every operator that has one (and drop
+    the graph's replay schedules, which hoist flags that depend on it)."""
     for node in graph:
         if hasattr(node.op, "training"):
             node.op.training = training
+    graph.clear_schedules()

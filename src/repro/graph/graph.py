@@ -14,6 +14,8 @@ for the Ranger reproduction:
 
 from __future__ import annotations
 
+import sys
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
                     NamedTuple, Optional, Sequence, Set, Tuple, Union)
@@ -22,6 +24,18 @@ import numpy as np
 
 from ..ops.base import Array, Operator, Placeholder, Variable
 from ..ops.conv import Conv2D
+from ..ops.pooling import AvgPool2D, MaxPool2D
+
+#: Most replay schedules (:meth:`Graph.cone_schedule`) one graph keeps;
+#: the least recently used is dropped past it.  A campaign needs one per
+#: fault site (bit-exact replay) plus one per distinct cross-site batch
+#: (batched replay), and a long served campaign meets new batches in every
+#: wave; the zoo's largest models have under 100 fault sites.
+SCHEDULE_MEMO_LIMIT = 512
+
+#: Most union cones (:meth:`Graph.downstream_union`) one graph keeps, for
+#: the same reason: the batch packer asks for one per candidate batch.
+UNION_MEMO_LIMIT = 4096
 
 
 class GraphError(RuntimeError):
@@ -75,6 +89,12 @@ class ConeStep(NamedTuple):
     #: Variables and constants (``batch_axis is None``): every row shares
     #: their cached value, so a replay never re-evaluates them.
     batch_invariant: bool
+    #: The operator's pointwise contract
+    #: (:attr:`~repro.ops.base.Operator.pointwise`).
+    pointwise: bool
+    #: Max or average pooling: windowed replay maps a box through its
+    #: window geometry.
+    is_pool: bool
 
 
 @dataclass(frozen=True)
@@ -115,11 +135,12 @@ class Graph:
         #: Union-cone memo keyed by frozenset of start names; the batched
         #: campaign packer asks for the same unions once per (fault-node
         #: set, batch) combination, so these are hit constantly at scale.
-        self._union_memo: Dict[frozenset, frozenset] = {}
+        #: Least recently used first, at most :data:`UNION_MEMO_LIMIT`.
+        self._union_memo: "OrderedDict[frozenset, frozenset]" = OrderedDict()
         #: Replay schedules keyed by (seed set, requested outputs); see
-        #: :meth:`cone_schedule`.
-        self._schedule_memo: Dict[Tuple[frozenset, Tuple[str, ...]],
-                                  ConeSchedule] = {}
+        #: :meth:`cone_schedule`.  Least recently used first, at most
+        #: :data:`SCHEDULE_MEMO_LIMIT`.
+        self._schedule_memo: "OrderedDict[Tuple[frozenset, Tuple[str, ...]], ConeSchedule]" = OrderedDict()
         self._topo_index: Optional[Dict[str, int]] = None
 
     # -- pickling ----------------------------------------------------------
@@ -142,6 +163,15 @@ class Graph:
         state["_schedule_memo"] = {}
         state["_topo_index"] = None
         return state
+
+    def __setstate__(self, state) -> None:
+        """Restore the pickled fields and fresh (LRU-ordered) memos.
+        Attribute names are interned, as the default restore does: a
+        re-pickled graph must give the same bytes."""
+        for key, value in state.items():
+            setattr(self, sys.intern(key), value)
+        self._union_memo = OrderedDict()
+        self._schedule_memo = OrderedDict()
 
     # -- construction ------------------------------------------------------
 
@@ -297,6 +327,10 @@ class Graph:
         if memo is None:
             memo = frozenset(self.downstream(key))
             self._union_memo[key] = memo
+            if len(self._union_memo) > UNION_MEMO_LIMIT:
+                self._union_memo.popitem(last=False)
+        else:
+            self._union_memo.move_to_end(key)
         return memo
 
     def cone_schedule(self, seeds: frozenset,
@@ -306,10 +340,16 @@ class Graph:
         Memoized per (seed set, requested outputs): a campaign replays the
         same fault-node sets over and over, so the topological walk, last
         readers and horizons are built once per set, not once per trial.
+        The memo keeps the :data:`SCHEDULE_MEMO_LIMIT` most recently used
+        schedules.  Operator flags are read when a schedule is built, so
+        flipping an operator's training mode must go through
+        :func:`~repro.graph.executor.set_training_mode`, which drops them.
         """
         key = (seeds, requested)
         schedule = self._schedule_memo.get(key)
-        if schedule is None:
+        if schedule is not None:
+            self._schedule_memo.move_to_end(key)
+        else:
             needed = self.ancestors(requested)
             members = frozenset(name for name in self.downstream(seeds)
                                 if name in needed)
@@ -336,10 +376,18 @@ class Graph:
                     node, topo[name], tuple(releases.get(name, ())),
                     horizon.get(name, -1), node.inputs,
                     isinstance(op, Conv2D), isinstance(op, Placeholder),
-                    op.batch_axis is None))
+                    op.batch_axis is None, bool(op.pointwise),
+                    isinstance(op, (MaxPool2D, AvgPool2D))))
             schedule = ConeSchedule(steps=tuple(steps), members=members)
             self._schedule_memo[key] = schedule
+            if len(self._schedule_memo) > SCHEDULE_MEMO_LIMIT:
+                self._schedule_memo.popitem(last=False)
         return schedule
+
+    def clear_schedules(self) -> None:
+        """Drop every memoized replay schedule (they hoist operator flags
+        that an operator's training mode changes)."""
+        self._schedule_memo.clear()
 
     def ancestors(self, targets: Union[str, Iterable[str]]) -> Set[str]:
         """All nodes that ``targets`` depend on (including the targets).

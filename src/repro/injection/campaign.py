@@ -342,6 +342,11 @@ class CampaignResult:
     #: 0 outside the batched path).
     conv_positions_evaluated: int = 0
     conv_positions_total: int = 0
+    #: The same for batched replay's pointwise operators with NHWC
+    #: outputs: spatial positions evaluated inside the carried boxes, and
+    #: all positions of the re-evaluated rows.
+    pointwise_positions_evaluated: int = 0
+    pointwise_positions_total: int = 0
     #: Retired element-level replay counters, always 0: every replay
     #: evaluates whole dense rows.  Kept (and merged) so readers of the
     #: per-element accounting — the campaign benchmark's traced metrics —
@@ -403,6 +408,14 @@ class CampaignResult:
         if self.conv_positions_total == 0:
             return None
         return self.conv_positions_evaluated / self.conv_positions_total
+
+    @property
+    def pointwise_box_fraction(self) -> Optional[float]:
+        """Share of batched pointwise output positions actually computed."""
+        if self.pointwise_positions_total == 0:
+            return None
+        return (self.pointwise_positions_evaluated
+                / self.pointwise_positions_total)
 
     @property
     def recompute_fraction(self) -> Optional[float]:
@@ -531,6 +544,10 @@ class CampaignResult:
             conv_positions_evaluated=sum(s.conv_positions_evaluated
                                          for s in shards),
             conv_positions_total=sum(s.conv_positions_total for s in shards),
+            pointwise_positions_evaluated=sum(
+                s.pointwise_positions_evaluated for s in shards),
+            pointwise_positions_total=sum(s.pointwise_positions_total
+                                          for s in shards),
             elements_evaluated=sum(s.elements_evaluated for s in shards),
             elements_full=sum(s.elements_full for s in shards),
             dense_fallback_nodes=sum(s.dense_fallback_nodes for s in shards),
@@ -1038,6 +1055,7 @@ class FaultInjectionCampaign:
         batched_trials = 0
         union_overhead = 0
         conv_evaluated = conv_total = 0
+        pointwise_evaluated = pointwise_total = 0
 
         batches, fallback = (
             packing if packing is not None
@@ -1056,6 +1074,8 @@ class FaultInjectionCampaign:
             max_deviation = max(max_deviation, result.max_ulp_deviation)
             conv_evaluated += result.conv_positions_evaluated
             conv_total += result.conv_positions_total
+            pointwise_evaluated += result.pointwise_positions_evaluated
+            pointwise_total += result.pointwise_positions_total
             batched_trials += len(positions)
             union_overhead += self._union_overhead(positions, plans)
             for criterion in self.criteria:
@@ -1095,7 +1115,9 @@ class FaultInjectionCampaign:
                               batched_trials=batched_trials,
                               union_overhead_nodes=union_overhead,
                               conv_positions_evaluated=conv_evaluated,
-                              conv_positions_total=conv_total)
+                              conv_positions_total=conv_total,
+                              pointwise_positions_evaluated=pointwise_evaluated,
+                              pointwise_positions_total=pointwise_total)
 
 
 @dataclass

@@ -39,6 +39,7 @@ class ReLU(Activation):
     """Rectified linear unit: ``max(x, 0)``.  Unbounded above."""
 
     inherent_bounds = None
+    pointwise = True
 
     def forward(self, x: Array) -> Array:
         return np.maximum(x, 0.0)
@@ -50,6 +51,8 @@ class ReLU(Activation):
 
 class LeakyReLU(Activation):
     """Leaky ReLU with configurable negative slope."""
+
+    pointwise = True
 
     def __init__(self, alpha: float = 0.01) -> None:
         self.alpha = float(alpha)

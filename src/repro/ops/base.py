@@ -67,6 +67,24 @@ class Operator:
     #: broadcast to the stacked batch and which are passed through as-is.
     batch_axis: Optional[int] = 0
 
+    #: **Pointwise contract** (read by windowed batched replay).  An
+    #: operator is pointwise when every output element depends only on
+    #: the input elements at the same spatial position (channels of that
+    #: position included), and is computed by correctly rounded IEEE
+    #: operations (``+ - * /``, comparisons, selects, min/max, clip), so
+    #: that evaluating it on any subset of positions — flattened to
+    #: ``(positions, channels)`` — gives the same bits as evaluating the
+    #: whole array.  Its batch-invariant inputs must broadcast against the
+    #: channel axis alone.  Replay then evaluates it only inside the boxes
+    #: where its inputs differ from golden (see :mod:`repro.ops.boxes`).
+    #: Ops built from transcendental functions (``exp``, ``tanh``,
+    #: ``arctan``, ``**``) must not set it: numpy's vector and scalar loops
+    #: may round them differently depending on the array's shape.  Neither
+    #: may ops that read other positions (conv, pooling, softmax, reshape,
+    #: pad) or whose result depends on the array's shape (a random draw of
+    #: ``x.shape``, as in ``ReplaceWithRandom``).
+    pointwise: bool = False
+
     def forward(self, *inputs: Array) -> Array:
         raise NotImplementedError
 
@@ -189,6 +207,7 @@ class Identity(Operator):
     """Pass-through operator, useful as a named output anchor."""
 
     category = "reshape"
+    pointwise = True
 
     def forward(self, x: Array) -> Array:
         return x

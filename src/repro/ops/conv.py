@@ -20,7 +20,10 @@ from the golden output — exactly, since those positions read only
 bit-identical inputs.  The subset GEMM is not bit-identical to the full
 one on every BLAS (a row-subset product can round differently in the last
 ULPs), so only ULP_TOLERANT batched replay hands the conv its golden
-values; bit-exact replay always runs the full conv.
+values; bit-exact replay always runs the full conv.  When the replay
+carries each input row's box (:mod:`repro.ops.boxes`), the conv reads
+the windows off the boxes instead of comparing its input against golden,
+and returns the window values box-packed with the windows as their boxes.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .base import Array, Operator, OperatorError
+from .boxes import RowBoxes, diff_boxes, splice
 
 
 def compute_padding(in_size: int, kernel: int, stride: int,
@@ -135,15 +139,25 @@ class ConvGolden:
 
     Passed as ``golden=`` to :meth:`Conv2D.forward` by batched
     (ULP_TOLERANT) replay; ``out`` must be the golden *final* value — the
-    dtype policy already applied — and the caller re-applies the policy
-    to the spliced result, which is why policies must be idempotent.
-    ``positions_evaluated`` is filled in by the call: the output positions
-    (summed over rows) it actually computed.
+    dtype policy already applied — and the caller applies the policy to
+    the window values, which is why policies must be elementwise and
+    idempotent.  ``positions_evaluated`` is filled in by the call: the
+    output positions (summed over rows) it actually computed.
+
+    ``boxes``, when given, are the input rows' carried boxes (see
+    :mod:`repro.ops.boxes`): outside them each input row is bit-identical
+    to ``x``, so the call skips comparing the input against golden.  With
+    ``carry`` a windowed call returns the window values *box-packed* and
+    sets ``out_boxes`` to the windows instead of splicing them into
+    ``out``; ``out_boxes`` stays ``None`` when the full conv ran.
     """
 
     x: Array
     out: Array
     positions_evaluated: int = 0
+    boxes: Optional[RowBoxes] = None
+    carry: bool = False
+    out_boxes: Optional[RowBoxes] = None
 
 
 def reachable_range(first: np.ndarray, last: np.ndarray, pad_before: int,
@@ -161,20 +175,42 @@ def reachable_range(first: np.ndarray, last: np.ndarray, pad_before: int,
     return lo, hi
 
 
+def reachable_boxes(boxes: RowBoxes, h: int, w: int, kernel: Tuple[int, int],
+                    stride: int, padding: str, out_h: int,
+                    out_w: int) -> RowBoxes:
+    """The output boxes a windowed operator (conv, pooling) can change
+    when its input rows differ from golden only inside ``boxes``; an empty
+    input box gives an empty output box."""
+    kh, kw = kernel
+    pt, _ = compute_padding(h, kh, stride, padding)
+    pl, _ = compute_padding(w, kw, stride, padding)
+    bounds = np.empty_like(boxes.bounds)
+    bounds[0], bounds[1] = reachable_range(boxes.top, boxes.bottom, pt, kh,
+                                           stride, out_h)
+    bounds[2], bounds[3] = reachable_range(boxes.left, boxes.right, pl, kw,
+                                           stride, out_w)
+    empty = boxes.sizes == 0
+    if empty.any():
+        bounds[1, empty] = bounds[0, empty] - 1
+    return RowBoxes(bounds)
+
+
 def conv_window(x: Array, kernel: Array, stride: int, padding: str,
                 golden: ConvGolden) -> Optional[Array]:
     """Conv of ``x`` evaluated only where it can differ from ``golden``.
 
     Per row, the input positions whose channels are not all bit-identical
-    to ``golden.x`` form a bounding box; dilated by the kernel, stride and
-    padding it gives the output window that can change.  One gather of
-    the window patches across all rows feeds one GEMM, whose results are
-    scattered into a copy of ``golden.out``.  Returns ``None`` (and leaves
-    the counter alone) for the caller to run the full conv when the
-    windows cover more than :data:`WINDOW_MAX_SHARE` of the output, and
-    for 1x1 kernels: those do so little work per output position that the
-    input comparison alone costs about as much as the full conv (measured
-    1.7-4x slower than the full conv at every window share).
+    to ``golden.x`` form a bounding box (or ``golden.boxes`` carries it);
+    dilated by the kernel, stride and padding it gives the output window
+    that can change.  One gather of the window patches across all rows
+    feeds one GEMM, whose results are scattered into a copy of
+    ``golden.out`` (or, with ``golden.carry``, returned box-packed).  Returns
+    ``None`` (and leaves the counter alone) for the caller to run the full
+    conv when the windows cover more than :data:`WINDOW_MAX_SHARE` of the
+    output, and for 1x1 kernels: those do so little work per output
+    position that the input comparison alone costs about as much as the
+    full conv (measured 1.7-4x slower than the full conv at every window
+    share).
     """
     count, h, w, c = x.shape
     kh, kw, _, out_c = kernel.shape
@@ -186,55 +222,43 @@ def conv_window(x: Array, kernel: Array, stride: int, padding: str,
         raise OperatorError(
             f"Conv2D golden values do not match the call: input "
             f"{golden.x.shape} vs {x.shape}, output {golden_out.shape}")
-    bits = np.dtype(f"u{x.dtype.itemsize}")
-    changed = x.view(bits) != golden.x.view(bits)
-    # Reduce over long contiguous runs first: ``any`` over the short
-    # channel axis alone is several times slower than the comparison.
-    rows_hit = changed.reshape(count, h, w * c).any(axis=2)
-    cols_hit = np.logical_or.reduce(changed, axis=1).any(axis=2)
-    del changed
-    pt, _ = compute_padding(h, kh, stride, padding)
-    pl, _ = compute_padding(w, kw, stride, padding)
-    top, bottom = reachable_range(
-        rows_hit.argmax(axis=1), h - 1 - rows_hit[:, ::-1].argmax(axis=1),
-        pt, kh, stride, out_h)
-    left, right = reachable_range(
-        cols_hit.argmax(axis=1), w - 1 - cols_hit[:, ::-1].argmax(axis=1),
-        pl, kw, stride, out_w)
-    heights = np.where(rows_hit.any(axis=1),
-                       np.maximum(bottom - top + 1, 0), 0)
-    widths = np.maximum(right - left + 1, 0)
-    sizes = heights * widths
-    evaluated = int(sizes.sum())
+    boxes = golden.boxes
+    if boxes is None:
+        boxes = diff_boxes(x, golden.x)
+    windows = reachable_boxes(boxes, h, w, (kh, kw), stride, padding,
+                              out_h, out_w)
+    evaluated = windows.total
     if evaluated > WINDOW_MAX_SHARE * count * out_h * out_w:
         return None
     golden.positions_evaluated += evaluated
-    out = np.repeat(golden_out, count, axis=0)
     if not evaluated:
-        return out
-    # Flat (row, out_row, out_col) index of every window position, rows
-    # in order and each window row-major.
-    row = np.repeat(np.arange(count), sizes)
-    local = np.arange(evaluated) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    span = np.repeat(widths, sizes)
-    out_row = np.repeat(top, sizes) + local // span
-    out_col = np.repeat(left, sizes) + local % span
-    # Gather the patches straight from the unpadded input: clip the input
-    # coordinates into range and zero the taps that fall in the padding
-    # (padding the whole batch first would copy every row).
-    in_row = out_row[:, None] * stride - pt + np.arange(kh)
-    in_col = out_col[:, None] * stride - pl + np.arange(kw)
-    taps = ((row[:, None, None] * h + np.clip(in_row, 0, h - 1)[:, :, None])
-            * w + np.clip(in_col, 0, w - 1)[:, None, :])
-    patches = np.take(x.reshape(count * h * w, c), taps.ravel(), axis=0)
-    patches = patches.reshape(evaluated, kh, kw, c)
-    inside = (((in_row >= 0) & (in_row < h))[:, :, None]
-              & ((in_col >= 0) & (in_col < w))[:, None, :])
-    if not inside.all():
-        patches[~inside] = 0.0
-    out[row, out_row, out_col] = (patches.reshape(evaluated, kh * kw * c)
-                                  @ kernel.reshape(kh * kw * c, out_c))
-    return out
+        values = np.empty((0, out_c), dtype=np.result_type(x, kernel))
+    else:
+        # Flat (row, out_row, out_col) of every window position, rows in
+        # order and each window row-major.
+        row, out_row, out_col = windows.positions()
+        # Gather the patches straight from the unpadded input: clip the
+        # input coordinates into range and zero the taps that fall in the
+        # padding (padding the whole batch first would copy every row).
+        pt, _ = compute_padding(h, kh, stride, padding)
+        pl, _ = compute_padding(w, kw, stride, padding)
+        in_row = out_row[:, None] * stride - pt + np.arange(kh)
+        in_col = out_col[:, None] * stride - pl + np.arange(kw)
+        taps = ((row[:, None, None] * h
+                 + np.clip(in_row, 0, h - 1)[:, :, None]) * w
+                + np.clip(in_col, 0, w - 1)[:, None, :])
+        patches = np.take(x.reshape(count * h * w, c), taps.ravel(), axis=0)
+        patches = patches.reshape(evaluated, kh, kw, c)
+        inside = (((in_row >= 0) & (in_row < h))[:, :, None]
+                  & ((in_col >= 0) & (in_col < w))[:, None, :])
+        if not inside.all():
+            patches[~inside] = 0.0
+        values = (patches.reshape(evaluated, kh * kw * c)
+                  @ kernel.reshape(kh * kw * c, out_c))
+    if golden.carry:
+        golden.out_boxes = windows
+        return values
+    return splice(golden_out, windows, values)
 
 
 class Conv2D(Operator):
@@ -258,7 +282,8 @@ class Conv2D(Operator):
 
         With ``golden`` (batched ULP_TOLERANT replay only) the output is
         evaluated only inside each row's reachable window and spliced into
-        the golden output (see :func:`conv_window`); the full conv runs
+        the golden output, or returned box-packed when ``golden`` carries
+        the input's boxes (see :func:`conv_window`); the full conv runs
         when the windows are too large to pay.
         """
         if x.ndim != 4 or kernel.ndim != 4:

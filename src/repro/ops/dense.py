@@ -2,7 +2,9 @@
 
 Batch-transparency audit: all operators here are row-independent at
 inference (``MatMul`` rows, elementwise ``Add``/``Multiply``/``Scale``, the
-Ranger range checks) and thus safe for batched trial replay.  The
+Ranger range checks) and thus safe for batched trial replay.  All but
+``MatMul`` are also pointwise (:attr:`Operator.pointwise`): plain IEEE
+arithmetic, min/max and clip, one position at a time.  The
 elementwise binaries additionally broadcast a batch-1 operand against a
 B-row one, which is how the batched executor mixes cached golden values
 with stacked dirty frontiers without materializing B copies.
@@ -45,6 +47,8 @@ class MatMul(Operator):
 class BiasAdd(Operator):
     """Adds a bias vector to the last axis of the input."""
 
+    pointwise = True
+
     def forward(self, x: Array, b: Array) -> Array:
         if b.ndim != 1 or x.shape[-1] != b.shape[0]:
             raise OperatorError(
@@ -62,6 +66,8 @@ class BiasAdd(Operator):
 class Add(Operator):
     """Element-wise addition (used by ResNet shortcut connections)."""
 
+    pointwise = True
+
     def forward(self, a: Array, b: Array) -> Array:
         return a + b
 
@@ -73,6 +79,8 @@ class Add(Operator):
 class Multiply(Operator):
     """Element-wise multiplication."""
 
+    pointwise = True
+
     def forward(self, a: Array, b: Array) -> Array:
         return a * b
 
@@ -83,6 +91,8 @@ class Multiply(Operator):
 
 class Scale(Operator):
     """Multiplication by a compile-time scalar constant."""
+
+    pointwise = True
 
     def __init__(self, factor: float) -> None:
         self.factor = float(factor)
@@ -102,6 +112,7 @@ class Minimum(Operator):
 
     category = "protection"
     injectable = False
+    pointwise = True
 
     def forward(self, x: Array, bound: Array) -> Array:
         return np.minimum(x, bound)
@@ -117,6 +128,7 @@ class Maximum(Operator):
 
     category = "protection"
     injectable = False
+    pointwise = True
 
     def forward(self, x: Array, bound: Array) -> Array:
         return np.maximum(x, bound)
@@ -132,6 +144,7 @@ class ClipByValue(Operator):
 
     category = "protection"
     injectable = False
+    pointwise = True
 
     def __init__(self, low: float, high: float) -> None:
         if low > high:

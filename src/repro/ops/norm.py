@@ -34,6 +34,13 @@ class BatchNorm(Operator):
         """
         return not self.training
 
+    @property
+    def pointwise(self) -> bool:
+        """Pointwise at inference only: the stored statistics make it a
+        per-channel subtract, multiply and add at each position.  Batch
+        statistics read every position."""
+        return not self.training
+
     def __init__(self, momentum: float = 0.9, epsilon: float = 1e-5) -> None:
         self.momentum = float(momentum)
         self.epsilon = float(epsilon)

@@ -77,6 +77,12 @@ class Concatenate(Operator):
         replayed batched."""
         return self.axis != 0
 
+    @property
+    def pointwise(self) -> bool:
+        """A concat along the last (channel) axis stacks each position's
+        channels, so it is pointwise; any other axis moves positions."""
+        return self.axis == -1
+
     def __init__(self, axis: int = -1) -> None:
         self.axis = int(axis)
 
@@ -142,6 +148,12 @@ class Dropout(Operator):
         batch shape and on the rows evaluated before it — stacked trials
         would not reproduce their batch-1 draws.
         """
+        return not self.training or self.rate == 0.0
+
+    @property
+    def pointwise(self) -> bool:
+        """Pointwise when it is the identity; a training mask is drawn
+        for the whole array's shape."""
         return not self.training or self.rate == 0.0
 
     def __init__(self, rate: float = 0.5, seed: Optional[int] = None) -> None:

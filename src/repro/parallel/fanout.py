@@ -10,11 +10,13 @@ with :func:`campaign_executor`.
 CPUs, and a worker inherits that size.  N workers on C CPUs would run
 ``N x C`` BLAS threads that spin against each other, so each worker caps
 its OpenBLAS at ``max(1, C // N)`` threads (never more than the parent
-runs).  The initializer calls the library's own setter through
-:mod:`ctypes` after importing numpy, which maps OpenBLAS into a spawn
-worker that has not loaded it yet, so the one mechanism covers fork and
-spawn workers alike, and then stops the thread server the setter
-restarts, whose idle threads would otherwise busy-wait.  The parent's
+runs).  The initializer first imports what a campaign task imports
+(numpy, and through :mod:`repro.injection` scipy, which maps its own
+OpenBLAS), so every library a spawn worker will use is mapped; it then
+calls each mapped library's own setter through :mod:`ctypes` — the one
+mechanism covers fork and spawn workers alike — and stops each thread
+server the setters restart, whose idle threads would otherwise
+busy-wait.  The parent's
 thread count is never touched, so serial campaigns keep every BLAS
 thread; a pool stops the parent's idle server threads
 (:func:`stop_blas_threads`) when it hands work to its workers.  The
@@ -108,6 +110,22 @@ def _mapped_openblas() -> List[str]:
         return []
 
 
+def _openblas_functions(symbols: Sequence[str]) -> List[object]:
+    """Per mapped OpenBLAS, the first of ``symbols`` it exports."""
+    functions = []
+    for path in _mapped_openblas():
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in symbols:
+            function = getattr(library, symbol, None)
+            if function is not None:
+                functions.append(function)
+                break
+    return functions
+
+
 def _openblas_function(symbols: Sequence[str],
                        ) -> Tuple[Optional[object], str]:
     """The first of ``symbols`` a mapped OpenBLAS exports, as ``(fn, "")``.
@@ -118,15 +136,9 @@ def _openblas_function(symbols: Sequence[str],
     paths = _mapped_openblas()
     if not paths:
         return None, "no OpenBLAS library is mapped into the process"
-    for path in paths:
-        try:
-            library = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in symbols:
-            function = getattr(library, symbol, None)
-            if function is not None:
-                return function, ""
+    functions = _openblas_functions(symbols)
+    if functions:
+        return functions[0], ""
     return None, f"no {symbols[-1]} symbol in {', '.join(paths)}"
 
 
@@ -152,42 +164,48 @@ def _init_worker(threads: Optional[int]) -> None:
     gc.freeze()
     if threads is None:
         return
-    import numpy  # noqa: F401  (maps OpenBLAS into a fresh spawn worker)
+    # Map every OpenBLAS a campaign task uses before capping: numpy's,
+    # and scipy's own copy, which ``repro.injection`` imports (through
+    # ``scipy.special``).  A spawn worker has loaded neither yet.
+    import numpy  # noqa: F401
+    import repro.injection  # noqa: F401
 
-    setter, _ = _openblas_function(_SETTERS)
-    if setter is None:
-        return
-    setter.argtypes = [ctypes.c_int]
-    setter.restype = None
-    setter(threads)
-    # Setting the count (re)starts the thread server at the count the
+    for setter in _openblas_functions(_SETTERS):
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(threads)
+    # Setting the count (re)starts each thread server at the count the
     # library was loaded with (a fork child inherits it), even when the
     # cap leaves those threads idle.
     stop_blas_threads()
 
 
-_stop_server = None
+_stop_servers: Optional[List[object]] = None
 
 
 def stop_blas_threads() -> None:
-    """Stop this process's OpenBLAS thread server until its next threaded
-    call (a no-op without OpenBLAS).
+    """Stop this process's OpenBLAS thread servers until their next
+    threaded call (a no-op without OpenBLAS).
 
     Server threads busy-wait for work before they sleep, about 0.1 s of a
     CPU each after every threaded call, so a process that has just handed
     its work to pool workers would take CPU from them.  The library's own
     fork handler makes the same stop before every fork; the thread count
-    is kept, and the next threaded call restarts the server.
+    is kept, and the next threaded call restarts the server.  Every
+    library mapped at the first call is stopped (callers import the
+    campaign stack first).
     """
-    global _stop_server
-    if _stop_server is None:
-        function, _ = _openblas_function(_SHUTDOWN)
-        if function is None:
+    global _stop_servers
+    if _stop_servers is None:
+        functions = _openblas_functions(_SHUTDOWN)
+        if not functions:
             return
-        function.argtypes = []
-        function.restype = ctypes.c_int
-        _stop_server = function
-    _stop_server()
+        for function in functions:
+            function.argtypes = []
+            function.restype = ctypes.c_int
+        _stop_servers = functions
+    for function in _stop_servers:
+        function()
 
 
 def campaign_executor(workers: int,

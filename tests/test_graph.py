@@ -242,6 +242,90 @@ class TestExecutor:
         set_training_mode(b.graph, False)
         assert b.graph.node("drop").op.training is False
 
+    def test_set_training_mode_drops_replay_schedules(self):
+        """Schedules hoist the pointwise contract, which BatchNorm holds
+        at inference only."""
+        g = Graph("bn")
+        g.add("x", ops.Placeholder("x"))
+        g.add("gamma", ops.Variable(np.ones(2)))
+        g.add("beta", ops.Variable(np.zeros(2)))
+        g.add("bn", ops.BatchNorm(), ["x", "gamma", "beta"])
+        g.mark_output("bn")
+        step, = g.cone_schedule(frozenset({"bn"}), ("bn",)).steps
+        assert step.pointwise
+        set_training_mode(g, True)
+        step, = g.cone_schedule(frozenset({"bn"}), ("bn",)).steps
+        assert not step.pointwise
+
+
+class TestReplayMemos:
+    """The per-graph replay memos are LRU caches of fixed size."""
+
+    @staticmethod
+    def chain():
+        g = Graph("chain")
+        g.add("x", ops.Placeholder("x"))
+        previous = "x"
+        for step in range(6):
+            name = f"n{step}"
+            g.add(name, ops.Scale(1.5) if step % 2 else ops.ReLU(),
+                  [previous])
+            previous = name
+        g.mark_output(previous)
+        return g
+
+    def test_many_batches_keep_the_schedule_memo_at_its_cap(self,
+                                                           monkeypatch):
+        from repro.graph import graph as graph_module
+        monkeypatch.setattr(graph_module, "SCHEDULE_MEMO_LIMIT", 3)
+        g = self.chain()
+        reference = Executor(self.chain())
+        executor = Executor(g)
+        feed = {"x": np.linspace(-1.0, 1.0, 6).reshape(1, 6)}
+        cache = executor.run(feed).values
+        sites = [f"n{step}" for step in range(5)]
+        pairs = [(a, b) for i, a in enumerate(sites) for b in sites[i + 1:]]
+        for _ in range(2):
+            for pair in pairs:
+                values = {site: -cache[site] - 1.0 for site in pair}
+                masks = {site: np.array([site == pair[0], site == pair[1]])
+                         for site in pair}
+                stacked = {site: values[site] for site in pair}
+                got = executor.run_from_batched(
+                    cache, stacked_dirty_values=stacked,
+                    dirty_row_masks=masks)
+                want = reference.run_from_batched(
+                    cache, stacked_dirty_values=stacked,
+                    dirty_row_masks=masks)
+                assert got.output().tobytes() == want.output().tobytes()
+                assert got.rows_evaluated == want.rows_evaluated
+                assert len(g._schedule_memo) <= 3
+                # The one just used is the most recent.
+                assert next(reversed(g._schedule_memo))[0] == frozenset(pair)
+        assert len(g._schedule_memo) == 3
+        # Least recently used goes first: a hit keeps its schedule.
+        requested = tuple(g.outputs)
+        keys = [(frozenset(pair), requested) for pair in pairs[:4]]
+        for key in keys[:3] + keys[:1]:
+            g.cone_schedule(*key)
+        kept = g.cone_schedule(*keys[0])
+        g.cone_schedule(*keys[3])
+        assert set(g._schedule_memo) == {keys[0], keys[2], keys[3]}
+        assert g.cone_schedule(*keys[0]) is kept
+
+    def test_many_site_sets_keep_the_union_memo_at_its_cap(self,
+                                                           monkeypatch):
+        from repro.graph import graph as graph_module
+        monkeypatch.setattr(graph_module, "UNION_MEMO_LIMIT", 4)
+        g = self.chain()
+        sites = [f"n{step}" for step in range(6)]
+        for i, a in enumerate(sites):
+            for b in sites[i:]:
+                union = g.downstream_union(frozenset({a, b}))
+                assert union == frozenset(g.downstream([a, b]))
+                assert len(g._union_memo) <= 4
+        assert len(g._union_memo) == 4
+
 
 def branchy_graph():
     """x -> matmul -> {relu (output), relu_dead} — one dead branch."""

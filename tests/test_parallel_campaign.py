@@ -418,11 +418,25 @@ class TestWorkerBlasThreads:
         """Setting the count restarts the thread server OpenBLAS shut down
         for the fork, and its threads busy-wait before they sleep; a
         worker stops them, so it runs on its main thread alone until a
-        threaded BLAS call.  (A spawn worker would count the threads of
-        libraries its tasks import after the cap, such as scipy's
-        OpenBLAS.)"""
+        threaded BLAS call."""
         with CampaignPool(workers=2,
                           context=multiprocessing.get_context("fork")) as pool:
+            reports = _reports_from_every_worker(pool._executor, 2,
+                                                 probe=_worker_threads)
+        assert set(reports.values()) == {1}
+
+    @requires_openblas
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task")
+        or "spawn" not in multiprocessing.get_all_start_methods(),
+        reason="counts a spawn worker's threads in /proc")
+    def test_spawn_workers_stop_every_blas_they_map(self):
+        """A spawn worker loads its libraries afresh, scipy's own OpenBLAS
+        among them (the campaign stack imports ``scipy.special``); each
+        one starts a thread server at load.  The worker caps and stops
+        every one it maps, so it too runs on its main thread alone."""
+        with CampaignPool(workers=2,
+                          context=multiprocessing.get_context("spawn")) as pool:
             reports = _reports_from_every_worker(pool._executor, 2,
                                                  probe=_worker_threads)
         assert set(reports.values()) == {1}
