@@ -870,7 +870,7 @@ class Executor:
                              h: int, w: int):
             """``(region, args)`` of a pointwise step over boxes, or
             ``None`` when an input does not fit the box layout."""
-            carried: List[Tuple[str, int]] = []
+            dirty: List[str] = []
             for inp in inputs:
                 value = cached_values.get(inp)
                 if value is None:
@@ -881,14 +881,14 @@ class Executor:
                     continue
                 if np.ndim(value) != 4 or np.shape(value)[1:3] != (h, w):
                     return None
-                carried.append((inp, dirty_bits.get(inp, 0) & need))
-            dirty = [(inp, bits) for inp, bits in carried if bits]
-            if (len(dirty) == 1 and dirty_bits[dirty[0][0]] == need
-                    and dirty[0][0] in boxes_of):
-                region = boxes_of[dirty[0][0]]
+                if dirty_bits.get(inp, 0) & need:
+                    dirty.append(inp)
+            if (len(dirty) == 1 and dirty_bits[dirty[0]] == need
+                    and dirty[0] in boxes_of):
+                region = boxes_of[dirty[0]]
             else:
                 parts = []
-                for inp, bits in dirty:
+                for inp in dirty:
                     boxes = boxes_of.get(inp)
                     if dirty_bits[inp] == need:
                         parts.append((np.arange(count), boxes))
@@ -988,6 +988,8 @@ class Executor:
             boxable = (boxing and not is_seed and cached is not None
                        and np.ndim(cached) == 4
                        and np.size(cached) >= BOX_MIN_ELEMENTS)
+            if boxable:
+                cached = np.asarray(cached)
             region: Optional[RowBoxes] = None
             boxed_out = False
             if is_placeholder:
@@ -1072,8 +1074,7 @@ class Executor:
             # output evaluated whole — the tight box of its changed bits.
             # Anything else is checked whole.
             is_tight = False
-            if boxable and region is None:
-                cached = np.asarray(cached)
+            if boxable and region is None and out.dtype == cached.dtype:
                 region = diff_boxes(out, cached)
                 is_tight = True
             verdict = None
