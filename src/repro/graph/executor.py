@@ -44,11 +44,11 @@ Observer = Callable[[Node, Array], None]
 #: checked whole, as without boxes.
 BOX_MIN_ELEMENTS = 2048
 
-#: Smallest per-row element count for which ULP_TOLERANT replay runs the
-#: full three-tier row-divergence screen.  Masked faults die at the big
-#: early activations, where the tiered screen earns its dispatch cost; below
-#: the floor a single exact-equality comparison terminates masked rows
-#: instead (a conservative subset: a row within ULP tolerance but not
+#: Smallest per-row element count for which the ULP_TOLERANT row check
+#: (``Executor._tolerant_rows``) runs its peak screen and ULP distances.
+#: Masked faults die at the big early activations, where those tiers earn
+#: their dispatch cost; below the floor exact equality terminates masked
+#: rows instead (a conservative subset: a row within ULP tolerance but not
 #: bit-equal just stays dirty, carrying its exact value).  Correctness is
 #: unaffected either way — snapping a row back to golden only ever replaces
 #: a value proved (bit- or ULP-) equal to golden.
@@ -140,6 +140,169 @@ def _pick(rows: int, picked: int, batch: int) -> int:
     ranks = _mask_of(picked, rows.bit_count())
     mask[np.flatnonzero(_mask_of(rows, batch))[ranks]] = True
     return _bits_of(mask)
+
+
+def _golden_at(golden: Array, region: RowBoxes) -> Array:
+    """A one-row NHWC value at ``region``'s positions, box-packed."""
+    return golden.reshape(-1, golden.shape[-1])[
+        region.golden_index(golden.shape[2])]
+
+
+@dataclass(eq=False, slots=True)
+class _Rows:
+    """The dirty rows of one node in a batched replay.
+
+    ``bits`` names the rows that differ from ``golden`` (the batch-1
+    cached value, ``None`` when the cache lacks it); every other row is
+    implicitly golden, so masked faults cost nothing downstream.  The
+    dirty rows, in ascending row order, are held dense (``dense``,
+    ``(rows, ...)``), box-packed over ``boxes`` (``boxed``, see
+    :mod:`repro.ops.boxes`) or both; dense rows are spliced from the
+    box-packed ones when a consumer needs them.  ``boxes`` is ``None``
+    for rows that carry none.  ``tight`` boxes are the bounding boxes of
+    the positions whose bits differ from golden: boxes from a bit
+    comparison are; region boxes (pointwise steps, conv windows,
+    pooling) may be wider, and are tightened where a conv needs them.
+    """
+
+    name: str
+    bits: int
+    golden: Optional[Array]
+    batch: int
+    dense: Optional[Array] = None
+    boxed: Optional[Array] = None
+    boxes: Optional[RowBoxes] = None
+    tight: bool = False
+
+    def rows(self) -> Array:
+        """The dirty rows, dense."""
+        if self.dense is None:
+            self.dense = splice(self.golden, self.boxes, self.boxed)
+        return self.dense
+
+    def assemble(self, need: int, count: int) -> Array:
+        """The rows of a consumer evaluating the ``count`` rows ``need``:
+        dirty rows from the store, the rest golden.  When the consumer
+        needs exactly the dirty rows — the common case — the dense rows
+        are returned as-is, copy-free."""
+        dense = self.rows()
+        if self.bits == need:
+            return dense
+        if self.golden is None:
+            raise KeyError(self.name)
+        # Fill an empty buffer row class by row class: every row is
+        # written exactly once.  ``need`` may exclude dirty rows (an entry
+        # node's own rows are installed, not evaluated), so the dirty
+        # scatter takes the bits ∩ need subset of the store.
+        need_mask = _mask_of(need, self.batch)
+        mask = _mask_of(self.bits, self.batch)
+        assembled = np.empty((count,) + self.golden.shape[1:],
+                             dtype=np.result_type(self.golden, dense))
+        position_of = np.cumsum(need_mask) - 1
+        take = mask & need_mask
+        assembled[position_of[need_mask & ~mask]] = self.golden
+        if self.bits & need:
+            assembled[position_of[take]] = (
+                dense if self.bits & need == self.bits else dense[take[mask]])
+        return assembled
+
+    def slots(self, need: int) -> Tuple[Array, Array]:
+        """For the rows of ``need`` held dirty here: their ranks among
+        ``need`` and their indices in the store."""
+        if self.bits == need:
+            held = np.arange(need.bit_count())
+            return held, held
+        need_rows = np.flatnonzero(_mask_of(need, self.batch))
+        mask = _mask_of(self.bits, self.batch)
+        held = mask[need_rows]
+        return (np.flatnonzero(held),
+                (np.cumsum(mask) - 1)[need_rows[held]])
+
+    def boxes_among(self, need: int) -> Optional[RowBoxes]:
+        """The boxes of the dirty rows among ``need``, for a consumer
+        evaluating exactly those rows (``None``: no box)."""
+        if self.boxes is None or self.bits == need:
+            return self.boxes
+        return self.boxes.take(self.slots(need)[1])
+
+    def tight_boxes(self, need: int) -> Optional[RowBoxes]:
+        """:meth:`boxes_among`, tightened first: a conv reads its windows
+        off them, so they must be the boxes its own input comparison
+        would find."""
+        if self.boxes is not None and not self.tight:
+            values = (self.boxed if self.boxed is not None
+                      else gather(self.dense, self.boxes))
+            # The conv reads the rows dense: splice them before the
+            # box-packed layout is dropped.
+            self.rows()
+            self.boxed = None
+            self.boxes = tighten(values, _golden_at(self.golden, self.boxes),
+                                 self.boxes)
+            self.tight = True
+        return self.boxes_among(need)
+
+    def region_values(self, need: int, region: RowBoxes) -> Array:
+        """The rows ``need`` at ``region``'s positions, box-packed: the
+        dirty ones from the store, the rest golden."""
+        if self.bits == need:
+            if self.boxed is not None and self.boxes.same_as(region):
+                return self.boxed
+            if self.dense is not None:
+                return gather(self.dense, region)
+        values = _golden_at(self.golden, region)
+        slots, held = self.slots(need)
+        slot_of = np.full(len(region), -1)
+        slot_of[slots] = held
+        row, i, j = region.positions()
+        at = np.flatnonzero(slot_of[row] >= 0)
+        slot, i, j = slot_of[row[at]], i[at], j[at]
+        _, h, w, c = self.golden.shape
+        if self.dense is not None:
+            values[at] = self.dense.reshape(-1, c)[(slot * h + i) * w + j]
+            return values
+        boxes = self.boxes
+        top, left = boxes.top[slot], boxes.left[slot]
+        inside = ((i >= top) & (i <= boxes.bottom[slot])
+                  & (j >= left) & (j <= boxes.right[slot]))
+        values[at[inside]] = self.boxed[
+            (boxes.starts[slot] + (i - top) * boxes.widths[slot]
+             + (j - left))[inside]]
+        return values
+
+    def only(self, bits: int) -> "_Rows":
+        """The store of the held rows ``bits`` alone (clean rows drop
+        out; the others keep their boxes)."""
+        keep = _mask_of(bits, self.batch)[_mask_of(self.bits, self.batch)]
+        boxes = boxed = dense = None
+        if self.boxes is not None:
+            boxes = self.boxes.take(np.flatnonzero(keep))
+        if self.boxed is not None:
+            boxed = self.boxed[keep[self.boxes.positions()[0]]]
+        if self.dense is not None:
+            dense = self.dense[keep]
+        return _Rows(self.name, bits, self.golden, self.batch, dense, boxed,
+                     boxes, self.tight)
+
+    def merged(self, other: "_Rows") -> "_Rows":
+        """These rows merged with ``other``'s (disjoint) rows, dense, in
+        ascending row order."""
+        final = self.bits | other.bits
+        position_of = np.cumsum(_mask_of(final, self.batch)) - 1
+        mine, theirs = self.rows(), other.rows()
+        combined = np.empty((final.bit_count(),) + mine.shape[1:],
+                            dtype=np.result_type(mine, theirs))
+        mine_at = position_of[_mask_of(self.bits, self.batch)]
+        combined[mine_at] = mine
+        theirs_at = position_of[_mask_of(other.bits, self.batch)]
+        combined[theirs_at] = theirs
+        boxes = None
+        if self.boxes is not None and other.boxes is not None:
+            # Disjoint row sets: the union places each box at its row.
+            boxes = union([(mine_at, self.boxes), (theirs_at, other.boxes)],
+                          final.bit_count(), *mine.shape[1:3])
+        return _Rows(self.name, final, self.golden, self.batch,
+                     dense=combined, boxes=boxes,
+                     tight=self.tight and other.tight)
 
 
 @dataclass
@@ -345,141 +508,91 @@ class Executor:
     # -- the replay core -------------------------------------------------------
 
     @staticmethod
-    def _row_divergence(rows: Array, cached: Array,
-                        threshold: float) -> Tuple[np.ndarray, float]:
-        """Classify stacked float64 rows against a batch-1 cached value.
-
-        Returns ``(dirty, max_clean_deviation)``: a boolean mask of the rows
-        whose maximum ULP distance from the cached row exceeds ``threshold``,
-        and the largest distance among the rows declared clean (the
-        tolerance actually consumed).
-
-        Hot path, three tiers: a strided subsample convicts the typical
-        *dirty* row (a surviving fault's deviation provably exceeds any
-        sane ULP threshold) without reading most of its elements; an exact
-        equality pass retires the typical *clean* row (fixed-point dtype
-        policies quantize masked rows back onto exactly the cached grid
-        values); and only the elements that differ pay the subtract/abs/
-        max screen, with exact ULP arithmetic for the rare rows the screen
-        cannot decide.
-        """
-        count = rows.shape[0]
-        if rows.dtype != np.float64:  # pragma: no cover - defensive
-            dirty = np.array([not np.array_equal(rows[i], cached[0])
-                              for i in range(count)], dtype=bool)
-            return dirty, 0.0
-        max_cached = float(np.abs(cached).max()) if cached.size else 0.0
-        eps = np.finfo(np.float64).eps
-        flat = rows.reshape(count, -1)
-        flat_cached = cached.reshape(-1)
-        elements = flat.shape[1]
-        dirty = np.ones(count, dtype=bool)
-        undecided = np.arange(count)
-        if count > 1:
-            # Sampled pre-screen: a surviving fault perturbs a visible
-            # fraction of a conv/norm output, so a strided subsample almost
-            # always proves a dirty row dirty without reading the other
-            # ~99% of its elements.  Rows the sample cannot convict (clean
-            # rows, NaN samples, sub-threshold noise) fall through to the
-            # exact screens below — sampling can only defer a verdict,
-            # never decide one.
-            stride = max(1, elements // 1024)
-            speak = np.abs(flat[:, ::stride]
-                           - flat_cached[::stride]).max(axis=1)
-            sample_dirty = speak > threshold * eps * (max_cached + speak)
-            if sample_dirty.all():
-                return sample_dirty, 0.0
-            undecided = np.flatnonzero(~sample_dirty)
-        # The rows the sample could not convict are settled one at a time
-        # (gathering them first would copy every row just to read it once).
-        # Exact equality retires the typical clean row: masked rows land
-        # *exactly* on the cached values under fixed-point dtype policies
-        # (quantization snaps them back onto the grid).  (`!=` equates -0.0
-        # with 0.0, a zero deviation; NaNs compare unequal.)
-        #
-        # A row that differs is classified by its peak deviation, which
-        # lies among its unequal elements — typically a small patch around
-        # the fault — so only those are gathered and subtracted.  A row
-        # whose peak deviation provably exceeds the threshold in ULPs is
-        # surely dirty.  The ULP size at magnitude m is at most eps*m for
-        # normal floats, and for the peak-deviation element |a| <=
-        # max|cached| and |b| <= max|cached| + peak, so peak > threshold *
-        # eps * (max|cached| + peak) proves the distance exceeds the
-        # threshold — a real fault's deviation sits astronomically above
-        # this line.  (Subnormals can be over-flagged as dirty, which only
-        # forgoes masking, never correctness.)
-        #
-        # Rows below the screen (BLAS reassociation noise) or with NaN
-        # peaks (NaN comparisons are False) pay for exact ULP distances,
-        # which also treat equal-payload NaNs as distance 0.
-        deviation = 0.0
-        for i in undecided:
-            unequal = flat[i] != flat_cached
-            if not unequal.any():
-                dirty[i] = False
-                continue
-            peak = np.abs(flat[i][unequal] - flat_cached[unequal]).max()
-            if peak > threshold * eps * (max_cached + peak):
-                continue
-            dist = float(max_row_ulp_distance(rows[i:i + 1], cached)[0])
-            if dist <= threshold:
-                dirty[i] = False
-                deviation = max(deviation, dist)
-        return dirty, deviation
+    def _changed_rows(out: Array, cached: Optional[Array]) -> int:
+        """The ``EXACT`` row check: a bitset over the rows of ``out``, bit
+        ``j`` set when row ``j`` is not bit-identical to the cache
+        (``-0.0`` is not ``0.0``; NaNs with equal payloads match).
+        Without a comparable cached value every row has changed."""
+        count = out.shape[0]
+        if count == 1:
+            return int(cached is None or not bit_identical(out, cached))
+        if (cached is None or cached.dtype != out.dtype
+                or cached.shape[1:] != out.shape[1:]):
+            return (1 << count) - 1
+        bits = _UINT_OF_SIZE[out.dtype.itemsize]
+        same = out.view(bits) == cached.view(bits)
+        return _bits_of(~same.reshape(count, -1).all(axis=1))
 
     @staticmethod
-    def _region_rows(values: Array, golden_values: Array, region: RowBoxes,
-                     cached: Array, threshold: float
-                     ) -> Optional[Tuple[np.ndarray, float]]:
-        """The ``ULP_TOLERANT`` row check of :meth:`_dirty_rows`, read
-        off the region alone.
+    def _tolerant_rows(out: Array, cached: Optional[Array],
+                       region: Optional[RowBoxes], boxed: bool,
+                       threshold: float) -> Tuple[np.ndarray, float]:
+        """The ``ULP_TOLERANT`` row check, for boxed and whole rows alike.
 
-        ``values`` and ``golden_values`` are box-packed over ``region``
-        (one box per evaluated row); outside its box each row is
-        bit-identical to ``cached``.  Returns ``(dirty, deviation)`` with
-        a boolean dirty mask over the rows — the verdict
-        :meth:`_dirty_rows` gives the whole rows: below
-        :data:`DIVERGENCE_CHECK_MIN_ELEMENTS` elements per row, plain
-        equality; above it, :meth:`_row_divergence`'s exact tiers (a row
-        is clean when every element equals golden, surely dirty when its
-        peak deviation clears the screen against the whole golden row's
-        largest magnitude, and otherwise settled by its ULP distance).
-        Bits outside the box equal golden, so they add no inequality, no
-        deviation and no ULP distance.  That fails for a golden NaN
-        (unequal to itself under ``==``, and a NaN peak under the
-        screen) and an infinity (``inf - inf``), so a golden value holding
-        either returns ``None`` for the caller to check whole rows.
+        ``out`` holds the evaluated rows, box-packed over ``region`` when
+        ``boxed``, else dense; outside its box (a whole row is one
+        position of all its elements) each row is bit-identical to
+        ``cached``, the batch-1 golden value, so the box's verdict is
+        the whole row's.  Returns ``(dirty, deviation)``: a row mask and
+        the largest ULP distance a clean row consumed.  Without a
+        comparable golden value every row is dirty.  Below
+        :data:`DIVERGENCE_CHECK_MIN_ELEMENTS` elements per row a row is
+        clean when it equals golden (``==``; a golden NaN equals
+        nothing).  Above it, a row equal to golden is clean; one whose
+        peak deviation clears the screen is dirty (the ULP size at
+        magnitude m is at most eps*m for normal floats, so peak >
+        threshold * eps * (max|golden| + peak) proves the distance
+        exceeds the threshold); any other is settled by its ULP
+        distance, which treats equal-payload NaNs as distance 0.  A NaN
+        or an infinity in golden disables the screen: every row with a
+        non-empty box is settled by its ULP distance.
         """
-        count = len(region)
-        if values.dtype != cached.dtype:
-            return None
-        nonempty = np.flatnonzero(region.sizes)
-        # Per-row reductions over the flat box-packed elements: one
-        # segment per non-empty row (reducing the short channel axis
-        # first costs several times more).
-        starts = region.starts[nonempty] * values.shape[1]
+        count = len(region) if boxed else out.shape[0]
+        if (cached is None or cached.dtype != out.dtype
+                or (region is None and cached.shape[1:] != out.shape[1:])):
+            return np.ones(count, dtype=bool), 0.0
+        if region is None:
+            values = out.reshape(count, -1)
+            golden_values = cached.reshape(1, -1)
+        else:
+            values = out if boxed else gather(out, region)
+            golden_values = _golden_at(cached, region)
+
+        def per_row(ufunc: np.ufunc, elementwise: Array, empty) -> Array:
+            """``ufunc`` over each row's elements (``empty`` for an empty
+            box), one segment per row of the flat box-packed elements (a
+            reduction over the short channel axis first costs more)."""
+            if region is None:
+                return ufunc.reduce(elementwise, axis=1)
+            nonempty = np.flatnonzero(region.sizes)
+            result = np.full(count, empty)
+            if len(nonempty):
+                result[nonempty] = ufunc.reduceat(
+                    elementwise.ravel(),
+                    region.starts[nonempty] * values.shape[1])
+            return result
+
         if cached.size < DIVERGENCE_CHECK_MIN_ELEMENTS:
             if np.isnan(cached).any():
-                return None
-            clean = np.ones(count, dtype=bool)
-            if len(nonempty):
-                clean[nonempty] = np.logical_and.reduceat(
-                    (values == golden_values).ravel(), starts)
-            return ~clean, 0.0
+                return np.ones(count, dtype=bool), 0.0
+            return ~per_row(np.logical_and, values == golden_values,
+                            True), 0.0
+        if region is None:
+            golden_values = np.broadcast_to(golden_values, values.shape)
+            first, sizes = np.arange(count), np.ones(count, dtype=np.int64)
+        else:
+            first, sizes = region.starts, region.sizes
         max_cached = float(np.abs(cached).max())
-        if not np.isfinite(max_cached):
-            return None
-        peak = np.zeros(count)
-        if len(nonempty):
-            peak[nonempty] = np.maximum.reduceat(
-                np.abs(values - golden_values).ravel(), starts)
+        peak = per_row(np.maximum, np.abs(values - golden_values), 0.0)
         eps = np.finfo(np.float64).eps
-        # NaN peaks compare False here and fall through to ULP distances.
+        # NaN peaks, and a NaN or infinite golden maximum, compare False
+        # here: those rows fall through to ULP distances.
         dirty = peak > threshold * eps * (max_cached + peak)
+        unequal = peak != 0 if np.isfinite(max_cached) else sizes > 0
         deviation = 0.0
-        for k in np.flatnonzero(~dirty & (peak != 0)):
-            start = region.starts[k]
-            end = start + region.sizes[k]
+        for k in np.flatnonzero(~dirty & unequal):
+            start = first[k]
+            end = start + sizes[k]
             dist = float(max_row_ulp_distance(values[None, start:end],
                                               golden_values[None, start:end])[0])
             if dist <= threshold:
@@ -487,40 +600,6 @@ class Executor:
             else:
                 dirty[k] = True
         return dirty, deviation
-
-    @staticmethod
-    def _dirty_rows(out: Array, cached: Optional[Array], exact: bool,
-                    threshold: float) -> Tuple[int, float]:
-        """Which of the evaluated rows ``out`` still differ from the cache.
-
-        Returns ``(dirty, deviation)``: a bitset over the rows of ``out``
-        (bit ``j`` set when row ``j`` is dirty) and the tolerance the clean
-        rows consumed.  Under ``EXACT`` a row is clean only when
-        bit-identical to the cache (``-0.0`` is not ``0.0``; NaNs with
-        equal payloads match).  Under ``ULP_TOLERANT`` a row is clean
-        within ``threshold`` ULPs; below
-        :data:`DIVERGENCE_CHECK_MIN_ELEMENTS` elements per row plain
-        equality decides (a row within tolerance but not equal stays
-        dirty, carrying its exact value).  Without a comparable cached
-        value every row is dirty.
-        """
-        count = out.shape[0]
-        if exact and count == 1:
-            return int(cached is None or not bit_identical(out, cached)), 0.0
-        if cached is not None:
-            cached = np.asarray(cached)
-        if (cached is None or cached.dtype != out.dtype
-                or cached.shape[1:] != out.shape[1:]):
-            return (1 << count) - 1, 0.0
-        if exact:
-            bits = _UINT_OF_SIZE[out.dtype.itemsize]
-            same = out.view(bits) == cached.view(bits)
-            return _bits_of(~same.reshape(count, -1).all(axis=1)), 0.0
-        if out.size < DIVERGENCE_CHECK_MIN_ELEMENTS * count:
-            same = (out == cached).reshape(count, -1).all(axis=1)
-            return _bits_of(~same), 0.0
-        dirty, deviation = Executor._row_divergence(out, cached, threshold)
-        return _bits_of(dirty), deviation
 
     def _broadcast_cached(self, value: Array, name: str, count: int) -> Array:
         """A cached value as the ``count`` rows of a replay see it.
@@ -609,14 +688,18 @@ class Executor:
         entry rows and of outputs evaluated whole, and from conv windows;
         pooling maps them through its window.  A pointwise operator
         (:attr:`~repro.ops.base.Operator.pointwise`) evaluates only the
-        union of its inputs' boxes, box-packed, and so does the dtype
-        policy; the row check reads only the box and gives the verdict the
-        whole-row check would.  A conv reads its windows off its input's
+        union of its inputs' boxes, box-packed, and so do the dtype policy
+        and the row check.  A conv reads its windows off its input's
         boxes, tightened to the changed bits first, instead of comparing
-        the input against golden.  Dense rows are spliced from the
+        the input against golden.  Each node's dirty rows live in one
+        store, dense, box-packed or both; dense rows are spliced from the
         box-packed ones only for consumers that need them.  The outputs,
         ``rows_evaluated`` and conv positions are those of whole-row
         evaluation, byte for byte.
+
+        Every ``ULP_TOLERANT`` row verdict, boxed or whole-row, comes from
+        one check that reads a row only inside its box (a whole row is
+        one box); see :data:`DIVERGENCE_CHECK_MIN_ELEMENTS`.
 
         Parameters
         ----------
@@ -704,17 +787,21 @@ class Executor:
                     f"violate the batch-transparency contract)")
 
         # Entry frontier: per node, the rows entering the replay there
-        # (installed, never re-evaluated) and the dirty part of them with
-        # its packed values (one row per set bit, ascending row order).
-        # Homogeneous overrides enter on every row.
-        entries: Dict[str, Tuple[int, int, Array]] = {}
+        # (installed, never re-evaluated; homogeneous overrides enter on
+        # every row).  The dirty part of them is stored up front: no
+        # node before an entry reads it.
+        entries: Dict[str, int] = {}
+        # One store per node holding dirty rows.  A store is dropped once
+        # its last reader in the cone has run (requested outputs
+        # excepted): holding every store to the end grows the heap by the
+        # whole cone's activations per call.
+        stores: Dict[str, _Rows] = {}
         # Windowed replay carries a box per dirty row of every NHWC store
         # (see repro.ops.boxes): outside it the row is bit-identical to
         # golden, so pointwise steps, quantization and the row checks
         # touch only the box.  Hooks and observers see whole arrays and
         # keep whole-row evaluation.
         boxing = windowed and not self._observers
-        entry_boxes: Dict[str, RowBoxes] = {}
         for name, rows in overrides.items():
             mask = row_masks.get(name)
             bits = every if mask is None else _bits_of(mask)
@@ -740,43 +827,25 @@ class Executor:
                         f"has row shape {rows.shape[1:]}, cache has "
                         f"{cached.shape[1:]}")
             live = bits
+            boxes = None
             if exact:
-                changed, _ = self._dirty_rows(rows, cached, True, 0.0)
+                changed = self._changed_rows(rows, cached)
                 live = _pick(bits, changed, batch)
                 if live and live != bits:
                     rows = rows[_mask_of(changed, rows.shape[0])]
             elif (boxing and cached is not None and rows.ndim == 4
                   and rows.dtype == cached.dtype
                   and cached.size >= BOX_MIN_ELEMENTS):
-                entry_boxes[name] = diff_boxes(rows, cached)
-            entries[name] = (bits, live, rows)
-        # Entries are installed when the walk reaches them (another entry's
-        # dirt may flow *through* them first), so the walk must not end
-        # while dirty entries are pending.  Entries outside the requested
-        # outputs' ancestors cannot influence any output.
-        pending_entries = sum(1 for name, (_, live, _) in entries.items()
-                              if live and name in schedule.members)
-        pending_seeds = len(reeval_seeds & schedule.members)
-
-        # Packed dirty rows: per node, the bitset of rows that differ from
-        # golden and their values alone, in row order.  Rows absent from
-        # the bitset are implicitly golden, so masked faults cost nothing
-        # downstream.  A store is dropped once its last reader in the cone
-        # has run (requested outputs excepted): holding every store to the
-        # end grows the heap by the whole cone's activations per call.
-        # With boxes, a store holds its rows dense (``packed_of``),
-        # box-packed (``boxed_of``) or both; dense rows are spliced from
-        # the box-packed ones when a consumer needs them.
-        dirty_bits: Dict[str, int] = {}
-        packed_of: Dict[str, Array] = {}
-        boxes_of: Dict[str, RowBoxes] = {}
-        boxed_of: Dict[str, Array] = {}
-        #: Stores whose boxes are tight: each is the bounding box of the
-        #: positions where its row's bits differ from golden.  Boxes from
-        #: a bit comparison are; region boxes (pointwise steps, conv
-        #: windows, pooling) may be wider, and are tightened where a conv
-        #: needs them tight.
-        tight: Set[str] = set()
+                boxes = diff_boxes(rows, cached)
+            entries[name] = bits
+            if live:
+                stores[name] = _Rows(name, live, cached, batch, dense=rows,
+                                     boxes=boxes, tight=True)
+        # The walk must not end while a seed or a dirty entry (another
+        # entry's dirt may flow *through* it) is pending.  Nodes outside
+        # the requested outputs' ancestors cannot influence any output.
+        pending = len(schedule.members.intersection(
+            reeval_seeds.union(stores)))
         recomputed: Set[str] = set()
         rows_evaluated = 0
         conv_evaluated = conv_total = 0
@@ -784,170 +853,120 @@ class Executor:
         max_deviation = 0.0
         last_dirty_use = -1
 
-        def dense_of(name: str) -> Array:
-            """A dirty store's packed rows, dense."""
-            packed = packed_of.get(name)
-            if packed is None:
-                packed = splice(np.asarray(cached_values[name]),
-                                boxes_of[name], boxed_of[name])
-                packed_of[name] = packed
-            return packed
+        def dense_args(node: Node, need: int, count: int) -> List[Array]:
+            """Every input's rows for the ``count`` rows ``need`` a node
+            evaluates: dirty rows from the stores, clean rows from the
+            (broadcast) golden cache."""
+            try:
+                return [stores[inp].assemble(need, count) if inp in stores
+                        else self._broadcast_cached(cached_values[inp], inp,
+                                                    count)
+                        for inp in node.inputs]
+            except KeyError as exc:
+                raise GraphError(
+                    f"no cached value for input {exc} of node "
+                    f"'{node.name}'") from None
 
-        def assemble_input(name: str, need: int, count: int) -> Array:
-            """An input's rows for the ``count`` rows a consumer evaluates.
+        # The step handlers return ``(out, region, boxed)``: the evaluated
+        # rows, golden outside ``region`` when set, box-packed over it
+        # when ``boxed``.
 
-            Clean rows come from the (broadcast) golden cache; dirty rows
-            from the packed store.  When the consumer needs exactly the
-            input's dirty rows — the common case — the packed array is
-            returned as-is, copy-free.
-            """
-            bits = dirty_bits.get(name)
-            if bits is None:
-                value = cached_values[name]
-                return (value if count == 1
-                        else self._broadcast_cached(value, name, count))
-            packed = dense_of(name)
-            if bits == need:
-                return packed
-            cached = np.asarray(cached_values[name])
-            # Fill an empty buffer row class by row class: every row is
-            # written exactly once.  ``need`` may exclude rows the input is
-            # dirty for (an entry node's own rows are installed, not
-            # evaluated), so the dirty scatter takes the bits ∩ need
-            # subset of the packed store.
-            need_mask = _mask_of(need, batch)
-            mask = _mask_of(bits, batch)
-            assembled = np.empty((count,) + cached.shape[1:],
-                                 dtype=np.result_type(cached, packed))
-            position_of = np.cumsum(need_mask) - 1
-            take = mask & need_mask
-            assembled[position_of[need_mask & ~mask]] = cached
-            if bits & need:
-                assembled[position_of[take]] = (
-                    packed if bits & need == bits else packed[take[mask]])
-            return assembled
+        def fed(name: str, need: int):
+            """A dirty placeholder: its fed rows."""
+            if name not in feed:
+                raise GraphError(
+                    f"placeholder '{name}' is dirty but no value was fed")
+            value = np.asarray(feed[name], dtype=np.float64)
+            if value.shape[0] not in (1, batch):
+                raise GraphError(
+                    f"fed value for dirty placeholder '{name}' has "
+                    f"{value.shape[0]} rows; expected 1 or {batch}")
+            value = np.broadcast_to(value, (batch,) + value.shape[1:])
+            return (np.array(value if need == every
+                             else value[_mask_of(need, batch)]), None, False)
 
-        def slots_in(name: str, need: int) -> Tuple[Array, Array]:
-            """For the ``need`` rows (ranked) that ``name`` holds dirty:
-            their ranks among ``need`` and their indices in its store."""
-            need_rows = np.flatnonzero(_mask_of(need, batch))
-            mask = _mask_of(dirty_bits[name], batch)
-            held = mask[need_rows]
-            return (np.flatnonzero(held),
-                    (np.cumsum(mask) - 1)[need_rows[held]])
-
-        def boxes_for(name: str, need: int) -> Optional[RowBoxes]:
-            """The boxes of ``name``'s rows for a consumer evaluating
-            exactly its dirty rows among ``need`` (``None``: no box)."""
-            boxes = boxes_of.get(name)
-            if boxes is None or dirty_bits[name] == need:
-                return boxes
-            return boxes.take(slots_in(name, need)[1])
-
-        def tight_for(name: str, need: int) -> Optional[RowBoxes]:
-            """Tight boxes of ``name``'s rows among ``need`` (``None``: no
-            box), for a conv that reads its windows off them: they must be
-            the boxes its own input comparison would find."""
-            boxes = boxes_of.get(name)
-            if boxes is None:
-                return None
-            if name not in tight:
-                values = boxed_of.get(name)
-                if values is None:
-                    values = gather(packed_of[name], boxes)
-                cached = np.asarray(cached_values[name])
-                golden_values = cached.reshape(-1, cached.shape[-1])[
-                    boxes.golden_index(cached.shape[2])]
-                # The conv reads the rows dense: splice them before the
-                # box-packed layout is dropped.
-                dense_of(name)
-                boxed_of.pop(name, None)
-                boxes_of[name] = tighten(values, golden_values, boxes)
-                tight.add(name)
-            return boxes_for(name, need)
-
-        def pointwise_inputs(inputs: Tuple[str, ...], need: int, count: int,
-                             h: int, w: int):
-            """``(region, args)`` of a pointwise step over boxes, or
-            ``None`` when an input does not fit the box layout."""
-            dirty: List[str] = []
-            for inp in inputs:
+        def boxed_pointwise(node: Node, need: int, count: int, h: int,
+                            w: int):
+            """A pointwise operator over the union of its inputs' boxes,
+            box-packed; on whole rows when an input does not fit the box
+            layout."""
+            dirty: List[_Rows] = []
+            for inp in node.inputs:
                 value = cached_values.get(inp)
                 if value is None:
-                    return None
+                    return whole_rows(node, need, count, True, False)
                 if graph.node(inp).op.batch_axis is None:
-                    if np.ndim(value) > 1:
-                        return None  # must broadcast over channels alone
+                    if np.ndim(value) > 1:  # must broadcast over channels
+                        return whole_rows(node, need, count, True, False)
                     continue
                 if np.ndim(value) != 4 or np.shape(value)[1:3] != (h, w):
-                    return None
-                if dirty_bits.get(inp, 0) & need:
-                    dirty.append(inp)
-            if (len(dirty) == 1 and dirty_bits[dirty[0]] == need
-                    and dirty[0] in boxes_of):
-                region = boxes_of[dirty[0]]
+                    return whole_rows(node, need, count, True, False)
+                rows = stores.get(inp)
+                if rows is not None and rows.bits & need:
+                    dirty.append(rows)
+            if (len(dirty) == 1 and dirty[0].bits == need
+                    and dirty[0].boxes is not None):
+                region = dirty[0].boxes
             else:
-                parts = []
-                for inp in dirty:
-                    boxes = boxes_of.get(inp)
-                    if dirty_bits[inp] == need:
-                        parts.append((np.arange(count), boxes))
-                    else:
-                        slots, held = slots_in(inp, need)
-                        parts.append((slots, None if boxes is None
-                                      else boxes.take(held)))
-                region = union(parts, count, h, w)
+                region = union([(rows.slots(need)[0], rows.boxes_among(need))
+                                for rows in dirty], count, h, w)
             args = []
-            for inp in inputs:
+            for inp in node.inputs:
+                rows = stores.get(inp)
                 if graph.node(inp).op.batch_axis is None:
                     args.append(cached_values[inp])
+                elif rows is None or not rows.bits & need:
+                    args.append(_golden_at(np.asarray(cached_values[inp]),
+                                           region))
                 else:
-                    args.append(region_values(inp, need, region, w))
-            return region, args
+                    args.append(rows.region_values(need, region))
+            return node.op.forward(*args), region, True
 
-        def region_values(name: str, need: int, region: RowBoxes,
-                          w: int) -> Array:
-            """Input ``name`` at the region's positions, box-packed."""
-            bits = dirty_bits.get(name, 0)
-            if bits == need:
-                boxed = boxed_of.get(name)
-                if boxed is not None and boxes_of[name].same_as(region):
-                    return boxed
-                if name in packed_of:
-                    return gather(packed_of[name], region)
-            cached = np.asarray(cached_values[name])
-            values = cached.reshape(-1, cached.shape[-1])[
-                region.golden_index(w)]
-            if not bits & need:
-                return values
-            slots, held = slots_in(name, need)
-            slot_of = np.full(len(region), -1)
-            slot_of[slots] = held
-            row, i, j = region.positions()
-            at = np.flatnonzero(slot_of[row] >= 0)
-            slot, i, j = slot_of[row[at]], i[at], j[at]
-            packed = packed_of.get(name)
-            if packed is not None:
-                h = cached.shape[1]
-                values[at] = packed.reshape(-1, cached.shape[-1])[
-                    (slot * h + i) * w + j]
-                return values
-            boxes = boxes_of[name]
-            top, left = boxes.top[slot], boxes.left[slot]
-            inside = ((i >= top) & (i <= boxes.bottom[slot])
-                      & (j >= left) & (j <= boxes.right[slot]))
-            values[at[inside]] = boxed_of[name][
-                (boxes.starts[slot] + (i - top) * boxes.widths[slot]
-                 + (j - left))[inside]]
-            return values
+        def conv(node: Node, need: int, count: int, cached: Optional[Array],
+                 windowed_here: bool, boxable: bool):
+            """A conv, windowed against its golden input and output when
+            both are cached."""
+            nonlocal conv_evaluated, conv_total
+            args = dense_args(node, need, count)
+            golden_x = cached_values.get(node.inputs[0])
+            golden = (ConvGolden(golden_x, cached)
+                      if windowed_here and golden_x is not None
+                      and cached is not None else None)
+            if golden is not None and boxing:
+                x_rows = stores.get(node.inputs[0])
+                golden.boxes = (None if x_rows is None
+                                else x_rows.tight_boxes(need))
+                golden.carry = boxable
+            out = node.op.forward(*args, golden=golden)
+            region = None if golden is None else golden.out_boxes
+            h, w = (out if region is None else cached).shape[1:3]
+            positions = count * h * w
+            conv_total += positions
+            conv_evaluated += (positions if golden is None
+                               else golden.positions_evaluated)
+            return out, region, region is not None
+
+        def whole_rows(node: Node, need: int, count: int, boxable: bool,
+                       pool: bool):
+            """Any other operator, on whole rows; pooling maps its input's
+            boxes through its window."""
+            args = dense_args(node, need, count)
+            out = node.op.forward(*args)
+            region = None
+            if boxable and pool:
+                in_boxes = stores[node.inputs[0]].boxes_among(need)
+                if in_boxes is not None:
+                    op = node.op
+                    region = reachable_boxes(
+                        in_boxes, *args[0].shape[1:3], (op.pool, op.pool),
+                        op.stride, op.padding, *out.shape[1:3])
+            return out, region, False
 
         policy = self.dtype_policy
         hooked = bool(self._output_hooks or self._observers)
-        for (node, position, releases, last_read, inputs, is_conv,
-             is_placeholder, batch_invariant, pointwise,
-             is_pool) in schedule.steps:
-            if (not pending_seeds and not pending_entries
-                    and position > last_dirty_use):
+        for (node, position, releases, last_read, inputs, batch_invariant,
+             kind) in schedule.steps:
+            if not pending and position > last_dirty_use:
                 break  # no remaining node can see a dirty row
             name = node.name
             is_seed = name in reeval_seeds
@@ -956,23 +975,17 @@ class Executor:
             else:
                 need = 0
                 for inp in inputs:
-                    need |= dirty_bits.get(inp, 0)
-            entry = entries.get(name)
-            live = 0
-            if entry is not None:
-                entering, live, live_rows = entry
-                if live:
-                    pending_entries -= 1
-                # Rows entering here take their injected value as-is; only
-                # rows that *another* entry dirtied upstream re-evaluate.
-                need &= ~entering
+                    if inp in stores:
+                        need |= stores[inp].bits
+            # An entry's installed rows (no other node is stored yet).
+            entry = stores.get(name)
+            if is_seed or entry is not None:
+                pending -= 1
+            # Rows entering here take their injected value as-is; only
+            # rows that *another* entry dirtied upstream re-evaluate.
+            need &= ~entries.get(name, 0)
             if not need:
-                if live:
-                    dirty_bits[name] = live
-                    packed_of[name] = live_rows
-                    if name in entry_boxes:
-                        boxes_of[name] = entry_boxes[name]
-                        tight.add(name)
+                if entry is not None:
                     last_dirty_use = max(last_dirty_use, last_read)
                 continue  # otherwise every input row is clean
             if batch_invariant:
@@ -982,193 +995,77 @@ class Executor:
                     f"shares its cached value")
             count = need.bit_count()
             cached = cached_values.get(name)
-            # Whether this output carries boxes, and its region: when set,
-            # the output is box-packed over it (or, for pooling, dense but
-            # golden outside it).
-            boxable = (boxing and not is_seed and cached is not None
-                       and np.ndim(cached) == 4
-                       and np.size(cached) >= BOX_MIN_ELEMENTS)
-            if boxable:
+            if cached is not None:
                 cached = np.asarray(cached)
-            region: Optional[RowBoxes] = None
-            boxed_out = False
-            if is_placeholder:
-                if name not in feed:
-                    raise GraphError(
-                        f"placeholder '{name}' is dirty but no value was fed")
-                fed = np.asarray(feed[name], dtype=np.float64)
-                if fed.shape[0] not in (1, batch):
-                    raise GraphError(
-                        f"fed value for dirty placeholder '{name}' has "
-                        f"{fed.shape[0]} rows; expected 1 or {batch}")
-                fed = np.broadcast_to(fed, (batch,) + fed.shape[1:])
-                out = np.array(fed if need == every
-                               else fed[_mask_of(need, batch)])
+            # Whether this output carries boxes.
+            boxable = (boxing and not is_seed and cached is not None
+                       and cached.ndim == 4
+                       and cached.size >= BOX_MIN_ELEMENTS)
+            if kind == "placeholder":
+                out, region, boxed_out = fed(name, need)
+            elif kind == "conv":
+                out, region, boxed_out = conv(node, need, count, cached,
+                                              windowed and not is_seed, boxable)
+            elif kind == "pointwise" and boxable:
+                out, region, boxed_out = boxed_pointwise(
+                    node, need, count, *cached.shape[1:3])
             else:
-                boxed_step = None
-                if boxable and pointwise:
-                    boxed_step = pointwise_inputs(
-                        inputs, need, count, *np.shape(cached)[1:3])
-                try:
-                    if boxed_step is not None:
-                        region, args = boxed_step
-                        boxed_out = True
-                    else:
-                        args = [assemble_input(inp, need, count)
-                                for inp in inputs]
-                except KeyError as exc:
-                    raise GraphError(
-                        f"no cached value for input {exc} of node "
-                        f"'{name}'") from None
-                if is_conv:
-                    golden_x = cached_values.get(inputs[0])
-                    golden = (ConvGolden(golden_x, cached)
-                              if windowed and not is_seed
-                              and golden_x is not None and cached is not None
-                              else None)
-                    if golden is not None and boxing:
-                        golden.boxes = tight_for(inputs[0], need)
-                        golden.carry = boxable
-                    out = node.op.forward(*args, golden=golden)
-                    if golden is not None and golden.out_boxes is not None:
-                        region = golden.out_boxes
-                        boxed_out = True
-                        positions = count * cached.shape[1] * cached.shape[2]
-                    else:
-                        positions = out.shape[0] * out.shape[1] * out.shape[2]
-                    conv_total += positions
-                    conv_evaluated += (positions if golden is None
-                                       else golden.positions_evaluated)
-                else:
-                    out = node.op.forward(*args)
-                    if boxable and is_pool:
-                        in_boxes = boxes_for(inputs[0], need)
-                        if in_boxes is not None:
-                            op = node.op
-                            region = reachable_boxes(
-                                in_boxes, *args[0].shape[1:3],
-                                (op.pool, op.pool), op.stride, op.padding,
-                                *out.shape[1:3])
-                del args
-                for inp in releases:
-                    dirty_bits.pop(inp, None)
-                    packed_of.pop(inp, None)
-                    boxes_of.pop(inp, None)
-                    boxed_of.pop(inp, None)
-                    tight.discard(inp)
-            if hooked:
-                out = np.asarray(self._evaluate(node, out))
-            else:
-                out = policy.apply(node, out)
-            if pointwise and np.ndim(cached) == 4:
+                out, region, boxed_out = whole_rows(node, need, count, boxable,
+                                                    kind == "pool")
+            for inp in releases:
+                stores.pop(inp, None)
+            out = (np.asarray(self._evaluate(node, out)) if hooked
+                   else policy.apply(node, out))
+            if kind == "pointwise" and np.ndim(cached) == 4:
                 positions = count * cached.shape[1] * cached.shape[2]
                 pointwise_total += positions
                 pointwise_evaluated += (region.total if boxed_out
                                         else positions)
             rows_evaluated += count
             recomputed.add(name)
-            if is_seed:
-                pending_seeds -= 1
             # The row check.  A boxable output is checked over its region:
             # the box-packed result, a pool's reachable window, or — for an
             # output evaluated whole — the tight box of its changed bits.
             # Anything else is checked whole.
-            is_tight = False
-            if boxable and region is None and out.dtype == cached.dtype:
+            is_tight = (boxable and region is None
+                        and out.dtype == cached.dtype)
+            if is_tight:
                 region = diff_boxes(out, cached)
-                is_tight = True
-            verdict = None
-            if region is not None:
-                cached = np.asarray(cached)
-                values = out if boxed_out else gather(out, region)
-                golden_values = cached.reshape(-1, cached.shape[-1])[
-                    region.golden_index(cached.shape[2])]
-                verdict = self._region_rows(values, golden_values, region,
-                                            cached, threshold)
-                if verdict is None and boxed_out:
-                    # A NaN or an infinity in golden: the region check
-                    # cannot mirror the whole-row one, so check the rows.
-                    out = splice(cached, region, values)
-                    boxed_out = False
-            if verdict is not None:
-                dirty_mask, deviation = verdict
-                changed = _bits_of(dirty_mask)
+            if exact:
+                changed = self._changed_rows(out, cached)
             else:
-                changed, deviation = self._dirty_rows(out, cached, exact,
-                                                      threshold)
-            max_deviation = max(max_deviation, deviation)
+                dirty_mask, deviation = self._tolerant_rows(
+                    out, cached, region, boxed_out, threshold)
+                max_deviation = max(max_deviation, deviation)
+                changed = _bits_of(dirty_mask)
             fresh = _pick(need, changed, batch)
-            # Clean rows drop out; the survivors keep their region rows as
-            # their boxes.
-            boxes = region
-            if fresh != need and fresh:
-                if region is not None:
-                    if verdict is None:
-                        dirty_mask = _mask_of(changed, count)
-                    boxes = region.take(np.flatnonzero(dirty_mask))
-                out = (values[dirty_mask[region.positions()[0]]]
-                       if boxed_out else out[_mask_of(changed, count)])
-            if live:
-                # Merge the injected entry rows with the re-evaluated ones
-                # (ascending row order, like every packed store).
-                if boxed_out and fresh:
-                    out = splice(np.asarray(cached), boxes, out)
-                final = live | fresh
-                final_mask = _mask_of(final, batch)
-                position_of = np.cumsum(final_mask) - 1
-                combined = np.empty((final.bit_count(),) + live_rows.shape[1:],
-                                    dtype=np.result_type(live_rows, out))
-                live_at = position_of[_mask_of(live, batch)]
-                combined[live_at] = live_rows
-                fresh_at = position_of[_mask_of(fresh, batch)]
-                if fresh:
-                    combined[fresh_at] = out
-                dirty_bits[name] = final
-                packed_of[name] = combined
-                entry_box = entry_boxes.get(name)
-                if entry_box is not None and (boxes is not None
-                                              or not fresh):
-                    # The two row sets are disjoint: their union places
-                    # each box at its row.
-                    parts = [(live_at, entry_box)]
-                    if fresh:
-                        parts.append((fresh_at, boxes))
-                    boxes_of[name] = union(parts, final.bit_count(),
-                                           *live_rows.shape[1:3])
-                    if is_tight or not fresh:
-                        tight.add(name)
-            elif fresh:
+            if fresh:
                 # Evaluated arrays are never written after this point, so
                 # when every row survives the output is stored uncopied.
-                dirty_bits[name] = fresh
-                if boxed_out:
-                    boxed_of[name] = out
-                else:
-                    packed_of[name] = out
-                if boxes is not None:
-                    boxes_of[name] = boxes
-                    if is_tight:
-                        tight.add(name)
-            else:
+                rows = _Rows(name, need, cached, batch,
+                             boxed=out if boxed_out else None,
+                             dense=None if boxed_out else out,
+                             boxes=region, tight=is_tight)
+                if fresh != need:
+                    rows = rows.only(fresh)
+                stores[name] = rows if entry is None else entry.merged(rows)
+            elif entry is None:
                 continue
             last_dirty_use = max(last_dirty_use, last_read)
 
         results: Dict[str, Array] = {}
         for name in requested:
-            bits = dirty_bits.get(name, 0)
-            if bits == every:
-                results[name] = np.ascontiguousarray(dense_of(name))
-                continue
+            rows = stores.get(name)
             try:
-                cached = cached_values[name]
+                results[name] = (
+                    np.array(self._broadcast_cached(cached_values[name],
+                                                    name, batch))
+                    if rows is None
+                    else np.ascontiguousarray(rows.assemble(every, batch)))
             except KeyError:
                 raise GraphError(
                     f"requested output '{name}' has clean rows but no "
                     f"cached value to serve them from") from None
-            full = np.array(self._broadcast_cached(cached, name, batch))
-            if bits:
-                full[_mask_of(bits, batch)] = dense_of(name)
-            results[name] = full
         return BatchedExecutionResult(
             outputs=results, recomputed=recomputed,
             rows_evaluated=rows_evaluated, max_ulp_deviation=max_deviation,

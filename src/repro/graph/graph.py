@@ -84,17 +84,15 @@ class ConeStep(NamedTuple):
     #: a dirty value here can influence nothing past it (-1: no reader).
     horizon: int
     inputs: Tuple[str, ...]
-    is_conv: bool
-    is_placeholder: bool
     #: Variables and constants (``batch_axis is None``): every row shares
     #: their cached value, so a replay never re-evaluates them.
     batch_invariant: bool
-    #: The operator's pointwise contract
-    #: (:attr:`~repro.ops.base.Operator.pointwise`).
-    pointwise: bool
-    #: Max or average pooling: windowed replay maps a box through its
-    #: window geometry.
-    is_pool: bool
+    #: How a replay evaluates the node: ``"placeholder"`` (fed),
+    #: ``"conv"`` (windowed or full), ``"pointwise"`` (the operator's
+    #: :attr:`~repro.ops.base.Operator.pointwise` contract: evaluated over
+    #: boxes), ``"pool"`` (max or average pooling, which maps a box
+    #: through its window geometry) or ``"op"`` (whole rows).
+    kind: str
 
 
 @dataclass(frozen=True)
@@ -372,12 +370,14 @@ class Graph:
             for name in order:
                 node = self._nodes[name]
                 op = node.op
+                kind = ("placeholder" if isinstance(op, Placeholder)
+                        else "conv" if isinstance(op, Conv2D)
+                        else "pool" if isinstance(op, (MaxPool2D, AvgPool2D))
+                        else "pointwise" if op.pointwise else "op")
                 steps.append(ConeStep(
                     node, topo[name], tuple(releases.get(name, ())),
                     horizon.get(name, -1), node.inputs,
-                    isinstance(op, Conv2D), isinstance(op, Placeholder),
-                    op.batch_axis is None, bool(op.pointwise),
-                    isinstance(op, (MaxPool2D, AvgPool2D))))
+                    op.batch_axis is None, kind))
             schedule = ConeSchedule(steps=tuple(steps), members=members)
             self._schedule_memo[key] = schedule
             if len(self._schedule_memo) > SCHEDULE_MEMO_LIMIT:

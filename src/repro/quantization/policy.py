@@ -9,8 +9,6 @@ integer and 2 fraction bits" for RQ4).
 
 from __future__ import annotations
 
-from typing import Optional, Set
-
 from ..graph.executor import DTypePolicy
 from ..graph.graph import Node
 from .fixed_point import FIXED16, FIXED32, FixedPointFormat
@@ -23,17 +21,18 @@ class FixedPointPolicy(DTypePolicy):
     ----------
     fmt:
         The fixed-point format to apply.
-    skip_categories:
-        Node categories whose outputs are left untouched.  Variables and
-        constants are always skipped: weights live in (ECC-protected) memory
-        under the paper's fault model and their representation is not what is
-        being studied.
     """
 
-    def __init__(self, fmt: FixedPointFormat,
-                 skip_categories: Optional[Set[str]] = None) -> None:
+    #: Node categories whose outputs are left untouched: weights live in
+    #: (ECC-protected) memory under the paper's fault model and their
+    #: representation is not what is being studied.  A class constant, so
+    #: an instance pickles without a set, whose iteration order (and so
+    #: the pickle's bytes, and every content fingerprint over them) would
+    #: depend on the process's string-hash seed.
+    skip_categories = frozenset({"variable", "input"})
+
+    def __init__(self, fmt: FixedPointFormat) -> None:
         self.fmt = fmt
-        self.skip_categories = {"variable", "input"} | set(skip_categories or ())
         self.name = f"fixed{fmt.total_bits}"
 
     def apply(self, node: Node, value):

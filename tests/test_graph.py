@@ -252,10 +252,10 @@ class TestExecutor:
         g.add("bn", ops.BatchNorm(), ["x", "gamma", "beta"])
         g.mark_output("bn")
         step, = g.cone_schedule(frozenset({"bn"}), ("bn",)).steps
-        assert step.pointwise
+        assert step.kind == "pointwise"
         set_training_mode(g, True)
         step, = g.cone_schedule(frozenset({"bn"}), ("bn",)).steps
-        assert not step.pointwise
+        assert step.kind == "op"
 
 
 class TestReplayMemos:

@@ -40,10 +40,17 @@ more properties pin it down:
   pool's output differs from golden only inside the window the box
   reaches.
 
+Both batched properties also draw the tolerant row check's inputs: the
+per-row element floor of its peak and ULP tiers
+(``DIVERGENCE_CHECK_MIN_ELEMENTS``, patched to 0 so tiny rows reach
+them), an observer, which turns boxes off so whole rows are checked, and
+(for the byte comparison) a golden feed holding NaN and infinities.
+
 Example budgets come from the Hypothesis profiles registered in
 ``tests/conftest.py``.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -103,8 +110,9 @@ def _variable(rng: np.random.Generator, shape, scale: float = 1.0):
 
 
 @st.composite
-def replay_dags(draw) -> Case:
-    """A random DAG of 1..MAX_OPS spatial operators plus a dense head."""
+def replay_dags(draw, non_finite: bool = False) -> Case:
+    """A random DAG of 1..MAX_OPS spatial operators plus a dense head;
+    with ``non_finite``, the feed may hold a NaN, an inf and a -inf."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     side = draw(st.sampled_from((4, 6)))
     graph = Graph("dag")
@@ -167,6 +175,9 @@ def replay_dags(draw) -> Case:
     graph.add("out", ops.BiasAdd(), inputs=["fc", "fc/bias"])
     graph.mark_output("out")
     x = rng.uniform(-4.0, 4.0, size=(1,) + shapes["x"])
+    if non_finite and draw(st.booleans()):
+        for value in (np.nan, np.inf, -np.inf):
+            x.flat[draw(st.integers(0, x.size - 1))] = value
     return Case(graph, draw(st.sampled_from(sorted(POLICIES))), {"x": x})
 
 
@@ -218,12 +229,41 @@ def test_one_row_replay_matches_full_run(data):
     assert not result.recomputed & set(dirty_values)
 
 
+def _every_tier(data, patch: pytest.MonkeyPatch) -> None:
+    """Draw whether tiny rows reach the tolerant row check's peak and ULP
+    tiers (their per-row element floor patched to 0)."""
+    if data.draw(st.booleans(), label="every tier"):
+        patch.setattr(executor_module, "DIVERGENCE_CHECK_MIN_ELEMENTS", 0)
+
+
+@contextmanager
+def _maybe_observed(data, executor: Executor):
+    """Draw whether an observer is registered: it turns boxes off, so
+    every row is checked whole."""
+    observer = lambda node, out: None  # noqa: E731
+    observed = data.draw(st.booleans(), label="observed")
+    if observed:
+        executor.add_observer(observer)
+    try:
+        yield
+    finally:
+        if observed:
+            executor.remove_observer(observer)
+
+
 @given(data=st.data())
 def test_batched_rows_stay_within_tolerance_of_one_row_replays(data):
     case = data.draw(replay_dags(), label="dag")
     rows: List[Dict[str, np.ndarray]] = data.draw(
         st.lists(fault_values(case), min_size=2, max_size=MAX_ROWS),
         label="rows")
+    with pytest.MonkeyPatch.context() as patch, \
+            _maybe_observed(data, case.executor):
+        _every_tier(data, patch)
+        _tolerance_holds(case, rows)
+
+
+def _tolerance_holds(case: Case, rows: List[Dict[str, np.ndarray]]) -> None:
     members: Dict[str, List[int]] = {}
     for row, values in enumerate(rows):
         for site in values:
@@ -275,19 +315,22 @@ def _batched_rows(case: Case, rows: List[Dict[str, np.ndarray]]):
         equivalence=EquivalenceMode.ULP_TOLERANT)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @given(data=st.data())
 def test_boxes_change_no_bytes(data):
-    case = data.draw(replay_dags(), label="dag")
+    case = data.draw(replay_dags(non_finite=True), label="dag")
     rows = data.draw(st.lists(fault_values(case), min_size=1,
                               max_size=MAX_ROWS), label="rows")
     with pytest.MonkeyPatch.context() as patch:
         # The drawn values are tiny: let boxes be born on all of them.
         patch.setattr(executor_module, "BOX_MIN_ELEMENTS", 0)
+        _every_tier(data, patch)
         boxed = _batched_rows(case, rows)
         for cls in _pointwise_classes():
             patch.setattr(cls, "pointwise", False)
         case.graph.clear_schedules()
-        whole = _batched_rows(case, rows)
+        with _maybe_observed(data, case.executor):
+            whole = _batched_rows(case, rows)
     case.graph.clear_schedules()
     assert boxed.pointwise_positions_evaluated <= \
         boxed.pointwise_positions_total

@@ -16,7 +16,10 @@ The acceptance guarantees under test:
 from __future__ import annotations
 
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
 import threading
 import time
 
@@ -170,6 +173,33 @@ class TestRequestFingerprints:
         clone = pickle.loads(pickle.dumps(request))
         assert clone.spec_key() == request.spec_key()
         assert clone.result_key() == request.result_key()
+
+    def test_fingerprint_does_not_depend_on_the_hash_seed(self):
+        """A fixed32 spec fingerprints alike in processes with different
+        string-hash seeds, before and after a pickle round trip."""
+        script = (
+            "import pickle\n"
+            "from repro.injection import FaultInjectionCampaign, SingleBitFlip\n"
+            "from repro.injection.pool import spec_fingerprint\n"
+            "from repro.models import prepare_model\n"
+            "from repro.quantization import FIXED32, fixed32_policy\n"
+            "prepared = prepare_model('lenet', train=False, seed=1)\n"
+            "inputs, _ = prepared.dataset.sample_train(2, seed=0)\n"
+            "spec = FaultInjectionCampaign(\n"
+            "    prepared.model, inputs, fault_model=SingleBitFlip(FIXED32),\n"
+            "    dtype_policy=fixed32_policy(), seed=0).spec()\n"
+            "print(spec_fingerprint(spec))\n"
+            "print(spec_fingerprint(pickle.loads(pickle.dumps(spec))))\n")
+        src = os.path.dirname(os.path.dirname(
+            os.path.abspath(sys.modules["repro"].__file__)))
+        prints = set()
+        for seed in ("0", "34", "41"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            prints.update(done.stdout.split())
+        assert len(prints) == 1, prints
 
     def test_fingerprint_stable_after_graph_queries(self, lenet_prepared,
                                                     service_inputs):
