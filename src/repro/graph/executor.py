@@ -27,7 +27,7 @@ from ..ops.boxes import RowBoxes, diff_boxes, gather, splice, tighten, union
 from ..ops.conv import ConvGolden, reachable_boxes
 from .equivalence import (DEFAULT_MAX_ULPS, EquivalenceMode,
                           max_row_ulp_distance)
-from .graph import Graph, GraphError, Node
+from .graph import POLICY_EXEMPT_CATEGORIES, Graph, GraphError, Node
 
 #: An output hook receives (node, output) and returns a possibly-modified
 #: output array.  Hooks run in registration order after the operator executes.
@@ -77,9 +77,20 @@ class DTypePolicy:
       the whole array and taking the subset.  Windowed replay applies the
       policy to the box-packed values of the positions a fault reached
       (see :mod:`repro.ops.boxes`), never to the golden rest.
+    * ``+0.0`` and NaN are **fixed points** of ``apply``, so a grid-closed
+      output (:attr:`~repro.ops.base.Operator.grid_closed`) is on the grid
+      whenever its inputs are.  The executor then leaves the policy off
+      the nodes of :meth:`~repro.graph.graph.Graph.grid_closed_nodes`,
+      as long as ``skip_categories`` is within
+      :data:`~repro.graph.graph.POLICY_EXEMPT_CATEGORIES` and no output
+      hook or observer is registered.
     """
 
     name = "float64"
+
+    #: Node categories whose outputs ``apply`` returns unchanged, whatever
+    #: they hold (so they need not be on the grid).
+    skip_categories: frozenset = frozenset()
 
     def apply(self, node: Node, value: Array) -> Array:
         return value
@@ -412,6 +423,16 @@ class Executor:
 
     # -- execution -------------------------------------------------------------
 
+    def _skips_closed(self) -> bool:
+        """Whether this executor may leave the dtype policy off grid-closed
+        nodes: its policy processes every node outside
+        :data:`~repro.graph.graph.POLICY_EXEMPT_CATEGORIES`, and no hook
+        or observer (which may move a value off the grid, or must see
+        every policy call) is registered."""
+        return (not self._output_hooks and not self._observers
+                and self.dtype_policy.skip_categories
+                <= POLICY_EXEMPT_CATEGORIES)
+
     def _evaluate(self, node: Node, out: Array) -> Array:
         """Apply the dtype policy, output hooks and observers to one output."""
         out = self.dtype_policy.apply(node, out)
@@ -438,6 +459,9 @@ class Executor:
             skipped entirely (they are absent from ``result.values`` and
             hooks/observers never see them).  Pass False to force the old
             whole-graph evaluation.
+
+        Grid-closed nodes keep their operator's output without the dtype
+        policy (see :class:`DTypePolicy`): it would return the same bytes.
         """
         feed = dict(feed or {})
         requested = list(outputs) if outputs is not None else list(self.graph.outputs)
@@ -447,6 +471,8 @@ class Executor:
         if missing:
             raise GraphError(f"requested outputs not in graph: {missing}")
         needed = self.graph.ancestors(requested) if prune else None
+        closed = (self.graph.grid_closed_nodes() if self._skips_closed()
+                  else frozenset())
         values: Dict[str, Array] = {}
 
         for node in self.graph:
@@ -461,7 +487,8 @@ class Executor:
             else:
                 args = [values[i] for i in node.inputs]
                 out = node.op.forward(*args)
-            values[node.name] = self._evaluate(node, out)
+            values[node.name] = (out if node.name in closed
+                                 else self._evaluate(node, out))
 
         return ExecutionResult(
             outputs={name: values[name] for name in requested},
@@ -601,6 +628,24 @@ class Executor:
                 dirty[k] = True
         return dirty, deviation
 
+    def _entry_on_grid(self, node: Node, rows: Array, cached: Optional[Array],
+                       boxes: Optional[RowBoxes]) -> bool:
+        """Whether installed entry rows are dtype-policy outputs already.
+
+        The golden value is one, so only the elements that differ from it
+        are checked: those inside the rows' ``boxes``, or found by a
+        comparison of bit views (the rows are not copied).
+        """
+        values = rows
+        if boxes is not None:
+            values = gather(rows, boxes)
+        elif (cached is not None and cached.dtype == rows.dtype
+              and rows.dtype.kind == "f"
+              and cached.shape[1:] == rows.shape[1:]):
+            bits = _UINT_OF_SIZE[rows.dtype.itemsize]
+            values = rows[rows.view(bits) != cached.view(bits)]
+        return bit_identical(self.dtype_policy.apply(node, values), values)
+
     def _broadcast_cached(self, value: Array, name: str, count: int) -> Array:
         """A cached value as the ``count`` rows of a replay see it.
 
@@ -700,6 +745,16 @@ class Executor:
         Every ``ULP_TOLERANT`` row verdict, boxed or whole-row, comes from
         one check that reads a row only inside its box (a whole row is
         one box); see :data:`DIVERGENCE_CHECK_MIN_ELEMENTS`.
+
+        **Grid-closed steps.**  With no hooks or observers, a node of
+        :meth:`Graph.grid_closed_nodes` keeps its operator's output
+        without the dtype policy, which would return the same bytes (see
+        :class:`DTypePolicy`).  That holds because every value it reads is
+        a policy output: the golden cache (which must come from this
+        executor), re-evaluated rows, and entry rows, which are checked
+        where they differ from golden when a grid-closed node first reads
+        them.  The grid-closed readers of an entry that is off the grid
+        apply the policy.
 
         Parameters
         ----------
@@ -802,6 +857,15 @@ class Executor:
         # touch only the box.  Hooks and observers see whole arrays and
         # keep whole-row evaluation.
         boxing = windowed and not self._observers
+        # Grid-closed steps skip the dtype policy when every input is on
+        # its grid.  Entry rows are installed as-is, so each is checked
+        # when a grid-closed step first reads it (``unchecked``); one that
+        # is off the grid (a float32 bit flip, say) joins ``off_grid``,
+        # and its grid-closed readers apply the policy.
+        skipping = self._skips_closed()
+        unchecked: Dict[str, Tuple[Array, Optional[Array],
+                                   Optional[RowBoxes]]] = {}
+        off_grid: Set[str] = set()
         for name, rows in overrides.items():
             mask = row_masks.get(name)
             bits = every if mask is None else _bits_of(mask)
@@ -839,6 +903,8 @@ class Executor:
                 boxes = diff_boxes(rows, cached)
             entries[name] = bits
             if live:
+                if skipping:
+                    unchecked[name] = (rows, cached, boxes)
                 stores[name] = _Rows(name, live, cached, batch, dense=rows,
                                      boxes=boxes, tight=True)
         # The walk must not end while a seed or a dirty entry (another
@@ -962,10 +1028,18 @@ class Executor:
                         op.stride, op.padding, *out.shape[1:3])
             return out, region, False
 
+        def reads_grid(inputs: Tuple[str, ...]) -> bool:
+            """Whether every input of a grid-closed step is on the grid."""
+            for inp in inputs:
+                if inp in unchecked and not self._entry_on_grid(
+                        graph.node(inp), *unchecked.pop(inp)):
+                    off_grid.add(inp)
+            return off_grid.isdisjoint(inputs)
+
         policy = self.dtype_policy
         hooked = bool(self._output_hooks or self._observers)
         for (node, position, releases, last_read, inputs, batch_invariant,
-             kind) in schedule.steps:
+             kind, grid_closed) in schedule.steps:
             if not pending and position > last_dirty_use:
                 break  # no remaining node can see a dirty row
             name = node.name
@@ -1014,8 +1088,10 @@ class Executor:
                                                     kind == "pool")
             for inp in releases:
                 stores.pop(inp, None)
-            out = (np.asarray(self._evaluate(node, out)) if hooked
-                   else policy.apply(node, out))
+            if hooked:
+                out = np.asarray(self._evaluate(node, out))
+            elif not (grid_closed and skipping and reads_grid(inputs)):
+                out = policy.apply(node, out)
             if kind == "pointwise" and np.ndim(cached) == 4:
                 positions = count * cached.shape[1] * cached.shape[2]
                 pointwise_total += positions

@@ -37,6 +37,12 @@ SCHEDULE_MEMO_LIMIT = 512
 #: the same reason: the batch packer asks for one per candidate batch.
 UNION_MEMO_LIMIT = 4096
 
+#: Node categories whose outputs a dtype policy may leave as they are
+#: (placeholders, weights and constants), so they need not lie on its
+#: grid: a grid-closed operator reading one keeps its policy call (see
+#: :meth:`Graph.grid_closed_nodes`).
+POLICY_EXEMPT_CATEGORIES = frozenset({"input", "variable"})
+
 
 class GraphError(RuntimeError):
     """Raised for structural problems: duplicate names, cycles, bad wiring."""
@@ -93,6 +99,9 @@ class ConeStep(NamedTuple):
     #: boxes), ``"pool"`` (max or average pooling, which maps a box
     #: through its window geometry) or ``"op"`` (whole rows).
     kind: str
+    #: Whether the node is in :meth:`Graph.grid_closed_nodes`: its output
+    #: is on the dtype policy's grid whenever its inputs are.
+    grid_closed: bool
 
 
 @dataclass(frozen=True)
@@ -140,6 +149,7 @@ class Graph:
         #: :data:`SCHEDULE_MEMO_LIMIT`.
         self._schedule_memo: "OrderedDict[Tuple[frozenset, Tuple[str, ...]], ConeSchedule]" = OrderedDict()
         self._topo_index: Optional[Dict[str, int]] = None
+        self._grid_closed: Optional[frozenset] = None
 
     # -- pickling ----------------------------------------------------------
 
@@ -160,6 +170,7 @@ class Graph:
         state["_union_memo"] = {}
         state["_schedule_memo"] = {}
         state["_topo_index"] = None
+        state.pop("_grid_closed", None)
         return state
 
     def __setstate__(self, state) -> None:
@@ -170,6 +181,7 @@ class Graph:
             setattr(self, sys.intern(key), value)
         self._union_memo = OrderedDict()
         self._schedule_memo = OrderedDict()
+        self._grid_closed = None
 
     # -- construction ------------------------------------------------------
 
@@ -199,8 +211,7 @@ class Graph:
             self._ancestors_memo.clear()
         if self._union_memo:
             self._union_memo.clear()
-        if self._schedule_memo:
-            self._schedule_memo.clear()
+        self.clear_schedules()
         self._topo_index = None
         return name
 
@@ -366,6 +377,7 @@ class Graph:
                 horizon[inp] = topo[reader]
                 if inp not in requested:
                     releases.setdefault(reader, []).append(inp)
+            closed = self.grid_closed_nodes()
             steps = []
             for name in order:
                 node = self._nodes[name]
@@ -377,7 +389,7 @@ class Graph:
                 steps.append(ConeStep(
                     node, topo[name], tuple(releases.get(name, ())),
                     horizon.get(name, -1), node.inputs,
-                    op.batch_axis is None, kind))
+                    op.batch_axis is None, kind, name in closed))
             schedule = ConeSchedule(steps=tuple(steps), members=members)
             self._schedule_memo[key] = schedule
             if len(self._schedule_memo) > SCHEDULE_MEMO_LIMIT:
@@ -385,9 +397,29 @@ class Graph:
         return schedule
 
     def clear_schedules(self) -> None:
-        """Drop every memoized replay schedule (they hoist operator flags
-        that an operator's training mode changes)."""
+        """Drop every memoized replay schedule and the grid-closed node
+        set (they hoist operator flags that an operator's training mode
+        changes)."""
         self._schedule_memo.clear()
+        self._grid_closed = None
+
+    def grid_closed_nodes(self) -> frozenset:
+        """The nodes whose output is on a dtype policy's grid whenever the
+        policy processes every other node: their operator is grid-closed
+        (:attr:`~repro.ops.base.Operator.grid_closed`) and none of their
+        inputs is of a :data:`POLICY_EXEMPT_CATEGORIES` category.  By
+        induction over the graph every input of such a node is then a
+        policy output or another such node's output, so the executor skips
+        the policy on them.  A ReLU on a placeholder, or a ``Maximum``
+        against a constant bound, is not in the set.  Memoized; operator
+        flags are read when it is built (see :meth:`cone_schedule`)."""
+        if self._grid_closed is None:
+            self._grid_closed = frozenset(
+                node.name for node in self
+                if node.op.grid_closed and not any(
+                    self._nodes[inp].category in POLICY_EXEMPT_CATEGORIES
+                    for inp in node.inputs))
+        return self._grid_closed
 
     def ancestors(self, targets: Union[str, Iterable[str]]) -> Set[str]:
         """All nodes that ``targets`` depend on (including the targets).

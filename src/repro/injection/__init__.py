@@ -9,7 +9,6 @@ from .campaign import (
     RunOptions,
     compare_protection,
     shard_plans,
-    trial_rng,
 )
 from .fault_models import (
     ConsecutiveBitFlip,
@@ -43,6 +42,7 @@ from .sdc import (
     TopKMisclassification,
     criteria_for_model,
 )
+from .streams import trial_rng, trial_rngs
 
 __all__ = [
     "CampaignPool",
@@ -78,5 +78,6 @@ __all__ = [
     "shard_plans",
     "stratum_rng",
     "trial_rng",
+    "trial_rngs",
     "uniform_allocation",
 ]

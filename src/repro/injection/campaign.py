@@ -119,6 +119,7 @@ from .injector import FaultInjector, InjectionPlan
 from .sampling import (Stratification, StratumKey, StratumSpace,
                        neyman_allocation, stratum_rng, uniform_allocation)
 from .sdc import SDCCriterion, criteria_for_model
+from .streams import trial_rngs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pool imports us)
     from .pool import CampaignPool
@@ -150,21 +151,6 @@ DEFAULT_WAVE_FRACTION = 0.1
 #: the headroom admits branch divergence (fire modules, residual blocks)
 #: while refusing pathological unions of far-apart sites.
 DEFAULT_UNION_COST_FACTOR = 1.5
-
-
-def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    """The corruption RNG stream of one campaign trial.
-
-    Stream ``i`` is the ``i``-th child of ``SeedSequence(seed)`` —
-    constructed directly through its spawn key, which is identical to
-    ``SeedSequence(seed).spawn(n)[i]`` for any ``n > i`` but lets a worker
-    derive the streams of its shard without enumerating every earlier trial.
-    Deriving per-trial streams from the campaign seed (instead of consuming
-    one shared generator trial-after-trial) is what makes campaign results
-    independent of execution order, worker count and chunking.
-    """
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(trial_index,)))
 
 
 def shard_plans(plans: Sequence[Tuple[int, InjectionPlan]], shards: int
@@ -897,8 +883,10 @@ class FaultInjectionCampaign:
         nodes_recomputed = 0
         nodes_full = 0
 
+        rngs = trial_rngs(self.seed, range(trial_offset,
+                                           trial_offset + len(plans)))
         for position, (input_index, plan) in enumerate(plans):
-            rng = trial_rng(self.seed, trial_offset + position)
+            rng = next(rngs)
             golden = self._golden[input_index]
             if options.incremental:
                 cache = self._golden_cache(input_index)
@@ -1064,8 +1052,8 @@ class FaultInjectionCampaign:
             cache = self._golden_cache(input_index)
             golden = self._golden[input_index]
             batch_plans = [plans[position][1] for position in positions]
-            rngs = [trial_rng(self.seed, trial_offset + position)
-                    for position in positions]
+            rngs = list(trial_rngs(self.seed, [trial_offset + position
+                                               for position in positions]))
             stacked, faults, result = self.injector.inject_cached_batch(
                 self._executor, cache, batch_plans, rngs,
                 equivalence=mode, max_ulps=options.max_ulps,
@@ -1090,9 +1078,10 @@ class FaultInjectionCampaign:
                 "%d of %d trials have a fault site inside another site's "
                 "cone and replay one at a time instead of batched",
                 len(fallback), len(plans))
-        for position in fallback:
+        rngs = trial_rngs(self.seed, [trial_offset + position
+                                      for position in fallback])
+        for position, rng in zip(fallback, rngs):
             input_index, plan = plans[position]
-            rng = trial_rng(self.seed, trial_offset + position)
             cache = self._golden_cache(input_index)
             faulty, faults, result = self.injector.inject_cached(
                 self._executor, cache, plan, rng=rng)

@@ -51,7 +51,7 @@ StratumKey = Tuple[int, int]
 def stratum_rng(seed: int, stratum_index: int) -> np.random.Generator:
     """The dedicated, index-keyed RNG stream of one stratum.
 
-    Analogous to ``campaign.trial_rng``: the stream depends only on the
+    Analogous to ``streams.trial_rng``: the stream depends only on the
     campaign seed and the stratum's index in the space, never on how many
     trials other strata drew, so per-stratum sample sequences are stable
     as allocations evolve.

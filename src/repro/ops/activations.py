@@ -40,6 +40,7 @@ class ReLU(Activation):
 
     inherent_bounds = None
     pointwise = True
+    grid_closed = True
 
     def forward(self, x: Array) -> Array:
         return np.maximum(x, 0.0)

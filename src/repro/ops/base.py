@@ -85,6 +85,21 @@ class Operator:
     #: ``x.shape``, as in ``ReplaceWithRandom``).
     pointwise: bool = False
 
+    #: **Grid-closure contract** (read by the dtype-policy skip).  An
+    #: operator is grid-closed when every element of its output is an
+    #: element of one of its inputs, ``+0.0`` or NaN, whatever the input
+    #: values: it only selects, moves, pads or zeroes them (max/min
+    #: selections, ReLU, reshapes, concats, zero padding).  A dtype
+    #: policy's outputs, ``+0.0`` and NaN are fixed points of the policy
+    #: (see :class:`~repro.graph.executor.DTypePolicy`), so such an
+    #: operator's output is a policy output whenever all its inputs are,
+    #: and the executor does not apply the policy to it again (see
+    #: :meth:`~repro.graph.graph.Graph.grid_closed_nodes`).  Arithmetic
+    #: that can make a new value must not set it: sums (which saturate),
+    #: products, averages, and clipping to bounds that are not themselves
+    #: inputs.
+    grid_closed: bool = False
+
     def forward(self, *inputs: Array) -> Array:
         raise NotImplementedError
 
@@ -208,6 +223,7 @@ class Identity(Operator):
 
     category = "reshape"
     pointwise = True
+    grid_closed = True
 
     def forward(self, x: Array) -> Array:
         return x

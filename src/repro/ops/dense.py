@@ -113,6 +113,7 @@ class Minimum(Operator):
     category = "protection"
     injectable = False
     pointwise = True
+    grid_closed = True
 
     def forward(self, x: Array, bound: Array) -> Array:
         return np.minimum(x, bound)
@@ -129,6 +130,7 @@ class Maximum(Operator):
     category = "protection"
     injectable = False
     pointwise = True
+    grid_closed = True
 
     def forward(self, x: Array, bound: Array) -> Array:
         return np.maximum(x, bound)

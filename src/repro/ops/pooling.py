@@ -50,6 +50,7 @@ class MaxPool2D(Operator):
     """Max pooling over square windows."""
 
     category = "pooling"
+    grid_closed = True
 
     def __init__(self, pool: int = 2, stride: Optional[int] = None,
                  padding: str = "valid") -> None:

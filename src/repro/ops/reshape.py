@@ -25,6 +25,7 @@ class Reshape(Operator):
     """
 
     category = "reshape"
+    grid_closed = True
 
     def __init__(self, target_shape: Tuple[int, ...]) -> None:
         self.target_shape = tuple(int(d) for d in target_shape)
@@ -47,6 +48,7 @@ class Flatten(Operator):
     """Flatten all non-batch dimensions into one."""
 
     category = "reshape"
+    grid_closed = True
 
     def forward(self, x: Array) -> Array:
         return x.reshape(x.shape[0], -1)
@@ -69,6 +71,7 @@ class Concatenate(Operator):
     """
 
     category = "concat"
+    grid_closed = True
 
     @property
     def batch_transparent(self) -> bool:
@@ -107,6 +110,7 @@ class Pad2D(Operator):
     """Zero-pad the spatial dimensions of an NHWC tensor."""
 
     category = "reshape"
+    grid_closed = True
 
     def __init__(self, pad_h: Tuple[int, int], pad_w: Tuple[int, int]) -> None:
         self.pad_h = (int(pad_h[0]), int(pad_h[1]))
@@ -154,6 +158,11 @@ class Dropout(Operator):
     def pointwise(self) -> bool:
         """Pointwise when it is the identity; a training mask is drawn
         for the whole array's shape."""
+        return not self.training or self.rate == 0.0
+
+    @property
+    def grid_closed(self) -> bool:
+        """Grid-closed when it is the identity; a training mask rescales."""
         return not self.training or self.rate == 0.0
 
     def __init__(self, rate: float = 0.5, seed: Optional[int] = None) -> None:

@@ -14,6 +14,7 @@ This module provides
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
@@ -114,7 +115,7 @@ class FixedPointFormat:
 
         Fused float-only fast path for the executor's per-output policy
         application (the hottest loop of every fixed-point campaign), in
-        four passes: saturate from below and above, then round by adding and
+        three passes: saturate (one ``clip``), then round by adding and
         subtracting ``1.5 * 2**(52 - fraction_bits)`` (bounds and shift
         are fixed per format at construction).  After saturation every
         sum lies in one binade whose ULP is exactly the grid step, so the add
@@ -132,11 +133,10 @@ class FixedPointFormat:
             return self.decode(self.encode(values))
         low, high, shift = grid
         values = np.asarray(values, dtype=np.float64)
-        # Saturate into one buffer with the bare ufuncs, which skip
-        # ``np.clip``'s wrapper (``out=`` keeps a 0-d input an array).
-        out = np.empty_like(values)
-        np.maximum(values, low, out=out)
-        np.minimum(out, high, out=out)
+        # Saturate in one pass; ``clip`` returns a scalar for a 0-d input
+        # unless it is given a buffer.
+        out = (values.clip(low, high) if values.ndim
+               else values.clip(low, high, out=np.empty_like(values)))
         out += shift
         out -= shift
         return out
@@ -156,16 +156,22 @@ class FixedPointFormat:
         ``total_bits - 1`` (the sign bit).  The value is first quantized onto
         the grid (a fault can only corrupt a stored representation).
         """
-        if not 0 <= bit < self.total_bits:
+        total = self.total_bits
+        if not 0 <= bit < total:
             raise ValueError(
-                f"bit index {bit} out of range for a {self.total_bits}-bit format")
-        code = int(self.encode(np.asarray(value))[()])
-        unsigned = code & ((1 << self.total_bits) - 1)
-        unsigned ^= (1 << bit)
+                f"bit index {bit} out of range for a {total}-bit format")
+        scaled = float(value) / self.scale
+        if self._grid is not None and math.isfinite(scaled):
+            # :meth:`encode` in Python scalars: round half to even, saturate.
+            high = (1 << (total - 1)) - 1
+            code = min(max(round(scaled), -high - 1), high)
+        else:  # NaN, infinities, and formats wider than the float path
+            code = int(self.encode(np.asarray(value))[()])
+        unsigned = (code & ((1 << total) - 1)) ^ (1 << bit)
         # Re-interpret as signed two's complement.
-        if unsigned >= (1 << (self.total_bits - 1)):
-            unsigned -= (1 << self.total_bits)
-        return float(self.decode(np.asarray(unsigned))[()])
+        if unsigned >= (1 << (total - 1)):
+            unsigned -= (1 << total)
+        return unsigned * self.scale
 
     def flip_bits(self, value: float, bits: Iterable[int]) -> float:
         """Flip several distinct bits of one value."""

@@ -10,7 +10,7 @@ integer and 2 fraction bits" for RQ4).
 from __future__ import annotations
 
 from ..graph.executor import DTypePolicy
-from ..graph.graph import Node
+from ..graph.graph import POLICY_EXEMPT_CATEGORIES, Node
 from .fixed_point import FIXED16, FIXED32, FixedPointFormat
 
 
@@ -29,7 +29,7 @@ class FixedPointPolicy(DTypePolicy):
     #: an instance pickles without a set, whose iteration order (and so
     #: the pickle's bytes, and every content fingerprint over them) would
     #: depend on the process's string-hash seed.
-    skip_categories = frozenset({"variable", "input"})
+    skip_categories = POLICY_EXEMPT_CATEGORIES
 
     def __init__(self, fmt: FixedPointFormat) -> None:
         self.fmt = fmt

@@ -224,3 +224,36 @@ def test_higher_bits_cause_larger_deviation(value, low_bit, high_bit):
     low_dev = abs(FIXED32.flip_bit(quantized, low_bit) - quantized)
     high_dev = abs(FIXED32.flip_bit(quantized, high_bit) - quantized)
     assert high_dev >= low_dev
+
+
+def _numpy_flip_bit(fmt, value, bit):
+    """``flip_bit`` through the numpy codec: the reference of its scalar
+    path."""
+    code = int(fmt.encode(np.asarray(value))[()])
+    unsigned = (code & ((1 << fmt.total_bits) - 1)) ^ (1 << bit)
+    if unsigned >= 1 << (fmt.total_bits - 1):
+        unsigned -= 1 << fmt.total_bits
+    return float(fmt.decode(np.asarray(unsigned))[()])
+
+
+@pytest.mark.parametrize("fmt", [FIXED32, FIXED16], ids=["fixed32", "fixed16"])
+@given(value=st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-2 ** 33, 2 ** 33).map(lambda n: n * 0.125),
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf])))
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast",
+                            "ignore:overflow encountered in divide")
+def test_flip_bit_matches_numpy_codec(fmt, value):
+    """The scalar ``flip_bit`` has the bytes of the numpy codec's, at every
+    bit position: grid values, half-grid ties, ``+-0.0``, values past
+    either saturation bound, NaN and infinities."""
+    specials = [value, fmt.max_value, fmt.min_value,
+                fmt.max_value + fmt.scale, fmt.min_value - 0.5 * fmt.scale,
+                2.5 * fmt.scale, -0.5 * fmt.scale]
+    for sample in specials:
+        for bit in range(fmt.total_bits):
+            got = fmt.flip_bit(sample, bit)
+            want = _numpy_flip_bit(fmt, sample, bit)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (
+                sample, bit)
