@@ -603,6 +603,15 @@ class FaultInjectionCampaign:
         SDC criteria; defaults to the model-appropriate set.
     dtype_policy:
         Optional executor dtype policy (e.g. a fixed-point policy).
+
+    Construction profiles the injectable state space only.  The golden
+    outputs the SDC verdicts compare against are computed at the first
+    verdict, and each input's golden activation cache at its first
+    trial, so a campaign whose trials all run in pool workers never pays
+    for them in the parent.  A fork pool that starts its workers with
+    the campaign (:meth:`~repro.injection.pool.CampaignPool.start_with`)
+    builds the golden outputs before the fork, so the workers inherit
+    them.
     """
 
     def __init__(self, model: Model, inputs: np.ndarray,
@@ -610,21 +619,20 @@ class FaultInjectionCampaign:
                  criteria: Optional[Sequence[SDCCriterion]] = None,
                  dtype_policy: Optional[DTypePolicy] = None,
                  seed: int = 0) -> None:
-        if len(inputs) == 0:
-            raise ValueError("campaign requires at least one evaluation input")
+        spec = CampaignSpec.of(model, inputs, fault_model=fault_model,
+                               criteria=criteria, dtype_policy=dtype_policy,
+                               seed=seed)
         self.model = model
-        self.inputs = np.asarray(inputs)
-        self.fault_model = fault_model or SingleBitFlip()
-        self.criteria = list(criteria if criteria is not None
-                             else criteria_for_model(model))
-        if not self.criteria:
-            raise ValueError("campaign requires at least one SDC criterion")
+        self.inputs = spec.inputs
+        self.fault_model = spec.fault_model
+        self.criteria = spec.criteria
         self.dtype_policy = dtype_policy
         self.seed = seed
         self.injector = FaultInjector(model, self.fault_model, seed=seed)
         self._executor = model.executor(dtype_policy)
         self.injector.profile_state_space(self.inputs[:1], self._executor)
-        self._golden = self._compute_golden_outputs()
+        #: Golden outputs (:attr:`_golden`), computed at the first verdict.
+        self._golden_outputs: Optional[List[np.ndarray]] = None
         #: Per-input golden activation caches for partial re-execution,
         #: built lazily the first time a trial uses an input.
         self._golden_caches: Dict[int, Dict[str, np.ndarray]] = {}
@@ -638,10 +646,24 @@ class FaultInjectionCampaign:
         self._needed_nodes: Optional[frozenset] = None
         #: Memoized :func:`~repro.injection.pool.spec_fingerprint` of
         #: this campaign's spec — every field it hashes is fixed at
-        #: construction, so computing it once is safe.
+        #: construction, so computing it once is safe
+        #: (:meth:`CampaignSpec.build` may hand it over precomputed).
         self._fingerprint: Optional[str] = None
 
     # -- setup ------------------------------------------------------------------
+
+    @property
+    def _golden(self) -> List[np.ndarray]:
+        """Golden output per input, computed on first use.
+
+        Only a campaign that takes verdicts reads them: the parent of a
+        pooled run never does, so it never pays the batched pass
+        (:meth:`~repro.injection.pool.CampaignPool.start_with` builds
+        them before it forks workers that inherit the campaign).
+        """
+        if self._golden_outputs is None:
+            self._golden_outputs = self._compute_golden_outputs()
+        return self._golden_outputs
 
     def _compute_golden_outputs(self) -> List[np.ndarray]:
         """Golden (fault-free) output per input, in one batched forward pass.
@@ -1114,13 +1136,16 @@ class CampaignSpec:
     """Everything a worker process needs to rebuild a campaign.
 
     The spec is deliberately limited to picklable leaf state — the model
-    (graph + weights), the evaluation inputs, the fault model, the criterion
-    list, the dtype policy and the seed.  ``build()`` reruns the campaign
-    constructor, which re-profiles the injectable state space and recomputes
-    the golden outputs, so a rebuilt campaign is indistinguishable from the
-    original (both are pure functions of this state).  Golden activation
-    caches are a pure function of it too, so they never travel: a worker
-    builds its own lazily.
+    (graph + weights, without training scratch such as gradients), the
+    evaluation inputs, the fault model, the criterion list, the dtype
+    policy and the seed.  ``build()`` reruns the campaign constructor,
+    which re-profiles the injectable state space, so a rebuilt campaign
+    is indistinguishable from the original (both are pure functions of
+    this state).  Golden outputs and golden activation caches are a pure
+    function of it too, so they never travel: a campaign computes them
+    lazily, at its first verdict (a fork pool's
+    :meth:`~repro.injection.pool.CampaignPool.start_with` builds the
+    golden outputs before it forks, so its workers inherit them).
     """
 
     model: Model
@@ -1130,12 +1155,41 @@ class CampaignSpec:
     dtype_policy: Optional[DTypePolicy]
     seed: int
 
-    def build(self) -> FaultInjectionCampaign:
-        return FaultInjectionCampaign(self.model, self.inputs,
-                                      fault_model=self.fault_model,
-                                      criteria=self.criteria,
-                                      dtype_policy=self.dtype_policy,
-                                      seed=self.seed)
+    @classmethod
+    def of(cls, model: Model, inputs, *,
+           fault_model: Optional[FaultModel] = None,
+           criteria: Optional[Sequence[SDCCriterion]] = None,
+           dtype_policy: Optional[DTypePolicy] = None,
+           seed: int = 0) -> "CampaignSpec":
+        """The spec of ``FaultInjectionCampaign(model, inputs, ...)``.
+
+        Fills in the defaults (a single bit flip, the model-appropriate
+        criteria) and checks the arguments exactly as the constructor
+        does, without building the campaign.
+        """
+        if len(inputs) == 0:
+            raise ValueError("campaign requires at least one evaluation input")
+        criteria = list(criteria if criteria is not None
+                        else criteria_for_model(model))
+        if not criteria:
+            raise ValueError("campaign requires at least one SDC criterion")
+        return cls(model=model, inputs=np.asarray(inputs),
+                   fault_model=fault_model or SingleBitFlip(),
+                   criteria=criteria, dtype_policy=dtype_policy, seed=seed)
+
+    def build(self, fingerprint: Optional[str] = None
+              ) -> FaultInjectionCampaign:
+        """Rebuild the campaign.  ``fingerprint`` is this spec's
+        :func:`~repro.injection.pool.spec_fingerprint`, when the caller
+        has computed it already: the campaign then never hashes its spec
+        again."""
+        campaign = FaultInjectionCampaign(self.model, self.inputs,
+                                          fault_model=self.fault_model,
+                                          criteria=self.criteria,
+                                          dtype_policy=self.dtype_policy,
+                                          seed=self.seed)
+        campaign._fingerprint = fingerprint
+        return campaign
 
 
 @contextlib.contextmanager

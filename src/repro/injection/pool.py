@@ -192,16 +192,21 @@ class CampaignPool:
         Only a fork pool whose workers have not started can do this: its
         executor forks every worker on the first submit, and a fork child
         inherits the parent's memory, ``campaigns`` included, without
-        pickling them.  A worker that misses them anyway bounces its task
-        and gets the spec, so this only saves work.  Otherwise (spawn, or
-        workers already running) it does nothing.  :meth:`run_plans`
-        calls it with the campaign it dispatches.
+        pickling them.  Their golden outputs, which a campaign computes at
+        its first verdict, are built here first, so that every worker
+        inherits them instead of computing its own.  A worker that misses
+        the campaigns anyway bounces its task and gets the spec, so this
+        only saves work.  Otherwise (spawn, or workers already running)
+        it does nothing.  :meth:`run_plans` calls it with the campaign it
+        dispatches.
         """
         if (self._executor is None or self._started
                 or self._context.get_start_method() != "fork"):
             return
-        inherited = {campaign.spec_fingerprint(): campaign
-                     for campaign in campaigns}
+        inherited = {}
+        for campaign in campaigns:
+            campaign._golden  # built once here, inherited by every worker
+            inherited[campaign.spec_fingerprint()] = campaign
         added = [fingerprint for fingerprint in inherited
                  if fingerprint not in _WORKER_CAMPAIGNS]
         _WORKER_CAMPAIGNS.update(inherited)

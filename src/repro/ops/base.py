@@ -210,6 +210,18 @@ class Variable(Operator):
     def zero_grad(self) -> None:
         self.grad = None
 
+    def __getstate__(self):
+        """Pickle the parameter without its gradient.
+
+        The gradient is training scratch: it is rebuilt by the next
+        backward pass, it would double the size of every pickled model,
+        and a content fingerprint over it would change with every
+        backward pass (see :meth:`repro.graph.graph.Graph.__getstate__`).
+        """
+        state = dict(self.__dict__)
+        state["grad"] = None
+        return state
+
     def flops(self, input_shapes, output_shape) -> int:
         return 0
 

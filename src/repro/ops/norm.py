@@ -41,13 +41,31 @@ class BatchNorm(Operator):
         statistics read every position."""
         return not self.training
 
-    def __init__(self, momentum: float = 0.9, epsilon: float = 1e-5) -> None:
+    def __init__(self, momentum: float = 0.9, epsilon: float = 1e-5,
+                 channels: Optional[int] = None) -> None:
         self.momentum = float(momentum)
         self.epsilon = float(epsilon)
         self.training = False
+        #: Moving statistics; without ``channels`` they start at the first
+        #: forward pass, which then changes the operator's pickle.
         self.moving_mean: Optional[Array] = None
         self.moving_var: Optional[Array] = None
+        if channels is not None:
+            self.moving_mean = np.zeros(channels, dtype=np.float64)
+            self.moving_var = np.ones(channels, dtype=np.float64)
         self._cache: Optional[Tuple[Array, Array, Array]] = None
+
+    def __getstate__(self):
+        """Pickle the operator without the last call's ``x_hat`` cache.
+
+        The cache is training scratch for :meth:`backward`: it holds a
+        whole activation, and a content fingerprint over it would change
+        with every forward pass, replays included (see
+        :meth:`repro.graph.graph.Graph.__getstate__`).
+        """
+        state = dict(self.__dict__)
+        state["_cache"] = None
+        return state
 
     def forward(self, x: Array, gamma: Array, beta: Array) -> Array:
         channels = x.shape[-1]

@@ -186,6 +186,13 @@ class Dropout(Operator):
             return [grad]
         return [grad * self._mask]
 
+    def __getstate__(self):
+        """Pickle the layer without its last training mask (scratch for
+        :meth:`backward`, like ``BatchNorm``'s ``x_hat`` cache)."""
+        state = dict(self.__dict__)
+        state["_mask"] = None
+        return state
+
     def flops(self, input_shapes, output_shape) -> int:
         return 0
 

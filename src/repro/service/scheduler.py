@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, Optional
 
 from ..injection.campaign import FaultInjectionCampaign, run_group
 from ..injection.pool import CampaignPool
-from .serialization import CampaignRequest
+from .serialization import CampaignRequest, result_fingerprint
 from .store import ArtifactStore
 
 #: Waves a fixed-budget ``batch_trials=1`` job is cut into (streaming and
@@ -93,12 +93,13 @@ class WaveScheduler:
         """
         publish = publish or (lambda snapshot: None)
         should_cancel = should_cancel or (lambda: False)
-        # Fingerprint once, at admission state: building and running the
-        # campaign touches the spec's objects (lazy model/criteria state
-        # rides along in their pickles), so a key computed *after* the run
-        # would never match the next identical submission's lookup.
-        result_key = request.result_key()
-        spec_key = request.spec_key()
+        # Fingerprint each arm once, at admission state (before a build or
+        # a run touches the spec's objects).  Every key below derives from
+        # these, and each built campaign is handed its own, so no spec is
+        # pickled and hashed again.
+        arm_keys = request.arm_keys()
+        result_key = result_fingerprint(request, arm_keys)
+        spec_key = arm_keys[0]
 
         if self.store is not None:
             cached = self.store.get("result", result_key)
@@ -109,7 +110,8 @@ class WaveScheduler:
             raise JobCancelled(result_key)
 
         options = request.options
-        campaigns = [spec.build() for spec in request.arm_specs()]
+        campaigns = [spec.build(fingerprint=key) for spec, key
+                     in zip(request.arm_specs(), arm_keys)]
         # Golden caches are reused for single campaigns only: a sweep's
         # compare jobs mostly differ in their protected arm, so banking
         # every arm would grow the in-memory store by a cache set per cell.

@@ -32,10 +32,9 @@ from __future__ import annotations
 import hashlib
 import pickle
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
-from ..injection.campaign import (CampaignSpec, FaultInjectionCampaign,
-                                  RunOptions)
+from ..injection.campaign import CampaignSpec, RunOptions
 from ..injection.pool import spec_fingerprint
 from ..models.base import Model
 
@@ -65,6 +64,12 @@ class CampaignRequest:
             return [self.spec]
         return [self.spec, replace(self.spec, model=self.protected_model)]
 
+    def arm_keys(self) -> List[str]:
+        """The spec fingerprint of each arm (:meth:`arm_specs`); the
+        first is :meth:`spec_key`, and all of them make the
+        :meth:`result_key`."""
+        return [spec_fingerprint(spec) for spec in self.arm_specs()]
+
     def spec_key(self) -> str:
         """Spec fingerprint — the golden-cache key (unprotected side)."""
         return spec_fingerprint(self.spec)
@@ -79,24 +84,29 @@ def request_from_campaign(model: Model, inputs, *, fault_model=None,
                           **option_kwargs) -> CampaignRequest:
     """Build a request from raw campaign ingredients.
 
-    Constructing a throwaway :class:`FaultInjectionCampaign` normalizes
-    the defaults exactly the way a direct ``run()`` would (default fault
-    model, model-appropriate criteria), so the request's fingerprint
-    matches the spec of the equivalent direct campaign.
+    :meth:`CampaignSpec.of` fills in and checks the defaults exactly the
+    way the :class:`~repro.injection.FaultInjectionCampaign` constructor
+    does (default fault model, model-appropriate criteria), so the
+    request's fingerprint matches the spec of the equivalent direct
+    campaign; no campaign is built.
     """
-    campaign = FaultInjectionCampaign(model, inputs, fault_model=fault_model,
-                                      criteria=criteria,
-                                      dtype_policy=dtype_policy, seed=seed)
-    return CampaignRequest(spec=campaign.spec(),
-                           options=RunOptions(**option_kwargs),
+    spec = CampaignSpec.of(model, inputs, fault_model=fault_model,
+                           criteria=criteria, dtype_policy=dtype_policy,
+                           seed=seed)
+    return CampaignRequest(spec=spec, options=RunOptions(**option_kwargs),
                            protected_model=protected_model)
 
 
-def result_fingerprint(request: CampaignRequest) -> str:
-    """Content key of the request's finished result (see module docstring)."""
+def result_fingerprint(request: CampaignRequest,
+                       arm_keys: Optional[Sequence[str]] = None) -> str:
+    """Content key of the request's finished result (see module docstring).
+
+    ``arm_keys`` are the request's :meth:`~CampaignRequest.arm_keys`, when
+    the caller has them already; otherwise they are computed here.
+    """
     digest = hashlib.sha1()
-    for spec in request.arm_specs():
-        digest.update(spec_fingerprint(spec).encode("ascii"))
+    for key in (request.arm_keys() if arm_keys is None else arm_keys):
+        digest.update(key.encode("ascii"))
     digest.update(repr(request.options.canonical()).encode("utf-8"))
     return digest.hexdigest()
 

@@ -601,6 +601,46 @@ class TestSpecOnMiss:
             assert got.sdc_counts == expected.sdc_counts
         assert len(pickled) == (0 if fork else 2)
 
+    def test_fork_workers_inherit_the_golden_outputs(
+            self, untrained_lenet, lenet_prepared, lenet_protected,
+            monkeypatch):
+        """A campaign computes its golden outputs at its first verdict.
+        ``start_with`` builds them in the parent before the fork, once
+        per campaign, so no fork worker runs a golden-output pass; a
+        spawn pool starts no workers with campaigns, and its parent runs
+        none (its workers compute their own)."""
+        campaign = self._campaign(untrained_lenet)
+        plans = campaign.generate_plans(TRIALS)
+        reference = campaign.run(plans=plans, keep_faults=True)
+        protected, _ = lenet_protected
+        inputs, _ = lenet_prepared.correctly_predicted_inputs(2, seed=0)
+        serial = compare_protection(lenet_prepared.model, protected, inputs,
+                                    trials=TRIALS, seed=3)
+        parent = os.getpid()
+        passes = []
+        real_golden = FaultInjectionCampaign._compute_golden_outputs
+
+        def counted(campaign):
+            if os.getpid() != parent:
+                raise AssertionError("a fork worker ran a golden pass")
+            passes.append(campaign)
+            return real_golden(campaign)
+
+        monkeypatch.setattr(FaultInjectionCampaign, "_compute_golden_outputs",
+                            counted)
+        fork = os.environ[START_METHOD_ENV] == "fork"
+        result = self._campaign(untrained_lenet).run(
+            plans=plans, keep_faults=True, workers=2)
+        assert result.sdc_counts == reference.sdc_counts
+        assert result.faults == reference.faults
+        assert len(passes) == (1 if fork else 0)
+        del passes[:]
+        fanned = compare_protection(lenet_prepared.model, protected, inputs,
+                                    trials=TRIALS, seed=3, workers=2)
+        for expected, got in zip(serial, fanned):
+            assert got.sdc_counts == expected.sdc_counts
+        assert len(passes) == (2 if fork else 0)
+
     def test_evicted_campaign_is_resent(self, untrained_lenet):
         campaigns = [self._campaign(untrained_lenet, seed=seed)
                      for seed in range(WORKER_CAMPAIGN_CACHE_LIMIT + 1)]

@@ -23,9 +23,16 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
-from repro.injection import FaultInjectionCampaign, SingleBitFlip
+from repro.graph import Executor
+from repro.injection import (CampaignPool, FaultInjectionCampaign,
+                             SingleBitFlip, compare_protection)
+from repro.injection.campaign import CampaignSpec
+from repro.models import prepare_model
+from repro.nn import SGD, SoftmaxCrossEntropy, Trainer
+from repro.ops import BatchNorm
 from repro.quantization import FIXED32, fixed32_policy
 from repro.service import (
     AdmissionError,
@@ -56,6 +63,11 @@ def direct_reference(lenet_prepared, service_inputs):
         fault_model=SingleBitFlip(FIXED32), dtype_policy=fixed32_policy(),
         seed=0)
     return campaign.run(trials=TRIALS, keep_faults=True)
+
+
+def _batch_norms(model):
+    return [node.op for node in model.graph.nodes()
+            if isinstance(node.op, BatchNorm)]
 
 
 def submit_kwargs(**options):
@@ -214,6 +226,51 @@ class TestRequestFingerprints:
             dtype_policy=fixed32_policy(), seed=0).run(trials=2)
         assert request.result_key() == before
 
+    def test_fingerprint_ignores_training_scratch(self):
+        """A BatchNorm model's spec pickles to the same bytes, and keys
+        the same, before any forward pass, after a batched replay (which
+        fills BatchNorm's ``x_hat`` cache) and after a backward pass
+        (which fills every ``Variable.grad``).  The unpickled model still
+        runs forward bit for bit and trains."""
+        prepared = prepare_model("resnet18", train=False, seed=1,
+                                 use_cache=False)
+        model = prepared.model
+        inputs, labels = prepared.dataset.sample_train(2, seed=0)
+        request = request_from_campaign(
+            model, inputs, fault_model=SingleBitFlip(FIXED32),
+            dtype_policy=fixed32_policy(), seed=0)
+        pickled = pickle.dumps(request.spec, protocol=pickle.HIGHEST_PROTOCOL)
+        key = request.spec_key()
+        request.spec.build().run(trials=8, batch_trials=8)
+        assert any(op._cache is not None for op in _batch_norms(model))
+        assert pickle.dumps(request.spec,
+                            protocol=pickle.HIGHEST_PROTOCOL) == pickled
+        assert request.spec_key() == key
+        loss = SoftmaxCrossEntropy()
+        executor = Executor(model.graph)
+        logits = executor.run({model.input_name: inputs},
+                              outputs=[model.logits_name])
+        executor.run_with_gradients(
+            {model.input_name: inputs},
+            {model.logits_name: loss.gradient(
+                logits.output(model.logits_name), labels)})
+        assert all(v.grad is not None for v in model.graph.variables())
+        assert pickle.dumps(request.spec,
+                            protocol=pickle.HIGHEST_PROTOCOL) == pickled
+        assert request.spec_key() == key
+
+        clone = pickle.loads(pickled).model
+        assert all(v.grad is None for v in clone.graph.variables())
+        assert (clone.predict_logits(inputs).tobytes()
+                == model.predict_logits(inputs).tobytes())
+        before = [v.value.copy() for v in clone.graph.variables()]
+        trainer = Trainer(clone.graph, loss, SGD(learning_rate=0.1),
+                          output_node=clone.logits_name)
+        history = trainer.fit(inputs, labels, epochs=1, batch_size=2)
+        assert np.isfinite(history.final_loss)
+        assert any(not np.array_equal(old, v.value) for old, v
+                   in zip(before, clone.graph.variables()))
+
     def test_options_waved_flag(self):
         assert not RunOptions().waved
         assert RunOptions(target_half_width=0.1).waved
@@ -352,6 +409,81 @@ class TestArtifactReuse:
             assert handle.from_cache is True
         assert cached.sdc_counts == fresh.sdc_counts
         assert cached.faults == fresh.faults
+
+
+def _count_calls(monkeypatch, function):
+    """Count every call of ``function`` (a module-level function) through
+    any ``repro`` module that binds it; returns the list of call args."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "repro"
+                and getattr(module, function.__name__, None) is function):
+            monkeypatch.setattr(module, function.__name__, counted)
+    return calls
+
+
+class TestControlPlaneWork:
+    """The parent of a pooled job does only the work the job needs: one
+    spec fingerprint per arm, and no golden-output pass (only the
+    workers take verdicts).  Deterministic counts, no clock."""
+
+    def test_pooled_compare_job_fingerprints_each_arm_once(
+            self, lenet_prepared, lenet_protected, service_inputs,
+            monkeypatch):
+        from repro.injection import pool as pool_module
+
+        protected, _ = lenet_protected
+        request = request_from_campaign(
+            lenet_prepared.model, service_inputs,
+            protected_model=protected, workers=2, use_pool=True,
+            **submit_kwargs())
+        with CampaignPool(workers=2) as pool, \
+                CampaignServer(pool=pool) as server:
+            pool.worker_blas_threads()  # the workers run already
+            fingerprints = _count_calls(monkeypatch,
+                                        pool_module.spec_fingerprint)
+            golden = []
+            real_golden = FaultInjectionCampaign._compute_golden_outputs
+            monkeypatch.setattr(
+                FaultInjectionCampaign, "_compute_golden_outputs",
+                lambda campaign: golden.append(campaign)
+                or real_golden(campaign))
+            builds = []
+            real_build = CampaignSpec.build
+            monkeypatch.setattr(
+                CampaignSpec, "build",
+                lambda spec, **kwargs: builds.append(spec)
+                or real_build(spec, **kwargs))
+
+            fresh = server.submit(request)
+            pair = fresh.result(timeout=600.0)
+            assert fresh.describe()["from_cache"] is False
+            assert len(fingerprints) == 2
+            assert len(builds) == 2
+            assert golden == []
+            dispatched = pool.stats()
+
+            del fingerprints[:], builds[:]
+            repeat = server.submit(request)
+            assert repeat.result(timeout=600.0) == pair
+            assert repeat.describe()["from_cache"] is True
+            assert len(fingerprints) == 2
+            assert builds == []
+            assert golden == []
+            assert pool.stats() == dispatched
+
+        monkeypatch.undo()
+        direct = compare_protection(
+            lenet_prepared.model, protected, service_inputs,
+            fault_model=SingleBitFlip(FIXED32),
+            dtype_policy=fixed32_policy(), trials=TRIALS, seed=0)
+        for served, expected in zip(pair, direct):
+            assert served.sdc_counts == expected.sdc_counts
 
 
 class TestWaveScheduler:
