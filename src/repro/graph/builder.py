@@ -122,8 +122,7 @@ class GraphBuilder:
     def batch_norm(self, x: str, channels: int, name: str) -> str:
         gamma = self.variable(np.ones(channels), name=f"{name}/gamma")
         beta = self.variable(np.zeros(channels), name=f"{name}/beta")
-        return self.graph.add(name, ops.BatchNorm(channels=channels),
-                              [x, gamma, beta])
+        return self.graph.add(name, ops.BatchNorm(), [x, gamma, beta])
 
     def local_response_norm(self, x: str, name: str, **kwargs) -> str:
         return self.graph.add(name, ops.LocalResponseNorm(**kwargs), [x])

@@ -41,18 +41,15 @@ class BatchNorm(Operator):
         statistics read every position."""
         return not self.training
 
-    def __init__(self, momentum: float = 0.9, epsilon: float = 1e-5,
-                 channels: Optional[int] = None) -> None:
+    def __init__(self, momentum: float = 0.9, epsilon: float = 1e-5) -> None:
         self.momentum = float(momentum)
         self.epsilon = float(epsilon)
         self.training = False
-        #: Moving statistics; without ``channels`` they start at the first
-        #: forward pass, which then changes the operator's pickle.
+        #: Moving statistics, set by the first training pass; until then
+        #: inference reads zeros and ones without storing them, so an
+        #: inference pass never changes the operator's pickle.
         self.moving_mean: Optional[Array] = None
         self.moving_var: Optional[Array] = None
-        if channels is not None:
-            self.moving_mean = np.zeros(channels, dtype=np.float64)
-            self.moving_var = np.ones(channels, dtype=np.float64)
         self._cache: Optional[Tuple[Array, Array, Array]] = None
 
     def __getstate__(self):
@@ -74,20 +71,21 @@ class BatchNorm(Operator):
                 f"BatchNorm parameter shapes {gamma.shape}/{beta.shape} do not "
                 f"match channel count {channels}")
         axes = tuple(range(x.ndim - 1))
-        if self.moving_mean is None:
-            self.moving_mean = np.zeros(channels, dtype=np.float64)
-            self.moving_var = np.ones(channels, dtype=np.float64)
+        moving_mean, moving_var = self.moving_mean, self.moving_var
+        if moving_mean is None:
+            moving_mean = np.zeros(channels, dtype=np.float64)
+            moving_var = np.ones(channels, dtype=np.float64)
 
         if self.training:
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
-            self.moving_mean = (self.momentum * self.moving_mean
+            self.moving_mean = (self.momentum * moving_mean
                                 + (1.0 - self.momentum) * mean)
-            self.moving_var = (self.momentum * self.moving_var
+            self.moving_var = (self.momentum * moving_var
                                + (1.0 - self.momentum) * var)
         else:
-            mean = self.moving_mean
-            var = self.moving_var
+            mean = moving_mean
+            var = moving_var
 
         inv_std = 1.0 / np.sqrt(var + self.epsilon)
         # Same operations in the same order as (x - mean) * inv_std and

@@ -75,7 +75,7 @@ class CampaignRequest:
         return spec_fingerprint(self.spec)
 
     def result_key(self) -> str:
-        return result_fingerprint(self)
+        return result_fingerprint(self, self.arm_keys())
 
 
 def request_from_campaign(model: Model, inputs, *, fault_model=None,
@@ -98,14 +98,11 @@ def request_from_campaign(model: Model, inputs, *, fault_model=None,
 
 
 def result_fingerprint(request: CampaignRequest,
-                       arm_keys: Optional[Sequence[str]] = None) -> str:
-    """Content key of the request's finished result (see module docstring).
-
-    ``arm_keys`` are the request's :meth:`~CampaignRequest.arm_keys`, when
-    the caller has them already; otherwise they are computed here.
-    """
+                       arm_keys: Sequence[str]) -> str:
+    """Content key of the request's finished result (see module docstring),
+    from the request's :meth:`~CampaignRequest.arm_keys`."""
     digest = hashlib.sha1()
-    for key in (request.arm_keys() if arm_keys is None else arm_keys):
+    for key in arm_keys:
         digest.update(key.encode("ascii"))
     digest.update(repr(request.options.canonical()).encode("utf-8"))
     return digest.hexdigest()

@@ -26,13 +26,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.graph import Executor
+from repro.graph import Executor, GraphBuilder
 from repro.injection import (CampaignPool, FaultInjectionCampaign,
                              SingleBitFlip, compare_protection)
 from repro.injection.campaign import CampaignSpec
-from repro.models import prepare_model
+from repro.models import Model, prepare_model
 from repro.nn import SGD, SoftmaxCrossEntropy, Trainer
-from repro.ops import BatchNorm
+from repro.ops import BatchNorm, Dropout
 from repro.quantization import FIXED32, fixed32_policy
 from repro.service import (
     AdmissionError,
@@ -270,6 +270,42 @@ class TestRequestFingerprints:
         assert np.isfinite(history.final_loss)
         assert any(not np.array_equal(old, v.value) for old, v
                    in zip(before, clone.graph.variables()))
+
+    def test_fingerprint_ignores_training_scratch_of_dropout(self):
+        """A model trained in this process keeps its last Dropout mask
+        until an inference pass clears it; the spec pickles to the same
+        bytes, and keys the same, either way."""
+        builder = GraphBuilder("dropout_mlp", seed=3)
+        node = builder.input((6,), "input")
+        node = builder.dense(node, 6, 16, name="fc1")
+        node = builder.dropout(node, 0.5, name="drop")
+        logits = builder.dense(node, 16, 3, name="fc2", activation=None)
+        probs = builder.softmax(logits, "softmax")
+        builder.output(probs)
+        builder.graph.mark_output(logits)
+        model = Model(name="dropout_mlp", graph=builder.graph,
+                      input_name="input", logits_name=logits,
+                      output_name=probs, task="classification",
+                      activation="relu", dataset="synthetic")
+        rng = np.random.default_rng(0)
+        inputs = rng.normal(size=(8, 6))
+        labels = rng.integers(0, 3, size=8)
+        Trainer(model.graph, SoftmaxCrossEntropy(), SGD(learning_rate=0.1),
+                output_node=logits).fit(inputs, labels, epochs=1,
+                                        batch_size=8)
+        dropout = model.graph.node("drop").op
+        assert isinstance(dropout, Dropout) and dropout._mask is not None
+
+        request = request_from_campaign(
+            model, inputs[:2], fault_model=SingleBitFlip(FIXED32),
+            dtype_policy=fixed32_policy(), seed=0)
+        pickled = pickle.dumps(request.spec, protocol=pickle.HIGHEST_PROTOCOL)
+        key = request.spec_key()
+        model.predict_logits(inputs[:2])
+        assert dropout._mask is None
+        assert pickle.dumps(request.spec,
+                            protocol=pickle.HIGHEST_PROTOCOL) == pickled
+        assert request.spec_key() == key
 
     def test_options_waved_flag(self):
         assert not RunOptions().waved
@@ -659,6 +695,28 @@ class TestServerLifecycle:
                 job.result(timeout=600.0)
             assert job.state == "failed"
             assert "CampaignPool" in job.error
+
+    def test_unrunnable_request_fails_its_job(self, lenet_prepared,
+                                              service_inputs):
+        """A request is built without running the model, so inputs the
+        model cannot take are refused when the job builds its campaign:
+        the job fails with the constructor's error, and the server goes
+        on serving."""
+        bad = np.zeros((2, 7, 7, 1))
+        with pytest.raises(Exception) as direct:
+            FaultInjectionCampaign(lenet_prepared.model, bad)
+        request = request_from_campaign(lenet_prepared.model, bad,
+                                        **submit_kwargs())
+        with CampaignServer() as server:
+            job = server.submit(request)
+            with pytest.raises(RuntimeError, match="failed"):
+                job.result(timeout=600.0)
+            assert job.state == "failed"
+            assert (f"{type(direct.value).__name__}: {direct.value}"
+                    in job.error)
+            good = server.submit(request_from_campaign(
+                lenet_prepared.model, service_inputs, **submit_kwargs()))
+            assert good.result(timeout=600.0).trials == TRIALS
 
     def test_submit_after_close_rejected(self, lenet_prepared,
                                          service_inputs):
