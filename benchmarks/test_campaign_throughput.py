@@ -47,7 +47,8 @@ from repro.experiments import (
 )
 from repro.experiments.common import ExperimentResult, get_prepared
 from repro.experiments.throughput_experiments import fanout_note
-from repro.injection import CampaignPool, FaultInjectionCampaign, SingleBitFlip
+from repro.injection import (CampaignPool, FaultInjectionCampaign, RunOptions,
+                             SingleBitFlip)
 from repro.injection.pool import _run_pooled_shard
 from repro.quantization import FIXED32, fixed32_policy
 
@@ -284,7 +285,8 @@ def run_dispatch_payload(scale):
                 seconds=seconds))
         hit_task = max(len(pickle.dumps((_run_pooled_shard, task),
                                         protocol=pickle.HIGHEST_PROTOCOL))
-                       for task in pool._shard_tasks(campaign, plans))
+                       for task in pool._shard_tasks(
+                           campaign, plans, RunOptions(trials=len(plans))))
         rss = worker_peak_rss_bytes(pool)
         blas_threads = pool.worker_blas_threads()
     spec_bytes = len(pickle.dumps(campaign.spec(),

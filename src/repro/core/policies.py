@@ -79,20 +79,25 @@ class ReplaceWithRandom(RangeRestrictionOp):
 
     The paper finds this maintains accuracy but is non-deterministic, which
     is why clipping remains the recommended policy for safety-critical use.
-    Not pointwise: the draw is made for the whole input's shape, so a
-    subset of positions would receive other random values.
+    The replacement at each position of a row is drawn from
+    ``default_rng(seed)`` over the row's shape, so it depends only on the
+    seed and the position: the operator keeps no generator state (it
+    pickles with its bounds and seed alone), every run and every row of a
+    batch draws the same values, and it is batch-transparent.  Not
+    pointwise: the draw covers the whole row, so a subset of positions
+    would receive other values.
     """
 
     def __init__(self, low: float, high: float, seed: int = 0) -> None:
         super().__init__(low, high)
-        self._rng = np.random.default_rng(seed)
+        self.seed = seed
 
     def forward(self, x: Array) -> Array:
         mask = self.out_of_range(x)
         if not np.any(mask):
             return x
-        replacement = self._rng.uniform(max(self.low, 0.0), self.high,
-                                        size=x.shape)
+        replacement = np.random.default_rng(self.seed).uniform(
+            max(self.low, 0.0), self.high, size=x.shape[1:])
         return np.where(mask, replacement, x)
 
     def backward(self, grad, inputs, output):

@@ -417,10 +417,6 @@ class Executor:
     def remove_observer(self, observer: Observer) -> None:
         self._observers.remove(observer)
 
-    def clear_hooks(self) -> None:
-        self._output_hooks.clear()
-        self._observers.clear()
-
     # -- execution -------------------------------------------------------------
 
     def _skips_closed(self) -> bool:
@@ -443,8 +439,7 @@ class Executor:
         return out
 
     def run(self, feed: Optional[Mapping[str, Array]] = None,
-            outputs: Optional[Sequence[str]] = None,
-            prune: bool = True) -> ExecutionResult:
+            outputs: Optional[Sequence[str]] = None) -> ExecutionResult:
         """Run a forward pass.
 
         Parameters
@@ -453,12 +448,9 @@ class Executor:
             Mapping from placeholder node names to input arrays.
         outputs:
             Node names to report; defaults to the graph's marked outputs.
-        prune:
-            When True (default), only the ancestor set of the requested
-            outputs is evaluated — nodes the outputs do not depend on are
-            skipped entirely (they are absent from ``result.values`` and
-            hooks/observers never see them).  Pass False to force the old
-            whole-graph evaluation.
+            Only their ancestor set is evaluated: nodes the outputs do not
+            depend on are skipped entirely (they are absent from
+            ``result.values`` and hooks/observers never see them).
 
         Grid-closed nodes keep their operator's output without the dtype
         policy (see :class:`DTypePolicy`): it would return the same bytes.
@@ -470,13 +462,13 @@ class Executor:
         missing = [name for name in requested if name not in self.graph]
         if missing:
             raise GraphError(f"requested outputs not in graph: {missing}")
-        needed = self.graph.ancestors(requested) if prune else None
+        needed = self.graph.ancestors(requested)
         closed = (self.graph.grid_closed_nodes() if self._skips_closed()
                   else frozenset())
         values: Dict[str, Array] = {}
 
         for node in self.graph:
-            if needed is not None and node.name not in needed:
+            if node.name not in needed:
                 continue
             if isinstance(node.op, Placeholder):
                 key = node.name

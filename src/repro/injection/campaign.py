@@ -20,8 +20,10 @@ Trials are embarrassingly parallel once the ``(input, plan)`` pairs are
 pre-sampled, so ``run(workers=N)`` shards them across ``N`` worker processes
 of one ephemeral :class:`~repro.injection.pool.CampaignPool`.  Each worker
 rebuilds its model, executor and golden activation caches from a picklable
-:class:`CampaignSpec` and runs its contiguous shard of trials; the parent
-merges the per-worker partial results with :meth:`CampaignResult.merge`.
+:class:`CampaignSpec` and runs its contiguous shard of trials through the
+same backend dispatch as the serial path, with the run's own
+:class:`RunOptions`; the parent merges the per-worker partial results with
+:meth:`CampaignResult.merge`.
 
 **Determinism guarantee.**  Every trial draws its corruption randomness from
 its own generator, derived from the campaign seed and the *global* trial
@@ -83,8 +85,9 @@ Fixed, waved, paired and served campaigns all run through one wave loop,
 :func:`run_group`, configured by one frozen :class:`RunOptions` that
 validates every option when it is built.  ``run()`` and
 :func:`compare_protection` turn their keywords into a ``RunOptions``, and
-the campaign service carries one per request; a fixed-budget run is a
-single wave over its whole plan list, and a paired comparison is a group
+the campaign service carries one per request, and the same object
+travels into every pool worker; a fixed-budget run is a single wave over
+its whole plan list, and a paired comparison is a group
 of two campaigns that replay the leader's plans wave by wave.
 
 For experiment sweeps that run many campaigns back-to-back (the fig6 /
@@ -785,10 +788,10 @@ class FaultInjectionCampaign:
             Results are bit-identical for every worker count (see the
             module docstring's determinism guarantee).
         trial_offset:
-            Global index of the first trial in ``plans``; used by the
-            parallel backend so each shard derives the same per-trial RNG
-            streams the serial path would.  Waved runs own the whole trial
-            index space, so it must be 0 for them.
+            Global index of the first trial in ``plans``, so a slice of a
+            larger plan list derives the same per-trial RNG streams the
+            whole run would.  Waved runs own the whole trial index space,
+            so it must be 0 for them.
         batch_trials:
             Maximum number of trials replayed per batched executor call.
             ``1`` (default) keeps the bit-exact incremental path.  ``B > 1``
@@ -884,38 +887,59 @@ class FaultInjectionCampaign:
         """Run one wave's plan list through the backend dispatch.
 
         The pool → batched → serial routing :func:`run_group` sends every
-        wave chunk through, anchored by ``trial_offset``.
+        wave chunk through, anchored by ``trial_offset``; a pool worker
+        calls it directly for its shard (with ``pool=None``).
         """
-        mode = options.mode
         if pool is not None and len(plans) > 1:
-            return pool.run_plans(self, plans, keep_faults=options.keep_faults,
-                                  incremental=options.incremental,
-                                  trial_offset=trial_offset,
-                                  batch_trials=options.batch_trials,
-                                  equivalence=mode, max_ulps=options.max_ulps)
+            return pool.run_plans(self, plans, options, trial_offset)
         if options.batch_trials > 1:
             return self._run_batched(plans, options, trial_offset=trial_offset,
                                      packing=packing)
-        keep_faults = options.keep_faults
         sdc_counts = {criterion.name: 0 for criterion in self.criteria}
-        fault_log: List[List[FaultSpec]] = []
+        fault_log = [None] * len(plans) if options.keep_faults else None
+        nodes_recomputed = self._replay_each(
+            plans, range(len(plans)), trial_offset, options.incremental,
+            sdc_counts, fault_log)
         # Per-trial cost of the full path: the ancestor-pruned subgraph it
         # actually evaluates, not the whole graph.
-        full_cost = len(self.model.graph.ancestors([self.model.output_name]))
-        nodes_recomputed = 0
-        nodes_full = 0
+        nodes_full = (len(plans) * self._full_cost() if options.incremental
+                      else 0)
+        return CampaignResult(model_name=self.model.name,
+                              fault_model=self.fault_model.describe(),
+                              trials=len(plans), sdc_counts=sdc_counts,
+                              faults=fault_log or [],
+                              nodes_recomputed=nodes_recomputed,
+                              nodes_full=nodes_full,
+                              equivalence=options.mode.value)
 
-        rngs = trial_rngs(self.seed, range(trial_offset,
-                                           trial_offset + len(plans)))
-        for position, (input_index, plan) in enumerate(plans):
-            rng = next(rngs)
+    def _full_cost(self) -> int:
+        return len(self.model.graph.ancestors([self.model.output_name]))
+
+    def _replay_each(self, plans: Sequence[Tuple[int, InjectionPlan]],
+                     positions: Sequence[int], trial_offset: int,
+                     incremental: bool, sdc_counts: Dict[str, int],
+                     fault_log: Optional[List[Optional[List[FaultSpec]]]],
+                     ) -> int:
+        """Replay ``plans[p]`` for each ``p`` in ``positions``, one trial
+        at a time: inject, count the SDC verdicts into ``sdc_counts`` and
+        store the applied faults at ``fault_log[p]`` (``None``: keep no
+        faults).  Returns the node evaluations the replays cost (0 when
+        not ``incremental``: each trial then re-executes the whole graph).
+
+        The one per-trial loop: serial runs pass every position, and
+        batched runs the positions whose fault sites overlap.
+        """
+        nodes_recomputed = 0
+        rngs = trial_rngs(self.seed, [trial_offset + position
+                                      for position in positions])
+        for position, rng in zip(positions, rngs):
+            input_index, plan = plans[position]
             golden = self._golden[input_index]
-            if options.incremental:
-                cache = self._golden_cache(input_index)
+            if incremental:
                 faulty, faults, result = self.injector.inject_cached(
-                    self._executor, cache, plan, rng=rng)
+                    self._executor, self._golden_cache(input_index), plan,
+                    rng=rng)
                 nodes_recomputed += len(result.recomputed or ())
-                nodes_full += full_cost
             else:
                 batch = self.inputs[input_index:input_index + 1]
                 faulty, faults = self.injector.inject(self._executor, batch,
@@ -923,16 +947,9 @@ class FaultInjectionCampaign:
             for criterion in self.criteria:
                 if criterion.is_sdc(golden, faulty):
                     sdc_counts[criterion.name] += 1
-            if keep_faults:
-                fault_log.append(faults)
-
-        return CampaignResult(model_name=self.model.name,
-                              fault_model=self.fault_model.describe(),
-                              trials=len(plans), sdc_counts=sdc_counts,
-                              faults=fault_log,
-                              nodes_recomputed=nodes_recomputed,
-                              nodes_full=nodes_full,
-                              equivalence=mode.value)
+            if fault_log is not None:
+                fault_log[position] = faults
+        return nodes_recomputed
 
     # -- batched scheduling ------------------------------------------------
 
@@ -1055,12 +1072,11 @@ class FaultInjectionCampaign:
         leader (``None``: pack here), so the paired arms of a comparison
         replay bit-aligned groups without packing twice.
         """
-        mode, keep_faults = options.mode, options.keep_faults
+        mode = options.mode
         sdc_counts = {criterion.name: 0 for criterion in self.criteria}
-        fault_log: List[Optional[List[FaultSpec]]] = [None] * len(plans)
-        full_cost = len(self.model.graph.ancestors([self.model.output_name]))
+        fault_log = [None] * len(plans) if options.keep_faults else None
         nodes_recomputed = 0
-        nodes_full = len(plans) * full_cost
+        nodes_full = len(plans) * self._full_cost()
         max_deviation = 0.0
         batched_trials = 0
         union_overhead = 0
@@ -1091,7 +1107,7 @@ class FaultInjectionCampaign:
             for criterion in self.criteria:
                 verdicts = criterion.is_sdc_rows(golden, stacked)
                 sdc_counts[criterion.name] += int(np.count_nonzero(verdicts))
-            if keep_faults:
+            if fault_log is not None:
                 for position, trial_faults in zip(positions, faults):
                     fault_log[position] = trial_faults
         if fallback:
@@ -1100,24 +1116,13 @@ class FaultInjectionCampaign:
                 "%d of %d trials have a fault site inside another site's "
                 "cone and replay one at a time instead of batched",
                 len(fallback), len(plans))
-        rngs = trial_rngs(self.seed, [trial_offset + position
-                                      for position in fallback])
-        for position, rng in zip(fallback, rngs):
-            input_index, plan = plans[position]
-            cache = self._golden_cache(input_index)
-            faulty, faults, result = self.injector.inject_cached(
-                self._executor, cache, plan, rng=rng)
-            nodes_recomputed += len(result.recomputed or ())
-            for criterion in self.criteria:
-                if criterion.is_sdc(self._golden[input_index], faulty):
-                    sdc_counts[criterion.name] += 1
-            if keep_faults:
-                fault_log[position] = faults
+        nodes_recomputed += self._replay_each(
+            plans, fallback, trial_offset, True, sdc_counts, fault_log)
 
         return CampaignResult(model_name=self.model.name,
                               fault_model=self.fault_model.describe(),
                               trials=len(plans), sdc_counts=sdc_counts,
-                              faults=(list(fault_log) if keep_faults else []),
+                              faults=fault_log or [],
                               nodes_recomputed=nodes_recomputed,
                               nodes_full=nodes_full,
                               equivalence=mode.value,

@@ -11,16 +11,21 @@ and ``compare_protection(workers=N)`` open one ephemeral pool for the
 whole call (every adaptive wave included); sweeps, the experiments runner
 and the campaign service keep one pool across many campaigns.
 
-**Spec on miss.**  A task carries only ``(fingerprint, plans)``.  A
-worker whose cache lacks the fingerprint returns a miss marker, and the
-parent resends that one shard with the pickled spec.  The parent pickles
-each spec once and holds the bytes per fingerprint, so a warm pool ships
-a few KiB of plans per task, and a miss costs one extra round trip.  The
-first dispatch of a fingerprint the pool has never sent would bounce on
-every worker, so its shards carry the spec from the start: the same
-payload, without the round trip.  A fork pool goes further: it starts
-its workers with the first campaign it dispatches already cached (an
-ephemeral pool with every campaign of the call; see
+**One options object.**  A task carries ``(fingerprint, plans, trial
+offset, options)``: the run's own :class:`RunOptions`, unchanged, which
+the worker hands straight to the cached campaign's backend dispatch
+(:meth:`FaultInjectionCampaign._dispatch`), so a shard runs exactly the
+code the serial path runs for the same plans.
+
+**Spec on miss.**  A worker whose cache lacks the task's fingerprint
+returns a miss marker, and the parent resends that one shard with the
+pickled spec.  The parent pickles each spec once and holds the bytes per
+fingerprint, so a warm pool ships a few KiB of plans per task, and a miss
+costs one extra round trip.  The first dispatch of a fingerprint the pool
+has never sent would bounce on every worker, so its shards carry the spec
+from the start: the same payload, without the round trip.  A fork pool
+goes further: it starts its workers with the first campaign it dispatches
+already cached (an ephemeral pool with every campaign of the call; see
 :meth:`CampaignPool.start_with`), so they inherit it and neither receive
 nor rebuild it.
 
@@ -42,11 +47,10 @@ from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..graph.equivalence import DEFAULT_MAX_ULPS
 from ..parallel.fanout import (campaign_executor, campaign_mp_context,
                                openblas_threads, stop_blas_threads)
 from .campaign import (CampaignResult, CampaignSpec, FaultInjectionCampaign,
-                       shard_plans)
+                       RunOptions, shard_plans)
 from .injector import InjectionPlan
 
 #: Rebuilt campaigns kept alive per worker process, most recently used
@@ -81,10 +85,7 @@ def spec_fingerprint(spec: CampaignSpec) -> str:
 
 def _run_pooled_shard(fingerprint: str, spec: Optional[bytes],
                       payload: Sequence[Tuple[int, Sequence[Tuple[str, int]]]],
-                      trial_offset: int, keep_faults: bool,
-                      incremental: bool, batch_trials: int = 1,
-                      equivalence: Optional[str] = None,
-                      max_ulps: float = DEFAULT_MAX_ULPS,
+                      trial_offset: int, options: RunOptions,
                       ) -> Optional[CampaignResult]:
     """Worker entry point: run one shard of trials on the cached campaign.
 
@@ -96,8 +97,9 @@ def _run_pooled_shard(fingerprint: str, spec: Optional[bytes],
 
     Module-level (not a closure) so it pickles under every multiprocessing
     start method.  ``trial_offset`` anchors the shard's per-trial RNG
-    streams at the trials' global indices; ``equivalence`` travels as the
-    mode's string value to keep the payload plain.
+    streams at the trials' global indices, and ``options`` is the run's
+    own :class:`RunOptions`: the shard goes straight to the campaign's
+    backend dispatch, in-process, which packs its own batches.
     """
     campaign = _WORKER_CAMPAIGNS.get(fingerprint)
     if campaign is not None:
@@ -111,10 +113,8 @@ def _run_pooled_shard(fingerprint: str, spec: Optional[bytes],
             _WORKER_CAMPAIGNS.popitem(last=False)
     plans = [(input_index, InjectionPlan.from_payload(sites))
              for input_index, sites in payload]
-    return campaign.run(plans=plans, keep_faults=keep_faults,
-                        incremental=incremental, trial_offset=trial_offset,
-                        batch_trials=batch_trials, equivalence=equivalence,
-                        max_ulps=max_ulps)
+    return campaign._dispatch(plans, options, trial_offset=trial_offset,
+                              packing=None, pool=None)
 
 
 class CampaignPool:
@@ -217,38 +217,28 @@ class CampaignPool:
                 del _WORKER_CAMPAIGNS[fingerprint]
         self._dispatched.update(inherited)
 
-    #: Workers key their campaign cache on :func:`spec_fingerprint`, so two
-    #: campaign *objects* built from the same configuration share one
-    #: worker-side rebuild.
-    fingerprint = staticmethod(spec_fingerprint)
-
     def _shard_tasks(self, campaign: FaultInjectionCampaign,
-                    plans: List[Tuple[int, InjectionPlan]], *,
-                    keep_faults: bool = False,
-                    incremental: bool = True,
-                    trial_offset: int = 0,
-                    batch_trials: int = 1,
-                    equivalence=None,
-                    max_ulps: float = DEFAULT_MAX_ULPS) -> List[tuple]:
+                     plans: List[Tuple[int, InjectionPlan]],
+                     options: RunOptions,
+                     trial_offset: int = 0) -> List[tuple]:
         """The first-send argument tuples of :func:`_run_pooled_shard`,
-        one per shard: ``(fingerprint, None, plans, offset, ...)``."""
-        # Plain string (or None) on the wire; the worker's run() validates.
-        mode_value = getattr(equivalence, "value", equivalence)
+        one per shard: ``(fingerprint, None, plans, offset, options)``."""
         fingerprint = campaign.spec_fingerprint()
         return [(fingerprint, None,
                  [(index, plan.to_payload()) for index, plan in chunk],
-                 trial_offset + offset, keep_faults, incremental,
-                 batch_trials, mode_value, max_ulps)
+                 trial_offset + offset, options)
                 for offset, chunk in shard_plans(plans, self.workers)]
 
     def run_plans(self, campaign: FaultInjectionCampaign,
                   plans: List[Tuple[int, InjectionPlan]],
-                  **options) -> CampaignResult:
+                  options: RunOptions,
+                  trial_offset: int = 0) -> CampaignResult:
         """Fan pre-sampled plans out across the workers and merge the shards.
 
-        The entry point :meth:`FaultInjectionCampaign.run` delegates to
-        when it fans out.  ``options`` are the keywords of
-        :meth:`_shard_tasks`.  Plans are cut into contiguous shards
+        The entry point every campaign's backend dispatch takes when it
+        fans out; ``options`` travels unchanged into each worker, and
+        ``trial_offset`` is the global index of ``plans[0]``.  Plans are
+        cut into contiguous shards
         (:func:`~repro.injection.campaign.shard_plans`) anchored at their
         global trial offsets, and the shard results merge with the
         order-insensitive :meth:`CampaignResult.merge`.  The first
@@ -261,7 +251,7 @@ class CampaignPool:
         if self._executor is None:
             raise RuntimeError("CampaignPool is closed")
         self.start_with([campaign])
-        tasks = self._shard_tasks(campaign, plans, **options)
+        tasks = self._shard_tasks(campaign, plans, options, trial_offset)
         fingerprint = campaign.spec_fingerprint()
         if fingerprint not in self._dispatched:
             self._dispatched.add(fingerprint)
@@ -326,7 +316,11 @@ class CampaignPool:
     def run(self, campaign: FaultInjectionCampaign, trials: int = 100,
             plans: Optional[List[Tuple[int, InjectionPlan]]] = None,
             **kwargs) -> CampaignResult:
-        """Convenience wrapper: sample plans (if needed) and fan them out."""
+        """Convenience wrapper: sample plans (if needed) and fan them out.
+
+        ``kwargs`` are :class:`RunOptions` fields (``keep_faults``,
+        ``batch_trials``, ...)."""
         if plans is None:
             plans = campaign.generate_plans(trials)
-        return self.run_plans(campaign, plans, **kwargs)
+        options = RunOptions(trials=len(plans), **kwargs)
+        return self.run_plans(campaign, plans, options)

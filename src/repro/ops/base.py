@@ -81,8 +81,8 @@ class Operator:
     #: ``arctan``, ``**``) must not set it: numpy's vector and scalar loops
     #: may round them differently depending on the array's shape.  Neither
     #: may ops that read other positions (conv, pooling, softmax, reshape,
-    #: pad) or whose result depends on the array's shape (a random draw of
-    #: ``x.shape``, as in ``ReplaceWithRandom``).
+    #: pad) or whose result depends on the array's shape (a random draw
+    #: over the row's shape, as in ``ReplaceWithRandom``).
     pointwise: bool = False
 
     #: **Grid-closure contract** (read by the dtype-policy skip).  An

@@ -1,13 +1,14 @@
 """Campaign service: async scheduler + content-addressed artifact store.
 
-A long-lived, in-process campaign server the experiment sweeps submit to
-(:class:`CampaignServer` / :class:`CampaignClient`): jobs are admitted
-through a prioritized queue with backpressure, executed wave-by-wave on
-the campaign engine's own backends (sharing one persistent
-:class:`~repro.injection.pool.CampaignPool`), streamed to subscribers as
-merged-so-far snapshots, and their expensive artifacts — finished results,
-golden activation caches, Ranger activation profiles — are reused across
-jobs through a content-addressed :class:`ArtifactStore`.
+A long-lived, in-process campaign server the experiment sweeps submit to:
+``CampaignServer(pool=...).submit(request_from_campaign(...))`` returns a
+:class:`Job`, the one client handle (``result``, ``iter_snapshots``,
+``describe``, ``cancel``).  Jobs are admitted through a prioritized queue
+with backpressure, executed wave-by-wave on the campaign engine's own
+backends (on a borrowed :class:`~repro.injection.pool.CampaignPool` for
+``use_pool=True`` jobs), streamed as merged-so-far snapshots, and their
+expensive artifacts — finished results and golden activation caches —
+are reused across jobs through a content-addressed :class:`ArtifactStore`.
 
 Results are bit-identical (counts and fault records) to direct
 ``FaultInjectionCampaign.run()`` calls on every backend; see
@@ -15,7 +16,6 @@ Results are bit-identical (counts and fault records) to direct
 """
 
 from ..injection.campaign import RunOptions
-from .client import CampaignClient, JobHandle
 from .queue import AdmissionError, JobQueue
 from .scheduler import JobCancelled, JobOutcome, WaveScheduler
 from .serialization import (CampaignRequest, decode_request, encode_request,
@@ -26,12 +26,10 @@ from .store import ArtifactStore, content_key
 __all__ = [
     "AdmissionError",
     "ArtifactStore",
-    "CampaignClient",
     "CampaignRequest",
     "CampaignServer",
     "Job",
     "JobCancelled",
-    "JobHandle",
     "JobOutcome",
     "JobQueue",
     "RunOptions",

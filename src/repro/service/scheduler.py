@@ -69,7 +69,8 @@ class WaveScheduler:
         golden-cache reuse.  Without one every job runs from scratch.
     pool:
         Optional persistent :class:`~repro.injection.pool.CampaignPool`
-        jobs with ``use_pool=True`` are fanned out on.
+        jobs with ``use_pool=True`` are fanned out on (borrowed: never
+        closed here).
     """
 
     def __init__(self, store: Optional[ArtifactStore] = None,
@@ -177,7 +178,7 @@ class WaveScheduler:
             return None
         if self.pool is None:
             raise RuntimeError(
-                "request has use_pool=True but the scheduler owns no "
-                "CampaignPool; start the server with workers > 1 or submit "
-                "with use_pool=False")
+                "request has use_pool=True but the scheduler has no "
+                "CampaignPool; start the server with pool=CampaignPool(...) "
+                "or submit with use_pool=False")
         return self.pool

@@ -66,16 +66,9 @@ class CampaignRequest:
 
     def arm_keys(self) -> List[str]:
         """The spec fingerprint of each arm (:meth:`arm_specs`); the
-        first is :meth:`spec_key`, and all of them make the
-        :meth:`result_key`."""
+        first keys the golden caches, and all of them make the
+        :func:`result_fingerprint`."""
         return [spec_fingerprint(spec) for spec in self.arm_specs()]
-
-    def spec_key(self) -> str:
-        """Spec fingerprint — the golden-cache key (unprotected side)."""
-        return spec_fingerprint(self.spec)
-
-    def result_key(self) -> str:
-        return result_fingerprint(self, self.arm_keys())
 
 
 def request_from_campaign(model: Model, inputs, *, fault_model=None,

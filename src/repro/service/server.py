@@ -4,12 +4,13 @@
 sweeps submit to.  One daemon scheduler thread drains a prioritized
 :class:`~repro.service.queue.JobQueue` (admission backpressure included)
 and executes each job through a :class:`~repro.service.scheduler
-.WaveScheduler` that shares one persistent
-:class:`~repro.injection.pool.CampaignPool` and one content-addressed
-:class:`~repro.service.store.ArtifactStore` across every job.  Clients
-hold :class:`Job` handles: poll :meth:`CampaignServer.status`, block on
-:meth:`CampaignServer.result`, iterate :meth:`CampaignServer
-.stream_results` for per-wave snapshots, or :meth:`CampaignServer.cancel`.
+.WaveScheduler` that shares one borrowed
+:class:`~repro.injection.pool.CampaignPool` (if any) and one
+content-addressed :class:`~repro.service.store.ArtifactStore` across every
+job.  :meth:`CampaignServer.submit` returns the job's :class:`Job`, the
+one client handle: block on :meth:`Job.result`, iterate
+:meth:`Job.iter_snapshots` for per-wave snapshots, read
+:meth:`Job.describe`, or :meth:`Job.cancel`.
 
 Submissions are round-tripped through ``encode_request`` /
 ``decode_request`` at the admission boundary, so only picklable specs are
@@ -31,8 +32,7 @@ from typing import Any, Dict, Iterator, List, Optional
 from ..injection.pool import CampaignPool
 from .queue import JobQueue
 from .scheduler import JobCancelled, WaveScheduler
-from .serialization import (CampaignRequest, decode_request, encode_request,
-                            request_from_campaign)
+from .serialization import CampaignRequest, decode_request, encode_request
 from .store import ArtifactStore
 
 #: Terminal job states.
@@ -47,7 +47,7 @@ TERMINAL_STATES = (DONE, FAILED, CANCELLED)
 
 
 class Job:
-    """Server-side record of one submitted request (also the client handle).
+    """One submitted request: the scheduler's record and the client handle.
 
     Snapshots accumulate in ``_snapshots`` (each a merged-so-far result,
     the last one the final result); ``_condition`` serialises every state
@@ -133,6 +133,18 @@ class Job:
             if drained:
                 return
 
+    def cancel(self) -> bool:
+        """Request cancellation; returns whether the job can still stop.
+
+        A pending job is skipped when popped; a running job stops at its
+        next wave boundary.  A finished job returns False.
+        """
+        with self._condition:
+            if self.finished:
+                return False
+            self.cancel_requested = True
+            return True
+
     def describe(self) -> Dict[str, Any]:
         with self._condition:
             info = {"job_id": self.job_id, "state": self.state,
@@ -152,35 +164,26 @@ class CampaignServer:
 
     Parameters
     ----------
-    pool_workers:
-        Size of the persistent :class:`CampaignPool` the server owns for
-        ``use_pool=True`` jobs; ``0`` (default) owns no pool.
     store:
-        A shared :class:`ArtifactStore`; one is created (in-memory, or
-        rooted at ``store_root``) when not given.
+        A shared :class:`ArtifactStore`, e.g. ``ArtifactStore(root=...)``
+        to warm-start from disk; an in-memory one, freed at
+        :meth:`close`, is created when not given.
     max_pending:
         Admission cap forwarded to the :class:`JobQueue` — submissions
         beyond this many pending jobs raise
         :class:`~repro.service.queue.AdmissionError`.
     pool:
-        An existing :class:`CampaignPool` to *borrow* (e.g. the
-        experiment runner's process-wide pool); mutually exclusive with
-        ``pool_workers``, and never closed by the server.
+        A :class:`CampaignPool` the server *borrows* for ``use_pool=True``
+        jobs (e.g. the experiment runner's process-wide pool) and never
+        closes.  Without one, ``use_pool=True`` jobs fail.
     """
 
-    def __init__(self, pool_workers: int = 0,
-                 store: Optional[ArtifactStore] = None,
-                 store_root=None,
+    def __init__(self, store: Optional[ArtifactStore] = None,
                  max_pending: Optional[int] = None,
                  pool: Optional[CampaignPool] = None) -> None:
-        if pool is not None and pool_workers:
-            raise ValueError("pass either pool_workers or pool, not both")
-        self.store = store if store is not None else ArtifactStore(store_root)
+        self.store = store if store is not None else ArtifactStore()
         self._owns_store = store is None
-        self._owns_pool = pool is None and bool(pool_workers)
-        self.pool = pool if pool is not None else (
-            CampaignPool(pool_workers) if pool_workers else None)
-        self.scheduler = WaveScheduler(store=self.store, pool=self.pool)
+        self.scheduler = WaveScheduler(store=self.store, pool=pool)
         self.queue = JobQueue(max_pending=max_pending)
         self._jobs: Dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
@@ -210,8 +213,6 @@ class CampaignServer:
         self._closed = True
         self.queue.close()
         self._thread.join(timeout=timeout)
-        if self.pool is not None and self._owns_pool:
-            self.pool.close()
         if self._owns_store:
             # Frees the memory tier of the store this server created.
             self.store.close()
@@ -242,50 +243,7 @@ class CampaignServer:
             raise
         return job
 
-    def submit_campaign(self, model, inputs, *, priority: int = 0,
-                        **kwargs) -> Job:
-        """Convenience: build a request from raw ingredients and submit.
-
-        ``kwargs`` splits between the campaign spec (``fault_model``,
-        ``criteria``, ``dtype_policy``, ``seed``, ``protected_model``) and
-        :class:`~repro.injection.RunOptions` fields.
-        """
-        return self.submit(request_from_campaign(model, inputs, **kwargs),
-                           priority=priority)
-
     # -- observation --------------------------------------------------------
-
-    def job(self, job_id: str) -> Job:
-        with self._jobs_lock:
-            try:
-                return self._jobs[job_id]
-            except KeyError:
-                raise KeyError(f"unknown job {job_id!r}") from None
-
-    def status(self, job_id: str) -> Dict[str, Any]:
-        return self.job(job_id).describe()
-
-    def result(self, job_id: str, timeout: Optional[float] = None) -> Any:
-        """Block for the job's final result; raises on failure/cancellation."""
-        return self.job(job_id).result(timeout=timeout)
-
-    def stream_results(self, job_id: str,
-                       timeout: Optional[float] = None) -> Iterator[Any]:
-        """Per-wave merged snapshots, ending with the final result."""
-        return self.job(job_id).iter_snapshots(timeout=timeout)
-
-    def cancel(self, job_id: str) -> bool:
-        """Request cancellation; returns whether the job can still stop.
-
-        Pending jobs are skipped when popped; running jobs stop at the
-        next wave boundary.  Finished jobs return False.
-        """
-        job = self.job(job_id)
-        with job._condition:
-            if job.finished:
-                return False
-            job.cancel_requested = True
-            return True
 
     def stats(self) -> Dict[str, Any]:
         with self._jobs_lock:

@@ -1,8 +1,9 @@
 """End-to-end service smoke check (``python -m repro.service.smoke``).
 
-Boots an in-process :class:`~repro.service.server.CampaignServer`, submits
-two overlapping campaign specs plus one exact repeat, and asserts the
-service's two load-bearing guarantees:
+Boots an in-process :class:`~repro.service.server.CampaignServer` on a
+borrowed 2-worker :class:`~repro.injection.pool.CampaignPool`, submits
+``request_from_campaign(...)`` requests and reads each :class:`Job`, and
+asserts the service's load-bearing guarantees:
 
 1. **Bit-identity** — the service's result matches a direct
    ``FaultInjectionCampaign.run()`` exactly (SDC counts and every fault
@@ -10,8 +11,12 @@ service's two load-bearing guarantees:
 2. **Artifact reuse** — the exact repeat is served from the result cache
    (observable hit counter, zero trials run) and the overlapping spec
    (same campaign, larger budget) reuses the stored golden caches.
+3. **Pooled compare** — a paired compare job fanned out on the borrowed
+   pool (``workers=2, use_pool=True``, the shape experiment sweeps
+   submit) matches direct serial runs of both arms.
 
-CI runs this as its service smoke job; it is deliberately tiny (untrained
+CI runs this as its service smoke job under both multiprocessing start
+methods (``REPRO_START_METHOD``); it is deliberately tiny (untrained
 LeNet, dozens of trials) so it finishes in seconds.
 """
 
@@ -19,19 +24,22 @@ from __future__ import annotations
 
 import sys
 
-from ..injection import FaultInjectionCampaign
+from ..core import Ranger
+from ..injection import CampaignPool, FaultInjectionCampaign
 from ..models import prepare_model
-from .client import CampaignClient
+from .serialization import request_from_campaign
 from .server import CampaignServer
 
 TRIALS = 24
 OVERLAP_TRIALS = 48
+TIMEOUT = 300.0
 
 
 def main() -> int:
     prepared = prepare_model("lenet", train=False, seed=1)
     inputs, _ = prepared.dataset.sample_train(4, seed=0)
     model = prepared.model
+    protected, _ = Ranger(seed=0).protect(model, profile_inputs=inputs)
 
     failures = []
 
@@ -40,38 +48,53 @@ def main() -> int:
         if not condition:
             failures.append(label)
 
-    with CampaignServer() as server:
-        client = CampaignClient(server)
-
-        print("service vs direct run (bit-identity):")
-        handle = client.submit_campaign(model, inputs, seed=0, trials=TRIALS,
-                                        keep_faults=True)
-        snapshots = list(handle.stream(timeout=300.0))
-        served = snapshots[-1]
-        direct = FaultInjectionCampaign(model, inputs, seed=0).run(
+    def direct(arm):
+        return FaultInjectionCampaign(arm, inputs, seed=0).run(
             trials=TRIALS, keep_faults=True)
-        check(served.sdc_counts == direct.sdc_counts, "sdc counts match")
-        check(served.faults == direct.faults, "fault records match")
+
+    reference = direct(model)
+    with CampaignPool(workers=2) as pool, \
+            CampaignServer(pool=pool) as server:
+        print("service vs direct run (bit-identity):")
+        job = server.submit(request_from_campaign(
+            model, inputs, seed=0, trials=TRIALS, keep_faults=True))
+        snapshots = list(job.iter_snapshots(timeout=TIMEOUT))
+        served = snapshots[-1]
+        check(served.sdc_counts == reference.sdc_counts, "sdc counts match")
+        check(served.faults == reference.faults, "fault records match")
         check(len(snapshots) > 1, "per-wave snapshots streamed")
         check(all(earlier.trials <= later.trials for earlier, later
                   in zip(snapshots, snapshots[1:])),
               "snapshots are cumulative")
 
         print("exact repeat (result cache):")
-        repeat = client.submit_campaign(model, inputs, seed=0, trials=TRIALS,
-                                        keep_faults=True)
-        repeat_result = repeat.result(timeout=300.0)
-        check(repeat.from_cache is True, "repeat served from result cache")
-        check(repeat_result.sdc_counts == direct.sdc_counts
-              and repeat_result.faults == direct.faults,
+        repeat = server.submit(request_from_campaign(
+            model, inputs, seed=0, trials=TRIALS, keep_faults=True))
+        repeat_result = repeat.result(timeout=TIMEOUT)
+        check(repeat.describe().get("from_cache") is True,
+              "repeat served from result cache")
+        check(repeat_result.sdc_counts == reference.sdc_counts
+              and repeat_result.faults == reference.faults,
               "cached result bit-identical")
 
         print("overlapping spec (golden cache):")
-        overlap = client.submit_campaign(model, inputs, seed=0,
-                                         trials=OVERLAP_TRIALS)
-        overlap.result(timeout=300.0)
-        check(overlap.status().get("golden_seeded") is True,
+        overlap = server.submit(request_from_campaign(
+            model, inputs, seed=0, trials=OVERLAP_TRIALS))
+        overlap.result(timeout=TIMEOUT)
+        check(overlap.describe().get("golden_seeded") is True,
               "overlapping job seeded from stored golden caches")
+
+        print("compare job on the borrowed pool:")
+        compare = server.submit(request_from_campaign(
+            model, inputs, seed=0, trials=TRIALS, keep_faults=True,
+            protected_model=protected, workers=2, use_pool=True))
+        pair = compare.result(timeout=TIMEOUT)
+        for label, arm, result in zip(("unprotected", "protected"),
+                                      (reference, direct(protected)), pair):
+            check(result.sdc_counts == arm.sdc_counts
+                  and result.faults == arm.faults,
+                  f"{label} arm matches a direct serial run")
+        check(pool.stats()["tasks"] >= 2, "compare job ran on the pool")
 
         stats = server.stats()
         result_stats = stats["store"].get("result", {})
@@ -79,6 +102,7 @@ def main() -> int:
         check(result_stats.get("hits", 0) >= 1, "result-cache hit recorded")
         check(golden_stats.get("hits", 0) >= 1, "golden-cache hit recorded")
         print(f"store stats: {stats['store']}")
+        print(f"pool stats: {pool.stats()}")
 
     if failures:
         print(f"smoke FAILED ({len(failures)} checks): {failures}")

@@ -340,7 +340,7 @@ class TestSpecRebuild:
         def keys():
             request = request_from_campaign(lenet_prepared.model, inputs,
                                             seed=0, **ingredients)
-            return spec_fingerprint(campaign.spec()), request.spec_key()
+            return spec_fingerprint(campaign.spec()), request.arm_keys()[0]
 
         before = keys()
         result = campaign.run(plans=campaign.generate_plans(6),

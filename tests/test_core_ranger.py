@@ -22,7 +22,10 @@ from repro.core import (
 )
 from repro.graph import Executor
 from repro.injection import FaultInjector, SingleBitFlip
+from repro.injection.campaign import CampaignSpec
+from repro.injection.pool import spec_fingerprint
 from repro.models import build_lenet, build_squeezenet
+from repro.quantization import FIXED32
 
 
 class TestLayerObservation:
@@ -113,6 +116,42 @@ class TestPolicies:
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             ClipToBound(3.0, 1.0)
+
+
+class TestRandomPolicyCampaigns:
+    """A ``Ranger(policy="random")`` model holds no generator state, so
+    its campaigns key and replay alike on every path (lenet, fixed32).
+    Bounds profiled on two inputs leave the golden runs of others out of
+    range, so every run draws replacements, faulty or not."""
+
+    TRIALS = 48
+
+    @pytest.fixture(scope="class")
+    def spec(self, lenet_prepared):
+        sample, _ = lenet_prepared.dataset.sample_train(2, seed=0)
+        protected, _ = Ranger(policy="random", seed=0).protect(
+            lenet_prepared.model, profile_inputs=sample)
+        inputs, _ = lenet_prepared.correctly_predicted_inputs(3, seed=0)
+        return CampaignSpec.of(protected, inputs,
+                               fault_model=SingleBitFlip(FIXED32), seed=0)
+
+    def test_spec_key_survives_a_run(self, spec):
+        key = spec_fingerprint(spec)
+        spec.build().run(trials=8)
+        assert spec_fingerprint(spec) == key
+
+    def test_every_path_replays_the_serial_run(self, spec):
+        plans = spec.build().generate_plans(self.TRIALS)
+        serial = spec.build().run(plans=plans, keep_faults=True)
+        assert any(isinstance(node.op, ReplaceWithRandom)
+                   for node in spec.model.graph.nodes())
+        for options in ({"incremental": False}, {"workers": 2}):
+            result = spec.build().run(plans=plans, keep_faults=True,
+                                      **options)
+            assert result.sdc_counts == serial.sdc_counts, options
+            assert result.faults == serial.faults, options
+        batched = spec.build().run(plans=plans, batch_trials=8)
+        assert batched.sdc_counts == serial.sdc_counts
 
 
 class TestProfiler:

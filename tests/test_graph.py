@@ -341,11 +341,6 @@ class TestPrunedExecution:
         assert "relu_dead" not in result.values
         assert result.output()[0, 0] == 4.0
 
-    def test_prune_false_evaluates_whole_graph(self):
-        g = branchy_graph()
-        result = Executor(g).run({"x": np.array([[2.0]])}, prune=False)
-        assert result.values["relu_dead"][0, 0] == 4.0
-
     def test_observers_never_see_pruned_nodes(self):
         g = branchy_graph()
         ex = Executor(g)

@@ -44,6 +44,7 @@ from repro.injection import (
     FaultInjectionCampaign,
     InjectionPlan,
     MultiBitFlip,
+    RunOptions,
     SingleBitFlip,
     StuckAtZeroFault,
     compare_protection,
@@ -143,11 +144,41 @@ class TestParallelEqualsSerial:
         spec = pickle.dumps(campaign.spec())
         payload = [(index, plan.to_payload()) for index, plan in plans]
         fingerprint = campaign.spec_fingerprint()
-        assert _run_pooled_shard(fingerprint, None, payload, 0, True,
-                                 True) is None  # miss marker
-        shard = _run_pooled_shard(fingerprint, spec, payload, trial_offset=0,
-                                  keep_faults=True, incremental=True)
+        options = RunOptions(trials=len(plans), keep_faults=True)
+        assert _run_pooled_shard(fingerprint, None, payload, 0,
+                                 options) is None  # miss marker
+        shard = _run_pooled_shard(fingerprint, spec, payload, 0, options)
         assert shard.sdc_counts == reference.sdc_counts
+        assert shard.faults == reference.faults
+
+    def test_worker_shard_goes_straight_to_dispatch(self, lenet_prepared,
+                                                    monkeypatch):
+        """A worker runs its shard through one backend dispatch with the
+        run's own options, not a second pass of the wave driver."""
+        from repro.injection import campaign as campaign_module
+        monkeypatch.setattr(pool_module, "_WORKER_CAMPAIGNS", OrderedDict())
+        inputs, _ = lenet_prepared.correctly_predicted_inputs(2, seed=0)
+        campaign = FaultInjectionCampaign(lenet_prepared.model, inputs, seed=0)
+        plans = campaign.generate_plans(8)
+        reference = campaign.run(plans=plans, keep_faults=True)
+        options = RunOptions(trials=len(plans), keep_faults=True)
+        dispatched, grouped = [], []
+        real_dispatch = FaultInjectionCampaign._dispatch
+        real_group = campaign_module.run_group
+        monkeypatch.setattr(
+            FaultInjectionCampaign, "_dispatch",
+            lambda self, *args, **kwargs: dispatched.append(args[1])
+            or real_dispatch(self, *args, **kwargs))
+        monkeypatch.setattr(
+            campaign_module, "run_group",
+            lambda *args, **kwargs: grouped.append(args)
+            or real_group(*args, **kwargs))
+        shard = _run_pooled_shard(
+            campaign.spec_fingerprint(), pickle.dumps(campaign.spec()),
+            [(index, plan.to_payload()) for index, plan in plans], 0,
+            options)
+        assert dispatched == [options]
+        assert grouped == []
         assert shard.faults == reference.faults
 
     def test_plan_payload_roundtrip(self):
@@ -666,7 +697,8 @@ class TestSpecOnMiss:
                 campaign.run(trials=TRIALS, pool=pool)
             stats = pool.stats()
             hit_task = pool._shard_tasks(campaign,
-                                         campaign.generate_plans(TRIALS))[0]
+                                         campaign.generate_plans(TRIALS),
+                                         RunOptions(trials=TRIALS))[0]
         assert stats["tasks"] == 3 * 2
         assert stats["hits"] + stats["misses"] == stats["tasks"]
         assert stats["misses"] >= 2
@@ -807,7 +839,7 @@ class TestPoolLifecycle:
         def shard(campaign, with_spec):
             spec = pickle.dumps(campaign.spec()) if with_spec else None
             return _run_pooled_shard(campaign.spec_fingerprint(), spec,
-                                     payload, 0, False, True)
+                                     payload, 0, RunOptions(trials=2))
 
         for campaign in campaigns[:-1]:
             assert shard(campaign, with_spec=True) is not None
@@ -842,23 +874,24 @@ class TestPoolLifecycle:
 
 
 class TestServerPoolOwnership:
-    def test_server_closes_only_the_pool_it_owns(self, untrained_lenet):
-        from repro.service import CampaignServer
+    def test_server_leaves_a_borrowed_pool_running(self, untrained_lenet):
+        from repro.service import CampaignServer, request_from_campaign
+        from repro.service.scheduler import DEFAULT_WAVE_COUNT
 
-        owned = CampaignServer(pool_workers=1)
-        owned.close()
-        assert owned.pool.closed
-        campaign = FaultInjectionCampaign(untrained_lenet.model,
-                                          untrained_lenet.dataset.x_val[:2],
+        inputs = untrained_lenet.dataset.x_val[:2]
+        campaign = FaultInjectionCampaign(untrained_lenet.model, inputs,
                                           seed=0)
-        plans = campaign.generate_plans(4)
+        plans = campaign.generate_plans(8)
         with CampaignPool(workers=1) as pool:
-            borrowed = CampaignServer(pool=pool)
-            borrowed.close()
+            with CampaignServer(pool=pool) as server:
+                job = server.submit(request_from_campaign(
+                    untrained_lenet.model, inputs, seed=0, trials=8,
+                    use_pool=True))
+                served = job.result(timeout=600.0)
             assert not pool.closed
+            assert pool.stats()["tasks"] == DEFAULT_WAVE_COUNT
             # The caller's pool outlives the server and still runs.
             assert (campaign.run(plans=plans, pool=pool).sdc_counts
-                    == campaign.run(plans=plans).sdc_counts)
-            with pytest.raises(ValueError, match="not both"):
-                CampaignServer(pool_workers=1, pool=pool)
+                    == campaign.run(plans=plans).sdc_counts
+                    == served.sdc_counts)
         assert pool.closed

@@ -37,12 +37,12 @@ from repro.quantization import FIXED32, fixed32_policy
 from repro.service import (
     AdmissionError,
     ArtifactStore,
-    CampaignClient,
     CampaignServer,
     JobQueue,
     RunOptions,
     WaveScheduler,
     request_from_campaign,
+    result_fingerprint,
 )
 from repro.service.scheduler import DEFAULT_WAVE_COUNT
 
@@ -76,6 +76,19 @@ def submit_kwargs(**options):
                 keep_faults=True)
     base.update(options)
     return base
+
+
+def submit(server, model, inputs, **options):
+    """Submit ``request_from_campaign(model, inputs, ...)``; returns the
+    :class:`~repro.service.Job`."""
+    return server.submit(request_from_campaign(model, inputs,
+                                               **submit_kwargs(**options)))
+
+
+def keys(request):
+    """The request's golden-cache key and result key."""
+    arm_keys = request.arm_keys()
+    return arm_keys[0], result_fingerprint(request, arm_keys)
 
 
 class TestJobQueue:
@@ -166,8 +179,7 @@ class TestRequestFingerprints:
                                       **submit_kwargs())
         second = request_from_campaign(lenet_prepared.model, service_inputs,
                                        **submit_kwargs())
-        assert first.spec_key() == second.spec_key()
-        assert first.result_key() == second.result_key()
+        assert keys(first) == keys(second)
 
     def test_backend_knobs_change_result_key_not_spec_key(
             self, lenet_prepared, service_inputs):
@@ -175,16 +187,15 @@ class TestRequestFingerprints:
                                       **submit_kwargs())
         batched = request_from_campaign(lenet_prepared.model, service_inputs,
                                         **submit_kwargs(batch_trials=8))
-        assert plain.spec_key() == batched.spec_key()
-        assert plain.result_key() != batched.result_key()
+        assert keys(plain)[0] == keys(batched)[0]
+        assert keys(plain)[1] != keys(batched)[1]
 
     def test_fingerprint_survives_pickle_round_trip(self, lenet_prepared,
                                                     service_inputs):
         request = request_from_campaign(lenet_prepared.model, service_inputs,
                                         **submit_kwargs())
         clone = pickle.loads(pickle.dumps(request))
-        assert clone.spec_key() == request.spec_key()
-        assert clone.result_key() == request.result_key()
+        assert keys(clone) == keys(request)
 
     def test_fingerprint_does_not_depend_on_the_hash_seed(self):
         """A fixed32 spec fingerprints alike in processes with different
@@ -219,12 +230,12 @@ class TestRequestFingerprints:
         pickle (and therefore every content key) must not see them."""
         request = request_from_campaign(lenet_prepared.model, service_inputs,
                                         **submit_kwargs())
-        before = request.result_key()
+        before = keys(request)
         FaultInjectionCampaign(
             lenet_prepared.model, service_inputs,
             fault_model=SingleBitFlip(FIXED32),
             dtype_policy=fixed32_policy(), seed=0).run(trials=2)
-        assert request.result_key() == before
+        assert keys(request) == before
 
     def test_fingerprint_ignores_training_scratch(self):
         """A BatchNorm model's spec pickles to the same bytes, and keys
@@ -240,12 +251,12 @@ class TestRequestFingerprints:
             model, inputs, fault_model=SingleBitFlip(FIXED32),
             dtype_policy=fixed32_policy(), seed=0)
         pickled = pickle.dumps(request.spec, protocol=pickle.HIGHEST_PROTOCOL)
-        key = request.spec_key()
+        key = keys(request)
         request.spec.build().run(trials=8, batch_trials=8)
         assert any(op._cache is not None for op in _batch_norms(model))
         assert pickle.dumps(request.spec,
                             protocol=pickle.HIGHEST_PROTOCOL) == pickled
-        assert request.spec_key() == key
+        assert keys(request) == key
         loss = SoftmaxCrossEntropy()
         executor = Executor(model.graph)
         logits = executor.run({model.input_name: inputs},
@@ -257,7 +268,7 @@ class TestRequestFingerprints:
         assert all(v.grad is not None for v in model.graph.variables())
         assert pickle.dumps(request.spec,
                             protocol=pickle.HIGHEST_PROTOCOL) == pickled
-        assert request.spec_key() == key
+        assert keys(request) == key
 
         clone = pickle.loads(pickled).model
         assert all(v.grad is None for v in clone.graph.variables())
@@ -300,12 +311,12 @@ class TestRequestFingerprints:
             model, inputs[:2], fault_model=SingleBitFlip(FIXED32),
             dtype_policy=fixed32_policy(), seed=0)
         pickled = pickle.dumps(request.spec, protocol=pickle.HIGHEST_PROTOCOL)
-        key = request.spec_key()
+        key = keys(request)
         model.predict_logits(inputs[:2])
         assert dropout._mask is None
         assert pickle.dumps(request.spec,
                             protocol=pickle.HIGHEST_PROTOCOL) == pickled
-        assert request.spec_key() == key
+        assert keys(request) == key
 
     def test_options_waved_flag(self):
         assert not RunOptions().waved
@@ -318,7 +329,8 @@ class TestServiceBitIdentity:
 
     @pytest.fixture(scope="class")
     def server(self):
-        with CampaignServer(pool_workers=2) as server:
+        with CampaignPool(workers=2) as pool, \
+                CampaignServer(pool=pool) as server:
             yield server
 
     @pytest.mark.parametrize("options", [
@@ -331,9 +343,8 @@ class TestServiceBitIdentity:
     def test_backend_matches_direct_run(self, server, lenet_prepared,
                                         service_inputs, direct_reference,
                                         options):
-        client = CampaignClient(server)
-        result = client.run(lenet_prepared.model, service_inputs,
-                            timeout=600.0, **submit_kwargs(**options))
+        result = submit(server, lenet_prepared.model, service_inputs,
+                        **options).result(timeout=600.0)
         # the direct run takes the same engine options (an adaptive job
         # stops early on both sides; backend knobs don't change content)
         run_options = {key: value for key, value in options.items()
@@ -352,12 +363,9 @@ class TestServiceBitIdentity:
 
     def test_streaming_snapshots_are_cumulative_prefixes(
             self, server, lenet_prepared, service_inputs, direct_reference):
-        client = CampaignClient(server)
         # seed=1 keeps this spec distinct from the cached backend runs.
-        handle = client.submit_campaign(
-            lenet_prepared.model, service_inputs,
-            **submit_kwargs(seed=1))
-        snapshots = list(handle.stream(timeout=600.0))
+        job = submit(server, lenet_prepared.model, service_inputs, seed=1)
+        snapshots = list(job.iter_snapshots(timeout=600.0))
         assert len(snapshots) > 1
         trials_seen = [snapshot.trials for snapshot in snapshots]
         assert trials_seen == sorted(trials_seen)
@@ -378,11 +386,10 @@ class TestServiceBitIdentity:
                                                 service_inputs):
         from repro.injection import compare_protection
         protected, _ = lenet_protected
-        client = CampaignClient(server)
-        base, guarded = client.compare(
-            lenet_prepared.model, protected, service_inputs, timeout=600.0,
-            fault_model=SingleBitFlip(FIXED32),
-            dtype_policy=fixed32_policy(), seed=0, trials=TRIALS)
+        base, guarded = submit(
+            server, lenet_prepared.model, service_inputs,
+            protected_model=protected, keep_faults=False, workers=2,
+            use_pool=True).result(timeout=600.0)
         direct_base, direct_guarded = compare_protection(
             lenet_prepared.model, protected, service_inputs,
             fault_model=SingleBitFlip(FIXED32),
@@ -396,15 +403,12 @@ class TestArtifactReuse:
                                                  service_inputs,
                                                  direct_reference):
         with CampaignServer() as server:
-            client = CampaignClient(server)
-            first = client.submit_campaign(lenet_prepared.model,
-                                           service_inputs, **submit_kwargs())
+            first = submit(server, lenet_prepared.model, service_inputs)
             first.result(timeout=600.0)
-            assert first.from_cache is False
-            repeat = client.submit_campaign(lenet_prepared.model,
-                                            service_inputs, **submit_kwargs())
+            assert first.describe()["from_cache"] is False
+            repeat = submit(server, lenet_prepared.model, service_inputs)
             served = repeat.result(timeout=600.0)
-            assert repeat.from_cache is True
+            assert repeat.describe()["from_cache"] is True
             assert served.sdc_counts == direct_reference.sdc_counts
             assert served.faults == direct_reference.faults
             stats = server.stats()["store"]
@@ -414,19 +418,16 @@ class TestArtifactReuse:
     def test_overlapping_spec_reuses_golden_caches(self, lenet_prepared,
                                                    service_inputs):
         with CampaignServer() as server:
-            client = CampaignClient(server)
-            first = client.submit_campaign(lenet_prepared.model,
-                                           service_inputs, **submit_kwargs())
+            first = submit(server, lenet_prepared.model, service_inputs)
             first.result(timeout=600.0)
-            assert first.status()["golden_seeded"] is False
+            assert first.describe()["golden_seeded"] is False
             # Same spec, different budget and options: result key differs,
             # spec key (and therefore the golden caches) is shared.
-            overlap = client.submit_campaign(
-                lenet_prepared.model, service_inputs,
-                **submit_kwargs(trials=TRIALS * 2, keep_faults=False))
+            overlap = submit(server, lenet_prepared.model, service_inputs,
+                             trials=TRIALS * 2, keep_faults=False)
             overlap.result(timeout=600.0)
-            assert overlap.from_cache is False
-            assert overlap.status()["golden_seeded"] is True
+            assert overlap.describe()["from_cache"] is False
+            assert overlap.describe()["golden_seeded"] is True
             assert server.stats()["store"]["golden"]["hits"] == 1
 
     def test_cached_result_equals_fresh_on_new_server(self, lenet_prepared,
@@ -434,15 +435,13 @@ class TestArtifactReuse:
                                                       tmp_path):
         store = ArtifactStore(root=tmp_path)
         with CampaignServer(store=store) as server:
-            fresh = CampaignClient(server).run(
-                lenet_prepared.model, service_inputs, timeout=600.0,
-                **submit_kwargs())
+            fresh = submit(server, lenet_prepared.model,
+                           service_inputs).result(timeout=600.0)
         # a second server over the same disk root serves from cache
         with CampaignServer(store=ArtifactStore(root=tmp_path)) as server:
-            handle = CampaignClient(server).submit_campaign(
-                lenet_prepared.model, service_inputs, **submit_kwargs())
-            cached = handle.result(timeout=600.0)
-            assert handle.from_cache is True
+            job = submit(server, lenet_prepared.model, service_inputs)
+            cached = job.result(timeout=600.0)
+            assert job.describe()["from_cache"] is True
         assert cached.sdc_counts == fresh.sdc_counts
         assert cached.faults == fresh.faults
 
@@ -677,13 +676,27 @@ class TestServerLifecycle:
         # pop by submitting against a closed-queue-free server and racing
         # the flag — the deterministic part is the API contract below.
         with CampaignServer() as server:
-            client = CampaignClient(server)
-            handle = client.submit_campaign(lenet_prepared.model,
-                                            service_inputs, **submit_kwargs())
-            handle.result(timeout=600.0)
+            job = submit(server, lenet_prepared.model, service_inputs)
+            job.result(timeout=600.0)
             # finished jobs can no longer be cancelled
-            assert handle.cancel() is False
-            assert handle.status()["state"] == "done"
+            assert job.cancel() is False
+            assert job.describe()["state"] == "done"
+
+    def test_cancel_flags_only_unfinished_jobs(self, lenet_prepared,
+                                               service_inputs):
+        from repro.service import Job
+        from repro.service.server import CANCELLED, DONE
+        request = request_from_campaign(lenet_prepared.model, service_inputs,
+                                        **submit_kwargs())
+        job = Job("job-1", request, priority=0)
+        assert job.cancel() is True
+        assert job.describe()["cancel_requested"] is True
+        job.transition(CANCELLED)
+        assert job.cancel() is False
+        done = Job("job-2", request, priority=0)
+        done.transition(DONE)
+        assert done.cancel() is False
+        assert done.cancel_requested is False
 
     def test_failed_job_surfaces_error(self, lenet_prepared, service_inputs):
         with CampaignServer() as server:
@@ -726,11 +739,6 @@ class TestServerLifecycle:
             server.submit(request_from_campaign(
                 lenet_prepared.model, service_inputs, **submit_kwargs()))
 
-    def test_unknown_job_id(self):
-        with CampaignServer() as server:
-            with pytest.raises(KeyError):
-                server.status("job-999")
-
     def test_unpicklable_submission_rejected_at_admission(self):
         with CampaignServer() as server:
             with pytest.raises(Exception):
@@ -746,13 +754,10 @@ class TestServiceSoak:
         """A burst of interleaved repeat/overlap jobs all finish, cache
         hits accumulate, and every result stays bit-identical."""
         with CampaignServer(max_pending=64) as server:
-            client = CampaignClient(server)
-            handles = []
-            for round_index in range(6):
-                handles.append(client.submit_campaign(
-                    lenet_prepared.model, service_inputs,
-                    priority=round_index % 3, **submit_kwargs()))
-            results = [handle.result(timeout=600.0) for handle in handles]
+            jobs = [server.submit(request_from_campaign(
+                lenet_prepared.model, service_inputs, **submit_kwargs()),
+                priority=round_index % 3) for round_index in range(6)]
+            results = [job.result(timeout=600.0) for job in jobs]
             for result in results:
                 assert result.sdc_counts == direct_reference.sdc_counts
                 assert result.faults == direct_reference.faults

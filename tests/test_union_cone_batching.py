@@ -42,6 +42,7 @@ from repro.injection import (
     CampaignResult,
     FaultInjectionCampaign,
     FaultInjector,
+    RunOptions,
     SingleBitFlip,
     compare_protection,
     trial_rng,
@@ -626,7 +627,7 @@ class TestCampaignPool:
         assert pool.closed
         pool.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
-            pool.run_plans(campaign, plans)
+            pool.run_plans(campaign, plans, RunOptions(trials=len(plans)))
 
     def test_pool_rejects_bad_worker_count(self):
         with pytest.raises(ValueError, match="workers"):
